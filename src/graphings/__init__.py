@@ -14,8 +14,7 @@ from .automata import (ACCEPT, INIT, REJECT, Automaton, Instruction,
 from .compiler import (CompiledMachine, DialectState, compile_automaton,
                        format_compiled, prune_reachable)
 from .errors import (ClosureViolation, DiscretizationError, FormatError,
-                     GraphingError, RealizerError, ScopeError, TruncationError,
-                     ValidationError)
+                     GraphingError, ScopeError, TruncationError, ValidationError)
 from .execution import (CutSpec, ExecOptions, PathSum, ThickEdge, ThickGraph,
                         ThickNode, accept_path_sum, cut_between, discretize,
                         enumerate_paths, plug, plug_dialect_pairs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, ValidationError
-from .linsolve import solve_affine
+from .linsolve import prune, solve_affine
 from .theta import STACK_OPS
 
 INIT, ACCEPT, REJECT = "init", "accept", "reject"
@@ -205,26 +205,11 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
 
     # Configurations that cannot reach a halting contribution carry value 0;
     # dropping them keeps probability-one loops out of the linear system.
-    preds = [[] for _ in order]
-    for i, row in enumerate(rows):
-        for j, _ in row:
-            preds[j].append(i)
-    live = {i for i, c in enumerate(contrib) if c > 0}
-    frontier = list(live)
-    while frontier:
-        j = frontier.pop()
-        for i in preds[j]:
-            if i not in live:
-                live.add(i)
-                frontier.append(i)
-    if 0 not in live:
+    kept, sub_rows = prune(rows, [i for i, c in enumerate(contrib) if c > 0])
+    if not kept or kept[0] != 0:
         return _ZERO, not truncated
-    kept = sorted(live)
-    remap = {i: s for s, i in enumerate(kept)}
-    sub_rows = [[(remap[j], p) for j, p in rows[i] if j in live] for i in kept]
-    sub_b = [contrib[i] for i in kept]
-    solved = solve_affine(sub_rows, sub_b)
-    return solved[remap[0]], not truncated
+    solved = solve_affine(sub_rows, [contrib[i] for i in kept])
+    return solved[0], not truncated
 
 
 def trace_enumerate(a: Automaton, word: str, max_len: int = 20):

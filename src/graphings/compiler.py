@@ -24,7 +24,6 @@ from .errors import ValidationError
 from .graphing import Edge, GraphingRep, Weight
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
-from .words import WordRepresentation, canonical_representation
 
 _RESULT_SYM = {ACCEPT: "a", REJECT: "r"}
 
@@ -185,16 +184,6 @@ def prune_reachable(m: CompiledMachine) -> CompiledMachine:
     provenance = {e: m.provenance[e] for e in kept}
     return CompiledMachine(graphing, m.automaton, m.dialect_states,
                            m.start_state, provenance)
-
-
-def finite_view(m: CompiledMachine, word, grid: int | None = None):
-    """Discretized skeleton of the machine against a word representation."""
-    from .execution import discretize
-
-    rep = canonical_representation(word) if isinstance(word, str) else word
-    if not isinstance(rep, WordRepresentation):
-        raise ValidationError("finite_view needs a word or a representation")
-    return discretize(m.graphing, rep.graphing, grid or rep.cells)
 
 
 def format_compiled(m: CompiledMachine) -> str:

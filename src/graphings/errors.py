@@ -9,10 +9,6 @@ class ValidationError(GraphingError):
     """A value violates a structural invariant (malformed atom, bad machine table, ...)."""
 
 
-class RealizerError(GraphingError):
-    """A realizer cannot be applied (target outside the symbol range or the unit box)."""
-
-
 class DiscretizationError(GraphingError):
     """A graphing does not restrict to the requested grid."""
 

@@ -20,7 +20,7 @@ from itertools import product
 from .errors import (ClosureViolation, DiscretizationError, TruncationError,
                      ValidationError)
 from .graphing import Edge, GraphingRep, Weight, realizer_key
-from .linsolve import solve_affine
+from .linsolve import prune, solve_affine
 from .realizer import Realizer, perm_apply
 from .space import (Atom, Region, RESULT_SYMBOLS, ae_equal, box_get,
                     difference, disjoint_ae, refine_regions, sym_index)
@@ -176,6 +176,19 @@ class PathSum:
         return sorted(self.total.items())
 
 
+def _incoming(rows: list) -> list:
+    """Transpose pruned transitions: row ``j`` lists the ``(i, p)`` edges into ``j``.
+
+    The walks record where mass goes; the solve wants, per node, where its
+    mass comes from.
+    """
+    out = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, p in row:
+            out[j].append((i, p))
+    return out
+
+
 def _machine_parts(machine, opts: ExecOptions):
     g = getattr(machine, "graphing", machine)
     start = opts.start_state
@@ -299,33 +312,15 @@ def accept_path_sum(machine, word, accept_region: Region,
 
     # Masses of families arriving at each configuration; only ancestors of an
     # exit matter, and pruning the rest keeps endless loops out of the solve.
-    preds = [[] for _ in order]
-    for i, row in enumerate(trans):
-        for j, _ in row:
-            preds[j].append((i,))
-    useful = {i for i, ex in enumerate(exits) if ex}
-    frontier = list(useful)
-    while frontier:
-        j = frontier.pop()
-        for (i,) in preds[j]:
-            if i not in useful:
-                useful.add(i)
-                frontier.append(i)
-    if useful:
-        kept = sorted(useful)
-        remap = {i: s for s, i in enumerate(kept)}
-        rows = [[] for _ in kept]
-        for i, row in enumerate(trans):
-            for j, p in row:
-                if j in useful and i in useful:
-                    rows[remap[j]].append((remap[i], p))
+    kept, rows = prune(trans, [i for i, ex in enumerate(exits) if ex])
+    if kept:
         try:
-            x = solve_affine(rows, [b[i] for i in kept])
+            x = solve_affine(_incoming(rows), [b[i] for i in kept])
         except ArithmeticError as exc:
             raise ClosureViolation(f"dialogue mass does not converge: {exc}") from exc
-        for i in kept:
+        for s, i in enumerate(kept):
             for p, bucket in exits[i]:
-                totals[bucket] = totals.get(bucket, _ZERO) + x[remap[i]] * p
+                totals[bucket] = totals.get(bucket, _ZERO) + x[s] * p
 
     dropped = totals.pop(None, _ZERO)
     return PathSum({k: v for k, v in sorted(totals.items()) if v != 0},
@@ -560,36 +555,18 @@ def _walk_origin(side0: int, origin_ci: int, origin: Atom, in0: int,
                          tuple(new_cur), engaged_first, new_flag))
         pos += 1
 
-    preds = [[] for _ in order]
-    for i, row in enumerate(trans):
-        for j, _ in row:
-            preds[j].append(i)
-    useful = {i for i, ex in enumerate(exit_rows) if ex}
-    frontier = list(useful)
-    while frontier:
-        j = frontier.pop()
-        for i in preds[j]:
-            if i not in useful:
-                useful.add(i)
-                frontier.append(i)
-    if not useful:
+    kept, rows = prune(trans, [i for i, ex in enumerate(exit_rows) if ex])
+    if not kept:
         return
-    kept = sorted(useful)
-    remap = {i: s for s, i in enumerate(kept)}
-    rows = [[] for _ in kept]
-    for i, row in enumerate(trans):
-        for j, p in row:
-            if i in useful and j in useful:
-                rows[remap[j]].append((remap[i], p))
     try:
-        x = solve_affine(rows, [b[i] for i in kept])
+        x = solve_affine(_incoming(rows), [b[i] for i in kept])
     except ArithmeticError as exc:
         raise ClosureViolation(f"plug mass does not converge: {exc}") from exc
 
     other = 1 - side0
-    for i in kept:
+    for s, i in enumerate(kept):
         for p, comp, ocyl, tc, cur, engaged_first, flag in exit_rows[i]:
-            mass = x[remap[i]] * p
+            mass = x[s] * p
             if mass == 0:
                 continue
             if cur[other] is None:

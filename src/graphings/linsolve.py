@@ -4,7 +4,8 @@ Path sums around cycles are geometric series; with finitely many nodes they
 are the unique solution of a sparse affine system.  The solver decomposes the
 dependency graph into strongly connected components (iterative Tarjan, safe
 for deep graphs), walks them so that every dependency is solved first, and
-runs dense fraction-exact Gaussian elimination inside each component.
+runs fraction-exact Gaussian elimination over sparse dict rows inside each
+component.  ``prune`` is the reachability cut every caller applies first.
 
 Raises ``ArithmeticError`` when a component's system is singular, which the
 callers translate into their own domain errors.
@@ -73,23 +74,67 @@ def strongly_connected(n: int, adj) -> list[list[int]]:
     return out
 
 
-def _solve_dense(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if matrix[r][col] != 0), None)
-        if pivot is None:
+def prune(succ, targets):
+    """Keep the nodes that reach a target; renumber them; return ``(kept, rows)``.
+
+    ``succ[i]`` lists the ``(j, weight)`` edges out of node ``i``.  ``kept``
+    is the sorted list of nodes that reach some node of ``targets``, and
+    ``rows[s]`` lists the edges of ``kept[s]`` into kept nodes, renumbered.
+    A node that reaches no target has value zero, so dropping it keeps
+    probability-one loops that never exit out of the solve; the predecessors
+    of kept nodes are all kept, so mass arriving at kept nodes is unchanged.
+    """
+    preds = [[] for _ in succ]
+    for i, row in enumerate(succ):
+        for j, _ in row:
+            preds[j].append(i)
+    live = set(targets)
+    frontier = list(live)
+    while frontier:
+        for i in preds[frontier.pop()]:
+            if i not in live:
+                live.add(i)
+                frontier.append(i)
+    kept = sorted(live)
+    remap = {i: s for s, i in enumerate(kept)}
+    return kept, [[(remap[j], p) for j, p in succ[i] if j in remap] for i in kept]
+
+
+def _eliminate(rows: list[dict], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve the sparse system ``sum(rows[k][c] * y[c]) == rhs[k]`` exactly.
+
+    Column by column the diagonal is the pivot; a later row is swapped in
+    only when it is zero.  The pivot row is scaled to a unit pivot and
+    cleared out of the rows below it, so fill-in stays right of the pivot
+    column, and back-substitution over the finished rows gives ``y``.
+    Consumes ``rows`` and ``rhs``.
+    """
+    m = len(rows)
+    for col in range(m):
+        r = next((r for r in range(col, m) if rows[r].get(col)), None)
+        if r is None:
             raise ArithmeticError("singular linear system")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = ONE / matrix[col][col]
-        matrix[col] = [v * inv for v in matrix[col]]
+        rows[col], rows[r] = rows[r], rows[col]
+        rhs[col], rhs[r] = rhs[r], rhs[col]
+        row = rows[col]
+        inv = ONE / row.pop(col)
+        pivot = rows[col] = {c: v * inv for c, v in row.items() if v}
         rhs[col] *= inv
-        for r in range(n):
-            if r == col or matrix[r][col] == 0:
-                continue
-            factor = matrix[r][col]
-            matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[col])]
-            rhs[r] -= factor * rhs[col]
+        for r in range(col + 1, m):
+            row = rows[r]
+            f = row.pop(col, None)
+            if f:
+                for c, v in pivot.items():
+                    if c in row:
+                        row[c] -= f * v
+                    else:
+                        row[c] = -f * v
+                rhs[r] -= f * rhs[col]
+    for k in range(m - 1, -1, -1):
+        acc = rhs[k]
+        for c, v in rows[k].items():
+            acc -= v * rhs[c]
+        rhs[k] = acc
     return rhs
 
 
@@ -99,28 +144,21 @@ def solve_affine(rows, b) -> list[Fraction]:
     ``rows`` may contain repeated ``j`` entries; coefficients add up.
     """
     n = len(rows)
-    adj = [[j for j, _ in row] for row in rows]
-    coeff = []
-    for row in rows:
-        d: dict[int, Fraction] = {}
-        for j, c in row:
-            d[j] = d.get(j, ZERO) + c
-        coeff.append(d)
     x: list[Fraction | None] = [None] * n
-    for comp in strongly_connected(n, adj):
+    for comp in strongly_connected(n, [[j for j, _ in row] for row in rows]):
         order = {node: k for k, node in enumerate(comp)}
-        matrix = [[ZERO] * len(comp) for _ in comp]
-        rhs = []
-        for node in comp:
-            k = order[node]
-            matrix[k][k] = ONE
+        system, rhs = [], []
+        for k, node in enumerate(comp):
+            row = {k: ONE}  # the coefficients of x - T x
             acc = b[node]
-            for j, c in coeff[node].items():
-                if j in order:
-                    matrix[k][order[j]] -= c
-                else:
+            for j, c in rows[node]:
+                local = order.get(j)
+                if local is None:
                     acc += c * x[j]  # already solved: dependencies-first order
+                else:
+                    row[local] = row.get(local, ZERO) - c
+            system.append(row)
             rhs.append(acc)
-        for node, value in zip(comp, _solve_dense(matrix, rhs)):
+        for node, value in zip(comp, _eliminate(system, rhs)):
             x[node] = value
     return x

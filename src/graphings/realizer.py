@@ -161,7 +161,9 @@ class Realizer:
             iv = box_get(atom.box, perm_apply(inv, c))
             amount = self.box_shift_at(c)
             intervals.append(iv.translate(amount) if amount else iv)
-        assert self.pops <= len(atom.cyl)
+        if self.pops > len(atom.cyl):
+            raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
+                                  f"prefix that long, got {atom.cyl!r}")
         cyl = self.pushes + atom.cyl[self.pops:]
         return Atom(sym, tuple(intervals), cyl, atom.state)
 
@@ -188,7 +190,9 @@ class Realizer:
             iv = box_get(got.box, perm_apply(self.perm, c))
             amount = self.box_shift_at(perm_apply(self.perm, c))
             intervals.append(iv.translate(-amount) if amount else iv)
-        assert got.cyl.startswith(self.pushes)
+        if not got.cyl.startswith(self.pushes):
+            raise ValidationError(f"image cylinder {got.cyl!r} does not start "
+                                  f"with the pushed word {self.pushes!r}")
         cyl = piece.cyl[: self.pops] + got.cyl[len(self.pushes):]
         return Atom(piece.sym, tuple(intervals), cyl, piece.state)
 

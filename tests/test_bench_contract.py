@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps library names; every one must exist.
+
+``perfbench/tracer.py`` looks up each ``(module, attribute)`` pair of
+``TRACED_NAMES`` whenever a ``Tracer`` is built, traced or not, so a library
+refactor that drops one of those names would fail every benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED_NAMES
+
+
+def test_every_traced_name_resolves_to_a_library_callable():
+    names = _traced_names()
+    assert names
+    for module, attr, _ in names:
+        mod = importlib.import_module(f"graphings.{module}")
+        assert callable(getattr(mod, attr, None)), f"graphings.{module}.{attr}"

@@ -115,6 +115,21 @@ def test_preimage_disjoint_constraint_is_none():
     assert r.preimage_atom(piece, Atom("a", cyl="1")) is None
 
 
+def test_preimage_of_a_piece_too_short_for_the_pops_raises():
+    r = Realizer(pops=2)
+    with pytest.raises(ValidationError):
+        r.preimage_atom(Atom("a", cyl="*"), Atom("a"))
+
+
+def test_preimage_of_an_image_without_the_pushed_word_raises(monkeypatch):
+    # Images always start with the pushed word; a faulty image must still be
+    # refused by a raised error, which -O does not strip like an assert.
+    r = Realizer(pushes="0")
+    monkeypatch.setattr(Realizer, "_apply_exact", lambda self, atom: atom)
+    with pytest.raises(ValidationError):
+        r.preimage_atom(Atom("a", cyl="1"), Atom("a"))
+
+
 def test_normalized_on_strips_pop_repush():
     r = Realizer(pops=1, pushes="*")
     assert r.normalized_on("*").is_identity
