@@ -126,9 +126,10 @@ def _start_config(a: Automaton):
 def _expand(a: Automaton, word: str, config, depth: int):
     """Successors of a live configuration.
 
-    Yields ``(prob, kind, payload)`` with kind one of ``"step"`` (payload a
-    config), ``"halt"`` (payload ``accept``/``reject``/``None`` for a halt
-    with leftover stack), or ``"drop"`` (stack budget exceeded).
+    Yields ``(instruction, kind, payload)`` with kind one of ``"step"``
+    (payload a config), ``"halt"`` (payload ``accept``/``reject``/``None``
+    for a halt with leftover stack or a pop from an empty one), or ``"drop"``
+    (stack budget exceeded).
     """
     state, positions, stack, last, just = config
     n = len(word) + 1
@@ -140,11 +141,11 @@ def _expand(a: Automaton, word: str, config, depth: int):
                 f"failed to push it back (state {state}, read {read})")
         if t.next_state in (ACCEPT, REJECT):
             outcome = t.next_state if stack == ("*",) else None
-            yield t.prob, "halt", outcome
+            yield t, "halt", outcome
             continue
         if t.stack_op == "pop":
             if not stack:
-                yield t.prob, "halt", None
+                yield t, "halt", None
                 continue
             popped, new_stack = stack[0], stack[1:]
             new_last, new_just = popped, popped == "*"
@@ -152,13 +153,13 @@ def _expand(a: Automaton, word: str, config, depth: int):
             new_stack, new_last, new_just = stack, last, False
         else:
             if len(stack) >= depth:
-                yield t.prob, "drop", None
+                yield t, "drop", None
                 continue
             new_stack = (t.stack_op[-1],) + stack
             new_last, new_just = last, False
         moved = list(positions)
         moved[t.head - 1] = (moved[t.head - 1] + (1 if t.direction == "o" else -1)) % n
-        yield t.prob, "step", (t.next_state, tuple(moved), new_stack, new_last, new_just)
+        yield t, "step", (t.next_state, tuple(moved), new_stack, new_last, new_just)
 
 
 def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
@@ -187,10 +188,10 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     pos = 0
     while pos < len(order):
         config = order[pos]
-        for p, kind, payload in _expand(a, word, config, stack_depth):
+        for t, kind, payload in _expand(a, word, config, stack_depth):
             if kind == "halt":
                 if payload == outcome:
-                    contrib[pos] += p
+                    contrib[pos] += t.prob
             elif kind == "drop":
                 truncated = True
             else:
@@ -200,7 +201,7 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
                     order.append(payload)
                     rows.append([])
                     contrib.append(_ZERO)
-                rows[pos].append((nxt, p))
+                rows[pos].append((nxt, t.prob))
         pos += 1
 
     # Configurations that cannot reach a halting contribution carry value 0;
@@ -227,33 +228,17 @@ def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
     def walk(config, steps, prob):
         if len(steps) >= max_len:
             return
-        state, positions, stack, last, just = config
-        read = read_vector(word, positions)
-        n = len(word) + 1
-        for t in lookup(a, read, state, last):
-            if just and t.stack_op != "push_*":
-                raise ValidationError(
-                    f"{a.name or 'machine'}: popped the bottom marker and then "
-                    f"failed to push it back (state {state}, read {read})")
-            entry = steps + (((read, state, last), t),)
+        state, positions, _, last, _ = config
+        key = (read_vector(word, positions), state, last)
+        # a run of max_len steps never holds max_len + 2 symbols, so no drops
+        for t, kind, payload in _expand(a, word, config, max_len + 2):
+            if kind == "halt" and t.next_state not in (ACCEPT, REJECT):
+                continue  # popped an empty stack: the run ends unrecorded
+            entry = steps + ((key, t),)
             q = prob * t.prob
-            if t.next_state in (ACCEPT, REJECT):
-                out.append((entry, q))
-                continue
-            if t.stack_op == "pop":
-                if not stack:
-                    continue
-                popped, new_stack = stack[0], stack[1:]
-                new_last, new_just = popped, popped == "*"
-            elif t.stack_op == "id":
-                new_stack, new_last, new_just = stack, last, False
-            else:
-                new_stack = (t.stack_op[-1],) + stack
-                new_last, new_just = last, False
-            moved = list(positions)
-            moved[t.head - 1] = (moved[t.head - 1] + (1 if t.direction == "o" else -1)) % n
             out.append((entry, q))
-            walk((t.next_state, tuple(moved), new_stack, new_last, new_just), entry, q)
+            if kind == "step":
+                walk(payload, entry, q)
 
     walk(_start_config(a), (), _ONE)
     return out

@@ -2,15 +2,20 @@
 
 Plugging two graphings along a cut region sums the weights of alternating
 paths through the cut, exactly.  Cells come from a joint refinement of both
-edge systems; the walk over cells tracks the running composite realizer, and
-cyclic mass is resolved by an exact linear solve rather than iteration.
+edge systems; the walk over cells tracks the running composite realizer.
 
-The path-sum entry point specializes the same walk to a compiled machine
+The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
 families: a family narrows spatially when an answer constrains it and dies
 when no answer matches, but its weight stays the product of the edge
 probabilities along it, and families are bucketed by the net stack word of
 their composite, reduced against the cylinder they started from.
+
+Both walks run on one kernel, ``_solve_walk``: it interns configurations
+breadth first under the node budget, prunes to the ancestors of an exit,
+and resolves cyclic mass with one exact linear solve rather than iteration.
+Each caller supplies only its own moves and reads its own exits.  Stack
+actions compose and cancel through ``theta``, as in ``Realizer``.
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,7 @@ from .linsolve import prune, solve_affine
 from .realizer import Realizer, perm_apply
 from .space import (Atom, Region, RESULT_SYMBOLS, ae_equal, box_get,
                     difference, disjoint_ae, refine_regions, sym_index)
+from .theta import cancel_on, pair_mul
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -133,24 +139,6 @@ def discretize(f: GraphingRep, g: GraphingRep, grid: int):
 # --- dialogue path sums ---------------------------------------------------------
 
 
-def _theta_normal(pops: int, pushes: str, origin: str) -> str:
-    """Net stack word of a composite, reduced against the start cylinder.
-
-    Popping a tracked symbol and pushing the same symbol back acts as the
-    identity on the start cylinder, so such pairs cancel before bucketing.
-    """
-    while pops > 0 and pushes and pops <= len(origin) and pushes[-1] == origin[pops - 1]:
-        pops -= 1
-        pushes = pushes[:-1]
-    return pushes + "c" * pops
-
-
-def _compose_theta(pops: int, pushes: str, e_pops: int, e_pushes: str):
-    if e_pops <= len(pushes):
-        return pops, e_pushes + pushes[e_pops:]
-    return pops + e_pops - len(pushes), e_pushes
-
-
 @dataclass
 class PathSum:
     """Exact weight of each stack class of probing dialogues.
@@ -176,17 +164,70 @@ class PathSum:
         return sorted(self.total.items())
 
 
-def _incoming(rows: list) -> list:
-    """Transpose pruned transitions: row ``j`` lists the ``(i, p)`` edges into ``j``.
+def _solve_walk(seeds, expand, max_nodes: int, what: str) -> list:
+    """Exact mass leaving a walk through each of its exits.
 
-    The walks record where mass goes; the solve wants, per node, where its
-    mass comes from.
+    ``seeds`` lists ``(key, mass)`` starting configurations.  ``expand(key)``
+    yields ``("node", p, key)`` for a move to another configuration and
+    ``("exit", p, payload)`` for a move that leaves the walk.  Configurations
+    are interned breadth first, only ancestors of an exit are kept (which
+    keeps endless loops out of the solve), and the mass arriving at each is
+    resolved by one exact solve.  Returns ``(mass, payload)`` per exit move.
     """
-    out = [[] for _ in rows]
+    nodes: dict = {}
+    order: list = []
+    trans: list = []       # per node: list of (succ, p)
+    exits: list = []       # per node: list of (p, payload)
+    b: list = []
+
+    def intern(key) -> int:
+        i = nodes.get(key)
+        if i is None:
+            if len(order) >= max_nodes:
+                raise ClosureViolation(f"{what} walk exceeded the node budget")
+            i = nodes[key] = len(order)
+            order.append(key)
+            trans.append([])
+            exits.append([])
+            b.append(_ZERO)
+        return i
+
+    for key, mass in seeds:
+        b[intern(key)] += mass
+    pos = 0
+    while pos < len(order):
+        for kind, p, payload in expand(order[pos]):
+            if kind == "exit":
+                exits[pos].append((p, payload))
+            else:
+                trans[pos].append((intern(payload), p))
+        pos += 1
+
+    kept, rows = prune(trans, [i for i, ex in enumerate(exits) if ex])
+    if not kept:
+        return []
+    # The walk records where mass goes; the solve wants, per node, where
+    # its mass comes from.
+    incoming = [[] for _ in rows]
     for i, row in enumerate(rows):
         for j, p in row:
-            out[j].append((i, p))
-    return out
+            incoming[j].append((i, p))
+    try:
+        x = solve_affine(incoming, [b[i] for i in kept])
+    except ArithmeticError as exc:
+        raise ClosureViolation(f"{what} mass does not converge: {exc}") from exc
+    return [(x[s] * p, payload)
+            for s, i in enumerate(kept) for p, payload in exits[i]]
+
+
+def _moves(candidates, atom: Atom):
+    """Every move of ``atom`` along indexed edges, as ``(edge, piece, image)``."""
+    for src, e in candidates:
+        inter = atom.intersect(src)
+        if inter is None or inter.measure == 0:
+            continue
+        for piece, img in e.realizer.apply_atom(inter):
+            yield e, piece, img
 
 
 def _machine_parts(machine, opts: ExecOptions):
@@ -228,100 +269,39 @@ def accept_path_sum(machine, word, accept_region: Region,
     _, start, m_index = _machine_parts(machine, opts)
     _, w_index = _word_parts(word)
     depth = opts.stack_depth
-
-    nodes: dict = {}
-    order: list = []
-    trans: list = []       # per node: list of (succ, p)
-    exits: list = []       # per node: list of (p, bucket)
-    b: list = []
-
-    def intern(key) -> int:
-        i = nodes.get(key)
-        if i is None:
-            if len(order) >= opts.max_nodes:
-                raise ClosureViolation("dialogue walk exceeded the node budget")
-            i = nodes[key] = len(order)
-            order.append(key)
-            trans.append([])
-            exits.append([])
-            b.append(_ZERO)
-        return i
-
-    def machine_steps(atom: Atom, state: int, pops: int, pushes: str, origin: str):
-        """Yield ('exit', p, bucket) and ('node', p, key) successors.
-
-        A bucket of None marks a branch dropped at the stack budget; its
-        callers route that weight into the truncation bound.
-        """
-        for src, e in m_index.get((state, atom.sym), ()):
-            inter = atom.intersect(src)
-            if inter is None or inter.measure == 0:
-                continue
-            for piece, img in e.realizer.apply_atom(inter):
-                new_origin = origin + piece.cyl[len(atom.cyl):]
-                new_pops, new_pushes = _compose_theta(
-                    pops, pushes, e.realizer.pops, e.realizer.pushes)
-                if len(img.cyl) > depth:
-                    yield ("exit", e.weight.p, None)
-                    continue
-                if img.sym in RESULT_SYMBOLS:
-                    hit = any(img.intersect(ra) is not None and
-                              img.intersect(ra).measure > 0
-                              for ra in accept_region.atoms)
-                    if hit:
-                        yield ("exit", e.weight.p,
-                               _theta_normal(new_pops, new_pushes, new_origin))
-                    continue
-                yield ("node", e.weight.p,
-                       (img, e.out_state, 1, new_pops, new_pushes, new_origin))
-
     for a0 in accept_region.atoms:
         if a0.state != 0:
             raise ValidationError("the probed region must be spatial")
 
+    # key: (atom, dialect state, turn, composite as (pushes, pops), origin
+    # cylinder).  An exit bucket of None marks a branch dropped at the stack
+    # budget; its weight goes into the truncation bound.
+    def expand(key):
+        atom, state, turn, stack, origin = key
+        if turn == 1:
+            for e, piece, img in _moves(w_index.get(atom.sym, ()), atom):
+                yield "node", e.weight.p, (
+                    img, state, 0,
+                    pair_mul((e.realizer.pushes, e.realizer.pops), stack),
+                    origin + piece.cyl[len(atom.cyl):])
+            return
+        for e, piece, img in _moves(m_index.get((state, atom.sym), ()), atom):
+            if len(img.cyl) > depth:
+                yield "exit", e.weight.p, None
+                continue
+            new_stack = pair_mul((e.realizer.pushes, e.realizer.pops), stack)
+            new_origin = origin + piece.cyl[len(atom.cyl):]
+            if img.sym not in RESULT_SYMBOLS:
+                yield "node", e.weight.p, (img, e.out_state, 1, new_stack, new_origin)
+            elif any(img.intersect(ra) is not None and img.intersect(ra).measure > 0
+                     for ra in accept_region.atoms):
+                pushes, pops = cancel_on(new_stack, new_origin)
+                yield "exit", e.weight.p, pushes + "c" * pops
+
+    seeds = [((a0, start, 0, ("", 0), a0.cyl), _ONE) for a0 in accept_region.atoms]
     totals: dict = {}
-    for a0 in accept_region.atoms:
-        for kind, p, payload in machine_steps(a0, start, 0, "", a0.cyl):
-            if kind == "exit":
-                totals[payload] = totals.get(payload, _ZERO) + p
-            else:
-                b[intern(payload)] += p
-
-    pos = 0
-    while pos < len(order):
-        key = order[pos]
-        atom, state, turn, pops, pushes, origin = key
-        if turn == 0:
-            for kind, p, payload in machine_steps(atom, state, pops, pushes, origin):
-                if kind == "exit":
-                    exits[pos].append((p, payload))
-                else:
-                    trans[pos].append((intern(payload), p))
-        else:
-            for src, e in w_index.get(atom.sym, ()):
-                inter = atom.intersect(src)
-                if inter is None or inter.measure == 0:
-                    continue
-                for piece, img in e.realizer.apply_atom(inter):
-                    succ = (img, state, 0,
-                            *_compose_theta(pops, pushes, e.realizer.pops,
-                                            e.realizer.pushes),
-                            origin + piece.cyl[len(atom.cyl):])
-                    trans[pos].append((intern(succ), e.weight.p))
-        pos += 1
-
-    # Masses of families arriving at each configuration; only ancestors of an
-    # exit matter, and pruning the rest keeps endless loops out of the solve.
-    kept, rows = prune(trans, [i for i, ex in enumerate(exits) if ex])
-    if kept:
-        try:
-            x = solve_affine(_incoming(rows), [b[i] for i in kept])
-        except ArithmeticError as exc:
-            raise ClosureViolation(f"dialogue mass does not converge: {exc}") from exc
-        for s, i in enumerate(kept):
-            for p, bucket in exits[i]:
-                totals[bucket] = totals.get(bucket, _ZERO) + x[s] * p
-
+    for mass, bucket in _solve_walk(seeds, expand, opts.max_nodes, "dialogue"):
+        totals[bucket] = totals.get(bucket, _ZERO) + mass
     dropped = totals.pop(None, _ZERO)
     return PathSum({k: v for k, v in sorted(totals.items()) if v != 0},
                    dropped == 0, dropped)
@@ -347,22 +327,14 @@ def enumerate_paths(machine, word, max_edges: int = 40,
         if used >= max_edges:
             return
         if turn == 0:
-            for src, e in m_index.get((state, atom.sym), ()):
-                inter = atom.intersect(src)
-                if inter is None or inter.measure == 0:
-                    continue
-                for piece, img in e.realizer.apply_atom(inter):
-                    w = weight * e.weight.p
-                    out.append(w)
-                    if img.sym not in RESULT_SYMBOLS:
-                        walk(img, e.out_state, 1, used + 1, w)
+            for e, _, img in _moves(m_index.get((state, atom.sym), ()), atom):
+                w = weight * e.weight.p
+                out.append(w)
+                if img.sym not in RESULT_SYMBOLS:
+                    walk(img, e.out_state, 1, used + 1, w)
         else:
-            for src, e in w_index.get(atom.sym, ()):
-                inter = atom.intersect(src)
-                if inter is None or inter.measure == 0:
-                    continue
-                for piece, img in e.realizer.apply_atom(inter):
-                    walk(img, state, 0, used + 1, weight * e.weight.p)
+            for e, _, img in _moves(w_index.get(atom.sym, ()), atom):
+                walk(img, state, 0, used + 1, weight * e.weight.p)
 
     for a0 in accept_region.atoms:
         walk(a0, start, 0, 0, _ONE)
@@ -501,31 +473,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
 
 def _walk_origin(side0: int, origin_ci: int, origin: Atom, in0: int,
                  cells: list, zone: dict, tables: list, dialects, opts, emit):
-    # node: (cell, turn, cur_f, cur_g, first_other, comp, ocyl, flag)
-    cur0 = (in0, None) if side0 == 0 else (None, in0)
-    start_key = (origin_ci, side0, cur0[0], cur0[1], None,
-                 Realizer(), origin.cyl, 0)
-    nodes = {start_key: 0}
-    order = [start_key]
-    trans: list = [[]]
-    exit_rows: list = [[]]
-    b = [_ONE]
-
-    def intern(key):
-        i = nodes.get(key)
-        if i is None:
-            if len(order) >= opts.max_nodes:
-                raise ClosureViolation("plug walk exceeded the node budget")
-            i = nodes[key] = len(order)
-            order.append(key)
-            trans.append([])
-            exit_rows.append([])
-            b.append(_ZERO)
-        return i
-
-    pos = 0
-    while pos < len(order):
-        ci, turn, cur_f, cur_g, first_other, comp, ocyl, flag = order[pos]
+    def expand(key):
+        ci, turn, cur_f, cur_g, first_other, comp, ocyl, flag = key
         cur = (cur_f, cur_g)
         for e, img, targets in tables[turn].get(ci, ()):
             if cur[turn] is not None and e.in_state != cur[turn]:
@@ -546,36 +495,26 @@ def _walk_origin(side0: int, origin_ci: int, origin: Atom, in0: int,
                 new_ocyl = ocyl + tc.cyl[len(img.cyl):]
                 comp_n = nxt.normalized_on(new_ocyl)
                 if zone[ti] == 1:
-                    key = (ti, 1 - turn, new_cur[0], new_cur[1],
-                           engaged_first, comp_n, new_ocyl, new_flag)
-                    trans[pos].append((intern(key), e.weight.p))
+                    yield "node", e.weight.p, (ti, 1 - turn, new_cur[0], new_cur[1],
+                                               engaged_first, comp_n, new_ocyl, new_flag)
                 else:
-                    exit_rows[pos].append(
-                        (e.weight.p, comp_n, new_ocyl, tc,
-                         tuple(new_cur), engaged_first, new_flag))
-        pos += 1
+                    yield "exit", e.weight.p, (comp_n, new_ocyl, tc, tuple(new_cur),
+                                               engaged_first, new_flag)
 
-    kept, rows = prune(trans, [i for i, ex in enumerate(exit_rows) if ex])
-    if not kept:
-        return
-    try:
-        x = solve_affine(_incoming(rows), [b[i] for i in kept])
-    except ArithmeticError as exc:
-        raise ClosureViolation(f"plug mass does not converge: {exc}") from exc
-
+    # key: (cell, turn, cur_f, cur_g, first_other, comp, ocyl, flag)
+    cur0 = (in0, None) if side0 == 0 else (None, in0)
+    seed = (origin_ci, side0, cur0[0], cur0[1], None, Realizer(), origin.cyl, 0)
     other = 1 - side0
-    for s, i in enumerate(kept):
-        for p, comp, ocyl, tc, cur, engaged_first, flag in exit_rows[i]:
-            mass = x[s] * p
-            if mass == 0:
-                continue
-            if cur[other] is None:
-                # The other side never spoke: it passes through diagonally.
-                for d in dialects[other]:
-                    in_pair = (in0, d) if side0 == 0 else (d, in0)
-                    out_pair = (cur[side0], d) if side0 == 0 else (d, cur[side0])
-                    emit(mass, flag, comp, origin, ocyl, tc, in_pair, out_pair)
-            else:
-                in_pair = (in0, engaged_first) if side0 == 0 else (engaged_first, in0)
-                out_pair = tuple(cur)
+    for mass, (comp, ocyl, tc, cur, engaged_first, flag) in _solve_walk(
+            [(seed, _ONE)], expand, opts.max_nodes, "plug"):
+        if mass == 0:
+            continue
+        if cur[other] is None:
+            # The other side never spoke: it passes through diagonally.
+            for d in dialects[other]:
+                in_pair = (in0, d) if side0 == 0 else (d, in0)
+                out_pair = (cur[side0], d) if side0 == 0 else (d, cur[side0])
                 emit(mass, flag, comp, origin, ocyl, tc, in_pair, out_pair)
+        else:
+            in_pair = (in0, engaged_first) if side0 == 0 else (engaged_first, in0)
+            emit(mass, flag, comp, origin, ocyl, tc, in_pair, tuple(cur))

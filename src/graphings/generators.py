@@ -8,6 +8,7 @@ translate between cells, so plugging always stabilizes in one round.
 from fractions import Fraction
 import random
 
+from .errors import ValidationError
 from .execution import CutSpec
 from .graphing import Edge, GraphingRep, Weight
 from .realizer import Realizer
@@ -88,14 +89,16 @@ def _pair(seed: int, weights_for):
 def random_det_pair(seed: int):
     """Two deterministic graphings joined by a cut, reproducible by seed."""
     f, g, cut = _pair(seed, _det_weights)
-    assert f.is_deterministic() and g.is_deterministic()
+    if not (f.is_deterministic() and g.is_deterministic()):
+        raise ValidationError(f"seed {seed} generated a nondeterministic pair")
     return f, g, cut
 
 
 def random_subprob_pair(seed: int):
     """Two sub-probabilistic graphings joined by a cut."""
     f, g, cut = _pair(seed, _subprob_weights)
-    assert f.is_subprobabilistic() and g.is_subprobabilistic()
+    if not (f.is_subprobabilistic() and g.is_subprobabilistic()):
+        raise ValidationError(f"seed {seed} generated a pair with mass above one")
     return f, g, cut
 
 

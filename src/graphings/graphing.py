@@ -405,4 +405,7 @@ def parse_graphing(text: str) -> GraphingRep:
             raise FormatError(f"line {ln}: {exc}") from None
     if dialect is None or support is None:
         raise FormatError("graphing needs 'dialect:' and 'support:' lines")
-    return GraphingRep(support, dialect, tuple(edges))
+    try:
+        return GraphingRep(support, dialect, tuple(edges))
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None

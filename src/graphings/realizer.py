@@ -126,10 +126,8 @@ class Realizer:
             amount = then.box_shift_at(c) + self.box_shift_at(perm_apply(perm_inverse(then.perm), c))
             if amount:
                 shifts[c] = amount
-        if then.pops <= len(self.pushes):
-            pops, pushes = self.pops, then.pushes + self.pushes[then.pops:]
-        else:
-            pops, pushes = self.pops + then.pops - len(self.pushes), then.pushes
+        pushes, pops = theta.pair_mul((then.pushes, then.pops),
+                                      (self.pushes, self.pops))
         return Realizer(self.shift + then.shift, perm,
                         tuple(shifts.items()), pops, pushes)
 
@@ -203,10 +201,7 @@ class Realizer:
         cylinder; this strips such trivial pairs so path composites that agree
         pointwise compare equal.
         """
-        pops, pushes = self.pops, self.pushes
-        while pops > 0 and pushes and pops <= len(prefix) and pushes[-1] == prefix[pops - 1]:
-            pops -= 1
-            pushes = pushes[:-1]
+        pushes, pops = theta.cancel_on((self.pushes, self.pops), prefix)
         return Realizer(self.shift, self.perm, self.box_shift, pops, pushes)
 
 

@@ -364,10 +364,11 @@ def parse_atom(text: str) -> Atom:
     if any(ch not in "*01" for ch in cyl):
         raise FormatError(f"bad cylinder {cyl_s!r}")
     try:
-        state = int(state_s)
+        return Atom(sym, box, cyl, int(state_s))
     except ValueError:
         raise FormatError(f"bad state {state_s!r}") from None
-    return Atom(sym, box, cyl, state)
+    except ValidationError as exc:
+        raise FormatError(f"bad atom {text!r}: {exc}") from None
 
 
 def parse_region(text: str) -> Region:

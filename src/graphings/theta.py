@@ -89,6 +89,32 @@ def split_normal(word: str) -> tuple[str, int]:
     return pushes, pops
 
 
+def pair_mul(u: tuple[str, int], v: tuple[str, int]) -> tuple[str, int]:
+    """``theta_mul`` on normal forms given as ``(pushes, pops)`` pairs.
+
+    The pops of ``u`` erase pushes of ``v`` from the top down; whatever pops
+    are left over pass through onto ``v``'s own pops.
+    """
+    u_pushes, u_pops = u
+    v_pushes, v_pops = v
+    if u_pops <= len(v_pushes):
+        return u_pushes + v_pushes[u_pops:], v_pops
+    return u_pushes, v_pops + u_pops - len(v_pushes)
+
+
+def cancel_on(pair: tuple[str, int], prefix: str) -> tuple[str, int]:
+    """Normal form of the same map on cylinders starting with ``prefix``.
+
+    Popping a tracked symbol and pushing the same symbol back is the identity
+    on such a cylinder, so those pop-push pairs cancel.
+    """
+    pushes, pops = pair
+    while pops and pushes and pops <= len(prefix) and pushes[-1] == prefix[pops - 1]:
+        pops -= 1
+        pushes = pushes[:-1]
+    return pushes, pops
+
+
 def is_stack_accepting(word: str) -> bool:
     """Net effect is ``c^i`` for some ``i >= 0``: pops only, nothing left behind."""
     pushes, _ = split_normal(word)

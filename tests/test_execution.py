@@ -172,6 +172,36 @@ def test_path_sum_reports_truncated_mass():
     assert deeper.lower_bound > ps.lower_bound
 
 
+@pytest.mark.parametrize("name, word, region, want, dropped", [
+    ("even-ones", "0", "a+r", {"": F(2)}, 0),
+    ("even-ones", "0", "a-halves", {"": F(1)}, 0),
+    ("even-ones", "01", "a-halves", {}, 0),
+    ("biased-stack-walk", "", "a+r", {"": F(19680, 9841)}, F(2, 9841)),
+    ("biased-stack-walk", "", "a-halves", {"": F(17220, 9841)}, F(2, 9841)),
+    ("biased-stack-walk", "01", "a-halves", {"": F(8610, 9841)}, F(1, 9841)),
+])
+def test_path_sum_from_two_atom_regions(name, word, region, want, dropped):
+    regions = {"a+r": Region((Atom("a"), Atom("r"))),
+               "a-halves": Region((Atom("a", (Interval(F(0), F(1, 2)),)),
+                                   Atom("a", (Interval(F(1, 2), F(1)),))))}
+    m = compile_automaton(by_name(name))
+    ps = accept_path_sum(m, canonical_representation(word), regions[region],
+                         ExecOptions(stack_depth=8))
+    assert ps.total == want
+    assert ps.dropped == dropped and ps.exact == (dropped == 0)
+
+
+def test_node_budget_raises_in_both_walks():
+    tight = ExecOptions(max_nodes=1)
+    m = compile_automaton(by_name("even-ones"))
+    with pytest.raises(ClosureViolation, match="dialogue walk exceeded"):
+        accept_path_sum(m, canonical_representation("01"), ACCEPT_REGION, tight)
+    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
+                 (Edge(region_of(C1), 0, 0, _C1_TO_B),))
+    with pytest.raises(ClosureViolation, match="plug walk exceeded"):
+        plug(f, g, cut_between(f, g), tight)
+
+
 def test_enumerated_paths_match_machine_traces():
     for name, word in (("coin-half", ""), ("even-ones", "10"),
                        ("zeros-then-ones", "01")):

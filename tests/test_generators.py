@@ -1,0 +1,39 @@
+"""Seeded generators and package invariants: both must hold under ``python -O``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from graphings import generators
+from graphings.errors import ValidationError
+from graphings.graphing import Edge, GraphingRep
+
+PACKAGE = Path(generators.__file__).parent
+_ORIGINAL_PAIR = generators._pair
+
+
+def _doubled_first_edge(seed, weights_for):
+    # every point of the first source now carries two more probability-one
+    # edges: neither deterministic nor of mass at most one
+    f, g, cut = _ORIGINAL_PAIR(seed, weights_for)
+    e = f.edges[0]
+    twin = Edge(e.source, e.in_state, e.out_state, e.realizer)
+    return GraphingRep(f.support, f.dialect, f.edges + (twin, twin)), g, cut
+
+
+@pytest.mark.parametrize("make", [generators.random_det_pair,
+                                  generators.random_subprob_pair])
+def test_broken_generated_pair_raises(monkeypatch, make):
+    seed = next(s for s in range(50) if make(s)[0].edges)
+    monkeypatch.setattr(generators, "_pair", _doubled_first_edge)
+    with pytest.raises(ValidationError):
+        make(seed)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_enforces_invariants_without_assert(path):
+    # python -O strips assert statements, so invariants must raise instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert on lines {lines}"

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 import pytest
 
 from graphings.errors import ValidationError
-from graphings.theta import (encode_stack_op, format_theta, from_ops, is_normal,
-                             is_stack_accepting, parse_theta, reduce,
-                             reduce_random, split_normal, theta_mul)
+from graphings.theta import (cancel_on, encode_stack_op, format_theta, from_ops,
+                             is_normal, is_stack_accepting, pair_mul,
+                             parse_theta, reduce, reduce_random, split_normal,
+                             theta_mul)
 
 
 def test_reduce_cancels_pop_after_push():
@@ -76,3 +77,17 @@ def test_rewrite_order_does_not_matter(word, seed):
 @given(st.text(alphabet="01*c", max_size=6), st.text(alphabet="01*c", max_size=6))
 def test_product_of_reduced_words_is_reduced_product(u, v):
     assert theta_mul(reduce(u), reduce(v)) == reduce(u + v)
+
+
+def test_cancel_on_strips_pop_push_back_pairs_the_prefix_fixes():
+    assert cancel_on(("0", 1), "0") == ("", 0)
+    assert cancel_on(("01", 2), "01") == ("", 0)   # pops 0,1 and pushes them back
+    assert cancel_on(("01", 2), "10") == ("01", 2)  # pushes back the other order
+    assert cancel_on(("10", 2), "00") == ("1", 1)   # only the deeper pair cancels
+    assert cancel_on(("0", 1), "") == ("0", 1)      # the popped symbol is untracked
+
+
+@given(st.text(alphabet="01*c", max_size=8), st.text(alphabet="01*c", max_size=8))
+def test_pair_product_is_the_monoid_product_on_normal_forms(u, v):
+    u, v = reduce(u), reduce(v)
+    assert pair_mul(split_normal(u), split_normal(v)) == split_normal(theta_mul(u, v))
