@@ -224,7 +224,7 @@ def _moves(candidates, atom: Atom):
     """Every move of ``atom`` along indexed edges, as ``(edge, piece, image)``."""
     for src, e in candidates:
         inter = atom.intersect(src)
-        if inter is None or inter.measure == 0:
+        if inter is None:
             continue
         for piece, img in e.realizer.apply_atom(inter):
             yield e, piece, img
@@ -238,22 +238,15 @@ def _machine_parts(machine, opts: ExecOptions):
     if start is None:
         raise ValidationError("no start dialect state: pass a compiled machine "
                               "or set start_state")
-    index: dict = {}
-    for e in g.edges:
-        for a in e.source.atoms:
-            index.setdefault((e.in_state, a.sym), []).append((a, e))
-    return g, start, index
+    return start, g.edge_index
 
 
 def _word_parts(w):
+    """The answering side's edges by symbol, at its one dialect state."""
     g = getattr(w, "graphing", w)
     if len(g.dialect) != 1:
         raise ValidationError("the answering side must have a one-state dialect")
-    index: dict = {}
-    for e in g.edges:
-        for a in e.source.atoms:
-            index.setdefault(a.sym, []).append((a, e))
-    return g, index
+    return g.dialect[0], g.edge_index
 
 
 def accept_path_sum(machine, word, accept_region: Region,
@@ -266,8 +259,8 @@ def accept_path_sum(machine, word, accept_region: Region,
     Branches whose tracked cylinder would outgrow the stack budget are
     dropped and flagged, making the class totals exact lower bounds.
     """
-    _, start, m_index = _machine_parts(machine, opts)
-    _, w_index = _word_parts(word)
+    start, m_index = _machine_parts(machine, opts)
+    w_state, w_index = _word_parts(word)
     depth = opts.stack_depth
     for a0 in accept_region.atoms:
         if a0.state != 0:
@@ -279,7 +272,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     def expand(key):
         atom, state, turn, stack, origin = key
         if turn == 1:
-            for e, piece, img in _moves(w_index.get(atom.sym, ()), atom):
+            for e, piece, img in _moves(w_index.get((w_state, atom.sym), ()), atom):
                 yield "node", e.weight.p, (
                     img, state, 0,
                     pair_mul((e.realizer.pushes, e.realizer.pops), stack),
@@ -293,8 +286,7 @@ def accept_path_sum(machine, word, accept_region: Region,
             new_origin = origin + piece.cyl[len(atom.cyl):]
             if img.sym not in RESULT_SYMBOLS:
                 yield "node", e.weight.p, (img, e.out_state, 1, new_stack, new_origin)
-            elif any(img.intersect(ra) is not None and img.intersect(ra).measure > 0
-                     for ra in accept_region.atoms):
+            elif any(img.intersect(ra) is not None for ra in accept_region.atoms):
                 pushes, pops = cancel_on(new_stack, new_origin)
                 yield "exit", e.weight.p, pushes + "c" * pops
 
@@ -317,8 +309,8 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     only bound the length.  No stack budget applies: the length bound
     already bounds the stack.
     """
-    _, start, m_index = _machine_parts(machine, opts)
-    _, w_index = _word_parts(word)
+    start, m_index = _machine_parts(machine, opts)
+    w_state, w_index = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))
     out: list = []
@@ -333,7 +325,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
                 if img.sym not in RESULT_SYMBOLS:
                     walk(img, e.out_state, 1, used + 1, w)
         else:
-            for e, _, img in _moves(w_index.get(atom.sym, ()), atom):
+            for e, _, img in _moves(w_index.get((w_state, atom.sym), ()), atom):
                 walk(img, state, 0, used + 1, weight * e.weight.p)
 
     for a0 in accept_region.atoms:
@@ -350,7 +342,7 @@ def _constituents(img: Atom, group: list, cells: list) -> list | None:
     for ci in group:
         cell = cells[ci]
         inter = cell.intersect(img)
-        if inter is None or inter.measure == 0:
+        if inter is None:
             continue
         if inter.measure != cell.measure:
             return None

@@ -20,7 +20,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
@@ -116,6 +118,19 @@ class GraphingRep:
 
     def sorted_edges(self) -> tuple:
         return tuple(sorted(self.edges, key=Edge.key))
+
+    @cached_property
+    def edge_index(self):
+        """Read-only ``(in_state, sym) -> ((source atom, edge), ...)``.
+
+        Built over every edge on first use and kept with the representative;
+        equality and hashing still look at the fields only.
+        """
+        index: dict = {}
+        for e in self.edges:
+            for a in e.source.atoms:
+                index.setdefault((e.in_state, a.sym), []).append((a, e))
+        return MappingProxyType({k: tuple(v) for k, v in index.items()})
 
     # conveniences over the module-level predicates below
     def equivalent(self, other: "GraphingRep") -> bool:
@@ -353,13 +368,24 @@ def _format_ints(values) -> str:
     return ",".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
 
 
+# Widest ``a-b`` range a dialect line may name.  The largest compiled corpus
+# dialect has 6,318 states; a range is checked before it is expanded.
+MAX_DIALECT_RANGE = 100_000
+
+
 def _parse_ints(text: str):
     out = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part:
             a, b = part.split("-")
-            out.extend(range(int(a), int(b) + 1))
+            lo, hi = int(a), int(b)
+            if hi < lo:
+                raise FormatError(f"descending range {part!r}")
+            if hi - lo >= MAX_DIALECT_RANGE:
+                raise FormatError(f"range {part!r} is wider than "
+                                  f"{MAX_DIALECT_RANGE} states")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out

@@ -180,7 +180,7 @@ class Realizer:
         """
         image = self._apply_exact(piece)
         got = image.intersect(constraint)
-        if got is None or got.measure == 0:
+        if got is None:
             return None
         intervals = []
         width = max(len(piece.box), len(got.box), *(perm_support(self.perm) or {0}))

@@ -174,14 +174,25 @@ class Atom:
         return box_measure(self.box) * cyl_measure(self.cyl)
 
     def intersect(self, other: "Atom") -> "Atom | None":
+        """The common part, or None when it is null; never a null atom."""
         if self.sym != other.sym or self.state != other.state:
-            return None
-        box = box_intersect(self.box, other.box)
-        if box is None:
             return None
         cyl = cyl_intersect(self.cyl, other.cyl)
         if cyl is None:
             return None
+        if self.box and other.box:
+            box = box_intersect(self.box, other.box)
+            if box is None:
+                return None
+        else:
+            # A full box narrows nothing, but the other box may still be null.
+            box = self.box or other.box
+            if any(iv.lo == iv.hi for iv in box):
+                return None
+        if box is self.box and cyl is self.cyl:
+            return self
+        if box is other.box and cyl is other.cyl:
+            return other
         return Atom(self.sym, box, cyl, self.state)
 
     def contains_ae(self, other: "Atom") -> bool:
@@ -207,8 +218,7 @@ class Region:
         object.__setattr__(self, "atoms", atoms)
         for i, a in enumerate(atoms):
             for b in atoms[i + 1:]:
-                got = a.intersect(b)
-                if got is not None and got.measure > 0:
+                if a.intersect(b) is not None:
                     raise ValidationError(
                         f"atoms overlap on positive measure: {format_atom(a)} vs {format_atom(b)}")
 
@@ -221,7 +231,7 @@ class Region:
         for a in self.atoms:
             for b in other.atoms:
                 got = a.intersect(b)
-                if got is not None and got.measure > 0:
+                if got is not None:
                     out.append(got)
         return Region(tuple(out))
 

@@ -219,3 +219,45 @@ def test_enumerate_paths_respects_the_length_bound():
     short = enumerate_paths(m, canonical_representation(""), max_edges=4)
     longer = enumerate_paths(m, canonical_representation(""), max_edges=8)
     assert len(longer) > len(short)
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts how often it is scanned."""
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_path_sums_reuse_the_machine_edge_index():
+    m = compile_automaton(by_name("two-head-palindrome"))
+    rep = canonical_representation("010")
+    first = accept_path_sum(m, rep, ACCEPT_REGION)
+    index = m.graphing.edge_index
+    # the representative is frozen; swap its edges for a counting copy
+    edges = _CountingEdges(m.graphing.edges)
+    edges.scans = 0
+    object.__setattr__(m.graphing, "edges", edges)
+    assert accept_path_sum(m, rep, ACCEPT_REGION) == first
+    assert m.graphing.edge_index is index
+    assert edges.scans == 0
+
+
+def test_word_side_is_read_at_its_own_dialect_state():
+    m = compile_automaton(by_name("even-ones"))
+    g = canonical_representation("").graphing
+    moved = GraphingRep(g.support, (3,), tuple(
+        Edge(e.source, 3, 3, e.realizer, e.weight) for e in g.edges))
+    want = accept_path_sum(m, g, ACCEPT_REGION)
+    assert want.total == {"": F(1)}
+    assert accept_path_sum(m, moved, ACCEPT_REGION) == want
+
+
+def test_degenerate_accept_region_carries_no_mass():
+    # a null probe starts no dialogue, so nothing is dropped at the budget
+    m = compile_automaton(by_name("biased-stack-walk"))
+    point = Region((Atom("a", (Interval(F(1, 3), F(1, 3)),)),))
+    ps = accept_path_sum(m, canonical_representation(""), point,
+                         ExecOptions(stack_depth=8))
+    assert ps.total == {}
+    assert ps.exact and ps.dropped == 0

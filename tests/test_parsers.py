@@ -6,14 +6,14 @@ import pytest
 
 from graphings.automata import parse_automaton
 from graphings.errors import FormatError
-from graphings.graphing import (parse_graphing, parse_realizer,
-                                parse_weight)
+from graphings.graphing import (MAX_DIALECT_RANGE, parse_graphing,
+                                parse_realizer, parse_weight)
 from graphings.space import parse_atom, parse_region
 
 PARSERS = (parse_graphing, parse_automaton, parse_region, parse_atom,
            parse_realizer, parse_weight)
 
-# Small numbers only: a dialect range is expanded state by state.
+# Small numbers keep the generated dialect ranges short.
 _NUM = st.sampled_from(["0", "1", "2", "-1", "1/2", "1/3", "2/3", "3/2", "1/0",
                         "0.5", "x", ""])
 _WORD = st.sampled_from(["a", "r", "0i", "1o", "zz", "-", "*", "0", "01*", "c",
@@ -98,3 +98,16 @@ def test_empty_dialect_and_negative_state_are_format_errors():
         parse_graphing("dialect: 1-0\nsupport: a|-|-|0\n")
     with pytest.raises(FormatError):
         parse_atom("a|-|-|-1")
+
+
+@pytest.mark.parametrize("dialect", ["0,5-3", "1-0", "0-1000000000",
+                                     f"0-{MAX_DIALECT_RANGE}"])
+def test_bad_dialect_ranges_fail_before_expanding(dialect):
+    with pytest.raises(FormatError, match="range"):
+        parse_graphing(f"dialect: {dialect}\nsupport: a|-|-|0\n")
+
+
+def test_widest_dialect_range_still_parses():
+    top = MAX_DIALECT_RANGE - 1
+    g = parse_graphing(f"dialect: 0-{top}\nsupport: a|-|-|0\n")
+    assert g.dialect == tuple(range(MAX_DIALECT_RANGE))

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from graphings.errors import ValidationError
 from graphings.space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom,
                              Interval, Region, ae_equal, box_intersect,
-                             box_measure, cyl_measure, difference, disjoint_ae,
+                             box_measure, cyl_intersect, cyl_measure,
+                             difference, disjoint_ae,
                              format_atom, format_region, full_symbol_region,
                              parse_atom, parse_region, refine_regions,
                              region_of, subset_ae, sym_index, sym_of, sym_shift)
@@ -145,3 +146,29 @@ def test_cylinder_intersection_measure_never_grows(u, v):
     got = Atom("a", cyl=u).intersect(Atom("a", cyl=v))
     if got is not None:
         assert got.measure <= min(cyl_measure(u), cyl_measure(v))
+
+
+# Intervals on a twelfths grid, degenerate ones included; boxes of up to two
+# of them (the full interval drops out as the implicit tail).
+_interval = _frac.map(lambda p: Interval(*p))
+_atom = st.builds(Atom, st.sampled_from(["a", "r"]),
+                  st.lists(_interval | st.just(FULL), max_size=2).map(tuple),
+                  st.text(alphabet="*01", max_size=3), st.integers(0, 1))
+
+
+@given(_atom, _atom)
+def test_atom_intersection_is_null_or_positive_and_componentwise(a, b):
+    got = a.intersect(b)
+    assert got is None or got.measure > 0
+    box = box_intersect(a.box, b.box)
+    cyl = cyl_intersect(a.cyl, b.cyl)
+    if a.sym != b.sym or a.state != b.state or box is None or cyl is None:
+        assert got is None
+    else:
+        assert got == Atom(a.sym, box, cyl, a.state)
+
+
+def test_degenerate_atom_meets_a_full_atom_in_nothing():
+    point = Atom("0i", (Interval(F(1, 3), F(1, 3)),))
+    assert point.intersect(Atom("0i")) is None
+    assert Atom("0i").intersect(point) is None
