@@ -21,8 +21,7 @@ from .execution import (CutSpec, ExecOptions, PathSum, ThickEdge, ThickGraph,
 from .graphing import (Edge, GraphingRep, Weight, WEIGHT_ONE, equivalent,
                        format_graphing, format_realizer, format_weight,
                        is_deterministic, is_refinement, is_subprobabilistic,
-                       parse_graphing, parse_realizer, parse_weight,
-                       realizer_key)
+                       parse_graphing, parse_realizer, parse_weight)
 from .measurement import (INFINITE_VALUE, MeasurementValue, MemberReport,
                           Project, Test, TestMember, TestReport, ZERO_VALUE,
                           check_uniformity, format_value, make_test,

@@ -74,7 +74,7 @@ def _stack_parts(op: str) -> tuple[int, str]:
     return 0, ""
 
 
-def compile_automaton(a: Automaton, prune: bool = False) -> CompiledMachine:
+def compile_automaton(a: Automaton) -> CompiledMachine:
     problems = validate(a)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -161,8 +161,7 @@ def compile_automaton(a: Automaton, prune: bool = False) -> CompiledMachine:
 
     graphing = GraphingRep(full_symbol_region(), tuple(range(len(dialect_states))),
                            tuple(edges))
-    machine = CompiledMachine(graphing, a, dialect_states, start, provenance)
-    return prune_reachable(machine) if prune else machine
+    return CompiledMachine(graphing, a, dialect_states, start, provenance)
 
 
 def prune_reachable(m: CompiledMachine) -> CompiledMachine:

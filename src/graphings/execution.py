@@ -2,7 +2,9 @@
 
 Plugging two graphings along a cut region sums the weights of alternating
 paths through the cut, exactly.  Cells come from a joint refinement of both
-edge systems; the walk over cells tracks the running composite realizer.
+edge systems in which every image of a cell is itself a splitter, so the
+refinement's covers say which cells tile each image; the walk over cells
+tracks the running composite realizer.
 
 The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
@@ -24,7 +26,7 @@ from itertools import product
 
 from .errors import (ClosureViolation, DiscretizationError, TruncationError,
                      ValidationError)
-from .graphing import Edge, GraphingRep, Weight, realizer_key
+from .graphing import Edge, GraphingRep, Weight
 from .linsolve import prune, solve_affine
 from .realizer import Realizer, perm_apply
 from .space import (Atom, Region, RESULT_SYMBOLS, ae_equal, box_get,
@@ -125,7 +127,7 @@ def _thicken(g: GraphingRep, grid: int) -> ThickGraph:
     index = {n: i for i, n in enumerate(nodes)}
     edges = sorted((ThickEdge(index[s], index[t], w, th, gu)
                     for s, t, w, th, gu in raw_edges),
-                   key=lambda e: (e.source, e.target, e.weight.key(), e.theta, e.guard))
+                   key=lambda e: (e.source, e.target, e.weight, e.theta, e.guard))
     return ThickGraph(tuple(nodes), tuple(edges), grid)
 
 
@@ -336,67 +338,38 @@ def enumerate_paths(machine, word, max_edges: int = 40,
 # --- plugging -------------------------------------------------------------------
 
 
-def _constituents(img: Atom, group: list, cells: list) -> list | None:
-    """Indices of the cells tiling an image atom, or None if any cell cuts it."""
-    found, covered = [], _ZERO
-    for ci in group:
-        cell = cells[ci]
-        inter = cell.intersect(img)
-        if inter is None:
-            continue
-        if inter.measure != cell.measure:
-            return None
-        found.append(ci)
-        covered += cell.measure
-    if covered != img.measure:
-        return None
-    return found
-
-
 def _plug_cells(f: GraphingRep, g: GraphingRep, cut: CutSpec, opts: ExecOptions):
-    """Joint stable cell partition; returns cells, zone map, per-side tables."""
-    sides = (f, g)
-    extra: list = []
-    for _ in range(opts.max_rounds):
-        splitters = [cut.left_rest, cut.cut, cut.right_rest]
-        piece_refs: list = []  # (side, edge, splitter index)
-        for si, gr in enumerate(sides):
-            for e in gr.edges:
-                for piece, _ in e.pieces():
-                    piece_refs.append((si, e, len(splitters)))
-                    splitters.append(Region((piece,)))
-        splitters.extend(extra)
-        cells, covers = refine_regions(splitters)
-        groups: dict = {}
-        for i, cell in enumerate(cells):
-            groups.setdefault(cell.sym, []).append(i)
+    """Joint stable cell partition; returns cells, zone map, per-side tables.
 
-        stable = True
-        new_extra: list = []
-        tables: list = [dict(), dict()]
+    Splitters only accumulate, so each refinement refines the one before: an
+    equal cell count means an equal partition, listed in the same order, so
+    cell indices from the round before still hold.
+    """
+    splitters = [cut.left_rest, cut.cut, cut.right_rest]
+    piece_refs: list = []  # (side, edge, splitter index)
+    for si, gr in enumerate((f, g)):
+        for e in gr.edges:
+            for piece, _ in e.pieces():
+                piece_refs.append((si, e, len(splitters)))
+                splitters.append(Region((piece,)))
+    cells, covers = refine_regions(splitters)
+    for _ in range(opts.max_rounds):
+        images: list = []  # (side, cell, edge, image, splitter index)
         for si, e, ref in piece_refs:
             for ci in covers[ref]:
-                cell = cells[ci]
-                pieces = e.realizer.apply_atom(cell)
-                if len(pieces) != 1 or pieces[0][0] != cell:
-                    for pc, _ in pieces:
-                        new_extra.append(Region((pc,)))
-                    stable = False
-                    continue
-                img = pieces[0][1]
-                targets = _constituents(img, groups.get(img.sym, ()), cells)
-                if targets is None:
-                    new_extra.append(Region((img,)))
-                    stable = False
-                    continue
-                tables[si].setdefault(ci, []).append((e, img, tuple(targets)))
-        if stable:
-            zone = {}
-            for z, ref in ((0, 0), (1, 1), (2, 2)):
-                for ci in covers[ref]:
-                    zone[ci] = z
+                # cells are as deep as the pieces they tile, and the pieces
+                # are deep enough for the pops, so no cell splits here
+                ((_, img),) = e.realizer.apply_atom(cells[ci])
+                images.append((si, ci, e, img, len(splitters)))
+                splitters.append(Region((img,)))
+        known = len(cells)
+        cells, covers = refine_regions(splitters)
+        if len(cells) == known:
+            tables: list = [dict(), dict()]
+            for si, ci, e, img, ref in images:
+                tables[si].setdefault(ci, []).append((e, img, tuple(sorted(covers[ref]))))
+            zone = {ci: z for z in (0, 1, 2) for ci in covers[z]}
             return cells, zone, tables
-        extra.extend(new_extra)
     raise DiscretizationError(
         f"cell partition did not stabilize in {opts.max_rounds} rounds")
 
@@ -435,10 +408,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         piece = comp.preimage_atom(base, tc)
         if piece is None:
             raise ClosureViolation("exit family lost its source piece")
-        key = (piece, pair_index[in_pair], pair_index[out_pair],
-               realizer_key(comp), flag)
-        prev_mass, _ = results.get(key, (_ZERO, comp))
-        results[key] = (prev_mass + mass, comp)
+        key = (piece, pair_index[in_pair], pair_index[out_pair], comp, flag)
+        results[key] = results.get(key, _ZERO) + mass
 
     for origin_ci, origin_zone in sorted(zone.items()):
         if origin_zone == 1:
@@ -450,7 +421,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                          dialects, opts, emit)
 
     edges = []
-    for (piece, in_i, out_i, _, flag), (mass, comp) in sorted(
+    for (piece, in_i, out_i, comp, flag), mass in sorted(
             results.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1:])):
         if mass == 0:
             continue

@@ -21,17 +21,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from types import MappingProxyType
 
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
-from .space import (ONE, ZERO, Atom, Region, ae_equal, format_region,
+from .space import (ONE, ZERO, Region, ae_equal, expand_prefix, format_region,
                     parse_region, refine_regions, subset_ae)
 from . import theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Weight:
     p: Fraction = ONE
     flag: int = 0
@@ -46,9 +45,6 @@ class Weight:
 
     def combine(self, other: "Weight") -> "Weight":
         return Weight(self.p * other.p, max(self.flag, other.flag))
-
-    def key(self):
-        return (self.p, self.flag)
 
 
 WEIGHT_ONE = Weight(ONE, 0)
@@ -80,11 +76,7 @@ class Edge:
     def key(self):
         return (self.in_state, self.out_state,
                 sorted(a.sort_key() for a in self.source.atoms),
-                realizer_key(self.realizer), self.weight.key())
-
-
-def realizer_key(r: Realizer):
-    return (r.shift, r.perm, r.box_shift, r.pops, r.pushes)
+                self.realizer, self.weight)
 
 
 @dataclass(frozen=True)
@@ -146,14 +138,6 @@ class GraphingRep:
         return is_refinement(self, coarse)
 
 
-def _split_atom(atom: Atom, depth: int):
-    if len(atom.cyl) >= depth:
-        yield atom
-        return
-    for tail in product("*01", repeat=depth - len(atom.cyl)):
-        yield Atom(atom.sym, atom.box, atom.cyl + "".join(tail), atom.state)
-
-
 # --- per-cell tables ----------------------------------------------------------
 #
 # The comparison predicates all start the same way: split every edge source
@@ -166,9 +150,8 @@ def _cell_items(graphings):
     for gi, g in enumerate(graphings):
         for e in g.edges:
             for piece, _ in e.pieces():
-                payload = (e.out_state,
-                           realizer_key(e.realizer.normalized_on(piece.cyl)),
-                           e.weight.key())
+                payload = (e.out_state, e.realizer.normalized_on(piece.cyl),
+                           e.weight)
                 items.append((gi, Region((piece.with_state(e.in_state),)), payload))
     elementary, covers = refine_regions([r for _, r, _ in items])
     tables = [defaultdict(list) for _ in graphings]
@@ -203,7 +186,7 @@ def is_subprobabilistic(g: GraphingRep) -> bool:
     """Total outgoing probability at most 1 through every point at every state."""
     _, (table,) = _cell_items([g])
     for payloads in table.values():
-        if sum((Fraction(p) for _, _, (p, _) in payloads), ZERO) > ONE:
+        if sum((w.p for _, _, w in payloads), ZERO) > ONE:
             return False
     return True
 
@@ -217,9 +200,8 @@ def _same_map_on(fe: Edge, ge: Edge) -> bool:
         return True
     depth = max(fe.realizer.pops, ge.realizer.pops)
     for atom in fe.source.atoms:
-        for piece in _split_atom(atom, depth):
-            if (fe.realizer.normalized_on(piece.cyl)
-                    != ge.realizer.normalized_on(piece.cyl)):
+        for cyl in expand_prefix(atom.cyl, depth):
+            if fe.realizer.normalized_on(cyl) != ge.realizer.normalized_on(cyl):
                 return False
     return True
 
@@ -237,9 +219,9 @@ def is_refinement(fine: GraphingRep, coarse: GraphingRep) -> bool:
         return False
     groups: dict = defaultdict(lambda: ([], []))
     for e in fine.edges:
-        groups[(e.in_state, e.out_state, e.weight.key())][0].append(e)
+        groups[(e.in_state, e.out_state, e.weight)][0].append(e)
     for e in coarse.edges:
-        groups[(e.in_state, e.out_state, e.weight.key())][1].append(e)
+        groups[(e.in_state, e.out_state, e.weight)][1].append(e)
     for f_edges, g_edges in groups.values():
         if not _assignable(f_edges, g_edges):
             return False

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import ValidationError
-from .space import (FULL, Atom, Interval, Region, box_get, sym_index,
-                    sym_shift)
+from .space import Atom, Region, box_get, expand_prefix, sym_shift
 from . import theta
 
 # Permutations are stored as sorted tuples of (source, image) pairs covering
@@ -71,7 +69,7 @@ def perm_support(perm: tuple) -> set:
     return {i for i, _ in perm}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Realizer:
     shift: int = 0
     perm: tuple = ()
@@ -142,10 +140,8 @@ class Realizer:
         atom onto its exact image.
         """
         out = []
-        short = self.pops - len(atom.cyl)
-        tails = ["".join(t) for t in product("*01", repeat=short)] if short > 0 else [""]
-        for tail in tails:
-            piece = Atom(atom.sym, atom.box, atom.cyl + tail, atom.state)
+        for cyl in expand_prefix(atom.cyl, self.pops):
+            piece = atom if cyl == atom.cyl else Atom(atom.sym, atom.box, cyl, atom.state)
             out.append((piece, self._apply_exact(piece)))
         return out
 

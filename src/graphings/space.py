@@ -235,21 +235,6 @@ class Region:
                     out.append(got)
         return Region(tuple(out))
 
-    def restrict(self, box=None, cyl: str | None = None) -> "Region":
-        """Intersection with a box and/or cylinder constraint on every atom."""
-        out = []
-        for a in self.atoms:
-            nb = a.box if box is None else box_intersect(a.box, box)
-            if nb is None:
-                continue
-            nc = a.cyl if cyl is None else cyl_intersect(a.cyl, cyl)
-            if nc is None:
-                continue
-            na = Atom(a.sym, nb, nc, a.state)
-            if na.measure > 0:
-                out.append(na)
-        return Region(tuple(out))
-
     def union(self, other: "Region") -> "Region":
         return Region(self.atoms + other.atoms)
 
@@ -269,7 +254,8 @@ def region_of(*atoms) -> Region:
 # expand every cylinder prefix to the longest length present.
 
 
-def _expand_prefix(prefix: str, depth: int):
+def expand_prefix(prefix: str, depth: int):
+    """Descendants of length ``depth`` of a cylinder prefix; itself if that long."""
     if len(prefix) >= depth:
         yield prefix
         return
@@ -303,7 +289,7 @@ def refine_regions(regions):
             coord_cells = [[iv for iv in cells[c] if box_get(atom.box, c + 1).contains(iv)]
                            for c in range(width)]
             for combo in product(*coord_cells) if width else [()]:
-                for word in _expand_prefix(atom.cyl, depth):
+                for word in expand_prefix(atom.cyl, depth):
                     key = (sym, state, combo, word)
                     at = index.get(key)
                     if at is None:

@@ -13,7 +13,8 @@ from graphings.errors import (ClosureViolation, DiscretizationError,
 from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
                                  cut_between, discretize, enumerate_paths,
                                  plug, plug_dialect_pairs)
-from graphings.graphing import Edge, GraphingRep, Weight, is_deterministic
+from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
+                                is_deterministic)
 from graphings.realizer import Realizer
 from graphings.space import Atom, Interval, Region, region_of
 from graphings.words import canonical_representation
@@ -109,6 +110,31 @@ def test_plug_stack_budget():
     assert max(e.realizer.pops for e in out.edges) == 5
     assert all(e.weight == Weight(F(1, 2 ** (e.realizer.pops + 1)))
                for e in out.edges)
+
+
+def _straddling_pair():
+    # f moves a|[0,1/2] onto 0i|[1/4,3/4], across the two halves of 0i that
+    # g sends on to r and to 0o.  Round 0 finds that image cut; round 1
+    # tiles it but finds g's images of the new quarters cut; round 2 is stable.
+    low = Atom("0i", (Interval(F(0), F(1, 2)),))
+    high = Atom("0i", (Interval(F(1, 2), F(1)),))
+    return _pair((Edge(region_of(A), 0, 0,
+                       Realizer(shift=-4, box_shift=((1, F(1, 4)),))),),
+                 (Edge(region_of(low), 0, 0, _C1_TO_B),
+                  Edge(region_of(high), 0, 0, _C1_TO_C2)))
+
+
+def test_plug_tiles_an_image_straddling_cells():
+    f, g = _straddling_pair()
+    out = plug(f, g, cut_between(f, g), ExecOptions(max_rounds=3))
+    assert [format_edge(e) for e in out.edges] == [
+        "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
+
+
+def test_plug_raises_when_the_partition_rounds_run_out():
+    f, g = _straddling_pair()
+    with pytest.raises(DiscretizationError):
+        plug(f, g, cut_between(f, g), ExecOptions(max_rounds=2))
 
 
 def test_plug_dialect_is_the_sorted_product():

@@ -37,3 +37,30 @@ def test_package_enforces_invariants_without_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert on lines {lines}"
+
+
+def _names_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # names looked up with getattr, as the tracer does
+
+
+def test_every_package_definition_is_referenced():
+    repo = Path(__file__).resolve().parents[1]
+    referenced = {name for top in ("src", "tests", "perfbench")
+                  for path in (repo / top).rglob("*.py")
+                  for name in _names_referenced(path)}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")
+                    and node.name not in referenced):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == [], f"defined but never referenced: {unused}"
