@@ -13,7 +13,7 @@ stack alone, and count only if the stack is exactly the bottom marker.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FormatError, ValidationError
+from .errors import ClosureViolation, FormatError, ValidationError
 from .linsolve import prune, solve_affine
 from .theta import STACK_OPS
 
@@ -163,12 +163,14 @@ def _expand(a: Automaton, word: str, config, depth: int):
 
 
 def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
-                       outcome: str = ACCEPT) -> tuple[Fraction, bool]:
+                       outcome: str = ACCEPT,
+                       max_nodes: int = 500_000) -> tuple[Fraction, bool]:
     """Exact halting probability, with a certificate of exactness.
 
     For stack machines the run tree is cut at ``stack_depth`` symbols; a cut
     branch loses its mass, so the returned value is a lower bound and the
-    flag reports whether any branch was actually cut.
+    flag reports whether any branch was actually cut.  At most ``max_nodes``
+    configurations are interned; one more raises ``ClosureViolation``.
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
@@ -179,29 +181,31 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
         raise ValidationError("stack machines need a positive stack budget")
 
     index = {}
-    rows, contrib = [], []
+    order, rows, contrib = [], [], []
     truncated = False
-    order = [_start_config(a)]
-    index[order[0]] = 0
-    rows.append([])
-    contrib.append(_ZERO)
+
+    def intern(config) -> int:
+        i = index.get(config)
+        if i is None:
+            if len(order) >= max_nodes:
+                raise ClosureViolation("oracle walk exceeded the node budget")
+            i = index[config] = len(order)
+            order.append(config)
+            rows.append([])
+            contrib.append(_ZERO)
+        return i
+
+    intern(_start_config(a))
     pos = 0
     while pos < len(order):
-        config = order[pos]
-        for t, kind, payload in _expand(a, word, config, stack_depth):
+        for t, kind, payload in _expand(a, word, order[pos], stack_depth):
             if kind == "halt":
                 if payload == outcome:
                     contrib[pos] += t.prob
             elif kind == "drop":
                 truncated = True
             else:
-                nxt = index.get(payload)
-                if nxt is None:
-                    nxt = index[payload] = len(order)
-                    order.append(payload)
-                    rows.append([])
-                    contrib.append(_ZERO)
-                rows[pos].append((nxt, t.prob))
+                rows[pos].append((intern(payload), t.prob))
         pos += 1
 
     # Configurations that cannot reach a halting contribution carry value 0;

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .automata import (ACCEPT, REJECT, accept_probability, parse_automaton,
                        format_automaton, validate)
 from .compiler import compile_automaton, format_compiled
-from .corpus import by_name, corpus
+from .corpus import by_name
 from .errors import GraphingError
 from .execution import ExecOptions, accept_path_sum, discretize, plug
 from .generators import random_det_pair, random_subprob_pair, split_sources

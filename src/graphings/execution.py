@@ -11,7 +11,12 @@ probing a word representation from a result interval.  Paths are counted as
 families: a family narrows spatially when an answer constrains it and dies
 when no answer matches, but its weight stays the product of the edge
 probabilities along it, and families are bucketed by the net stack word of
-their composite, reduced against the cylinder they started from.
+their composite, reduced against the cylinder they started from.  The word
+must be stack-free, as every word representation is, so its answers to a
+question depend only on the question's symbol and box: each is computed
+once per path sum and folded into the machine move.  Every interned
+configuration is thus a machine configuration, and ``max_nodes`` counts
+exactly those.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
 breadth first under the node budget, prunes to the ancestors of an exit,
@@ -244,10 +249,18 @@ def _machine_parts(machine, opts: ExecOptions):
 
 
 def _word_parts(w):
-    """The answering side's edges by symbol, at its one dialect state."""
+    """The answering side's edges by symbol, at its one dialect state.
+
+    It must be stack-free, as every word representation is: no edge pops,
+    pushes or guards on a cylinder.
+    """
     g = getattr(w, "graphing", w)
     if len(g.dialect) != 1:
         raise ValidationError("the answering side must have a one-state dialect")
+    for e in g.edges:
+        if (e.realizer.pops or e.realizer.pushes
+                or any(a.cyl for a in e.source.atoms)):
+            raise ValidationError("the answering side must be stack-free")
     return g.dialect[0], g.edge_index
 
 
@@ -268,18 +281,26 @@ def accept_path_sum(machine, word, accept_region: Region,
         if a0.state != 0:
             raise ValidationError("the probed region must be spatial")
 
-    # key: (atom, dialect state, turn, composite as (pushes, pops), origin
-    # cylinder).  An exit bucket of None marks a branch dropped at the stack
-    # budget; its weight goes into the truncation bound.
+    # The word is stack-free, so its answers leave stack, origin and the
+    # question's cylinder alone and depend only on the question's (symbol,
+    # box); an answer memoised at another cylinder is moved onto this one.
+    answers: dict = {}
+
+    def answer(question: Atom):
+        key = (question.sym, question.box)
+        got = answers.get(key)
+        if got is None:
+            got = answers[key] = [
+                (e.weight.p, img) for e, _, img in
+                _moves(w_index.get((w_state, question.sym), ()), question)]
+        return got
+
+    # key: (atom, dialect state, composite as (pushes, pops), origin
+    # cylinder), always at the machine's turn.  An exit bucket of None marks
+    # a branch dropped at the stack budget; its weight goes into the
+    # truncation bound.
     def expand(key):
-        atom, state, turn, stack, origin = key
-        if turn == 1:
-            for e, piece, img in _moves(w_index.get((w_state, atom.sym), ()), atom):
-                yield "node", e.weight.p, (
-                    img, state, 0,
-                    pair_mul((e.realizer.pushes, e.realizer.pops), stack),
-                    origin + piece.cyl[len(atom.cyl):])
-            return
+        atom, state, stack, origin = key
         for e, piece, img in _moves(m_index.get((state, atom.sym), ()), atom):
             if len(img.cyl) > depth:
                 yield "exit", e.weight.p, None
@@ -287,12 +308,15 @@ def accept_path_sum(machine, word, accept_region: Region,
             new_stack = pair_mul((e.realizer.pushes, e.realizer.pops), stack)
             new_origin = origin + piece.cyl[len(atom.cyl):]
             if img.sym not in RESULT_SYMBOLS:
-                yield "node", e.weight.p, (img, e.out_state, 1, new_stack, new_origin)
+                for q, ans in answer(img):
+                    if ans.cyl != img.cyl:
+                        ans = Atom(ans.sym, ans.box, img.cyl)
+                    yield "node", e.weight.p * q, (ans, e.out_state, new_stack, new_origin)
             elif any(img.intersect(ra) is not None for ra in accept_region.atoms):
                 pushes, pops = cancel_on(new_stack, new_origin)
                 yield "exit", e.weight.p, pushes + "c" * pops
 
-    seeds = [((a0, start, 0, ("", 0), a0.cyl), _ONE) for a0 in accept_region.atoms]
+    seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in accept_region.atoms]
     totals: dict = {}
     for mass, bucket in _solve_walk(seeds, expand, opts.max_nodes, "dialogue"):
         totals[bucket] = totals.get(bucket, _ZERO) + mass
@@ -341,9 +365,10 @@ def enumerate_paths(machine, word, max_edges: int = 40,
 def _plug_cells(f: GraphingRep, g: GraphingRep, cut: CutSpec, opts: ExecOptions):
     """Joint stable cell partition; returns cells, zone map, per-side tables.
 
-    Splitters only accumulate, so each refinement refines the one before: an
-    equal cell count means an equal partition, listed in the same order, so
-    cell indices from the round before still hold.
+    Splitters only accumulate, one per distinct image, so each refinement
+    refines the one before: an equal cell count means an equal partition,
+    listed in the same order, so cell indices from the round before still
+    hold.
     """
     splitters = [cut.left_rest, cut.cut, cut.right_rest]
     piece_refs: list = []  # (side, edge, splitter index)
@@ -353,6 +378,7 @@ def _plug_cells(f: GraphingRep, g: GraphingRep, cut: CutSpec, opts: ExecOptions)
                 piece_refs.append((si, e, len(splitters)))
                 splitters.append(Region((piece,)))
     cells, covers = refine_regions(splitters)
+    image_refs: dict = {}  # image -> its splitter index
     for _ in range(opts.max_rounds):
         images: list = []  # (side, cell, edge, image, splitter index)
         for si, e, ref in piece_refs:
@@ -360,8 +386,11 @@ def _plug_cells(f: GraphingRep, g: GraphingRep, cut: CutSpec, opts: ExecOptions)
                 # cells are as deep as the pieces they tile, and the pieces
                 # are deep enough for the pops, so no cell splits here
                 ((_, img),) = e.realizer.apply_atom(cells[ci])
-                images.append((si, ci, e, img, len(splitters)))
-                splitters.append(Region((img,)))
+                img_ref = image_refs.get(img)
+                if img_ref is None:
+                    img_ref = image_refs[img] = len(splitters)
+                    splitters.append(Region((img,)))
+                images.append((si, ci, e, img, img_ref))
         known = len(cells)
         cells, covers = refine_regions(splitters)
         if len(cells) == known:

@@ -1,11 +1,13 @@
 """Dialogue engine: discretization, path sums, plugging along a cut."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
-from graphings.automata import trace_enumerate
+from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
 from graphings.errors import (ClosureViolation, DiscretizationError,
@@ -226,6 +228,50 @@ def test_node_budget_raises_in_both_walks():
                  (Edge(region_of(C1), 0, 0, _C1_TO_B),))
     with pytest.raises(ClosureViolation, match="plug walk exceeded"):
         plug(f, g, cut_between(f, g), tight)
+
+
+def _oracle_budget(a, word):
+    """Smallest ``max_nodes`` at which the oracle does not run out."""
+    for n in count(1):
+        try:
+            accept_probability(a, word, 16, max_nodes=n)
+            return n
+        except ClosureViolation:
+            pass
+
+
+@pytest.mark.parametrize("word", ["", "0", "0110"])
+@pytest.mark.parametrize("name", ["biased-stack-walk", "prob-push-walk",
+                                  "push-all-pop-all", "even-ones",
+                                  "two-head-palindrome"])
+def test_path_sum_interns_exactly_the_oracle_configurations(name, word):
+    # word answers are folded into the machine move, so the walk interns
+    # one node per machine configuration, as the oracle does
+    a = by_name(name)
+    n = _oracle_budget(a, word)
+    with pytest.raises(ClosureViolation, match="oracle walk exceeded"):
+        accept_probability(a, word, 16, max_nodes=n - 1)
+    m = compile_automaton(a)
+    rep = canonical_representation(word)
+    accept_path_sum(m, rep, ACCEPT_REGION, ExecOptions(stack_depth=16, max_nodes=n))
+    with pytest.raises(ClosureViolation, match="dialogue walk exceeded"):
+        accept_path_sum(m, rep, ACCEPT_REGION,
+                        ExecOptions(stack_depth=16, max_nodes=n - 1))
+
+
+@pytest.mark.parametrize("change", [
+    lambda e: replace(e, realizer=replace(e.realizer, pushes="0")),
+    lambda e: replace(e, source=Region(tuple(replace(a, cyl="0")
+                                             for a in e.source.atoms))),
+], ids=["pushing-edge", "guarded-source"])
+def test_answering_side_must_be_stack_free(change):
+    m = compile_automaton(by_name("even-ones"))
+    g = canonical_representation("01").graphing
+    word = replace(g, edges=(change(g.edges[0]),) + g.edges[1:])
+    with pytest.raises(ValidationError, match="stack-free"):
+        accept_path_sum(m, word, ACCEPT_REGION)
+    with pytest.raises(ValidationError, match="stack-free"):
+        enumerate_paths(m, word)
 
 
 def test_enumerated_paths_match_machine_traces():

@@ -64,3 +64,21 @@ def test_every_package_definition_is_referenced():
                     and node.name not in referenced):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # re-exports are the package's interface
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == [], f"imported but never used: {unused}"
