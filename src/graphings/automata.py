@@ -19,6 +19,9 @@ from .theta import STACK_OPS
 
 INIT, ACCEPT, REJECT = "init", "accept", "reject"
 DIRECTIONS = ("i", "o")
+# configurations a walk may intern: the oracle's budget and the default of
+# ExecOptions.max_nodes for the path sum and plug
+MAX_NODES = 500_000
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -163,13 +166,12 @@ def _expand(a: Automaton, word: str, config, depth: int):
 
 
 def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
-                       outcome: str = ACCEPT,
-                       max_nodes: int = 500_000) -> tuple[Fraction, bool]:
+                       outcome: str = ACCEPT) -> tuple[Fraction, bool]:
     """Exact halting probability, with a certificate of exactness.
 
     For stack machines the run tree is cut at ``stack_depth`` symbols; a cut
     branch loses its mass, so the returned value is a lower bound and the
-    flag reports whether any branch was actually cut.  At most ``max_nodes``
+    flag reports whether any branch was actually cut.  At most ``MAX_NODES``
     configurations are interned; one more raises ``ClosureViolation``.
     """
     if outcome not in (ACCEPT, REJECT):
@@ -187,7 +189,7 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     def intern(config) -> int:
         i = index.get(config)
         if i is None:
-            if len(order) >= max_nodes:
+            if len(order) >= MAX_NODES:
                 raise ClosureViolation("oracle walk exceeded the node budget")
             i = index[config] = len(order)
             order.append(config)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .automata import MAX_NODES
 from .errors import (ClosureViolation, DiscretizationError, TruncationError,
                      ValidationError)
 from .graphing import Edge, GraphingRep, Weight
@@ -47,7 +48,7 @@ class ExecOptions:
     start_state: int | None = None
     strict: bool = True          # plug: raise instead of dropping cut branches
     max_rounds: int = 12
-    max_nodes: int = 500_000
+    max_nodes: int = MAX_NODES
 
 
 @dataclass(frozen=True)

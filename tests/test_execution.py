@@ -7,6 +7,7 @@ from itertools import count
 
 import pytest
 
+from graphings import automata
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
@@ -230,11 +231,12 @@ def test_node_budget_raises_in_both_walks():
         plug(f, g, cut_between(f, g), tight)
 
 
-def _oracle_budget(a, word):
-    """Smallest ``max_nodes`` at which the oracle does not run out."""
+def _oracle_budget(monkeypatch, a, word):
+    """Smallest ``MAX_NODES`` at which the oracle does not run out."""
     for n in count(1):
+        monkeypatch.setattr(automata, "MAX_NODES", n)
         try:
-            accept_probability(a, word, 16, max_nodes=n)
+            accept_probability(a, word, 16)
             return n
         except ClosureViolation:
             pass
@@ -244,13 +246,14 @@ def _oracle_budget(a, word):
 @pytest.mark.parametrize("name", ["biased-stack-walk", "prob-push-walk",
                                   "push-all-pop-all", "even-ones",
                                   "two-head-palindrome"])
-def test_path_sum_interns_exactly_the_oracle_configurations(name, word):
+def test_path_sum_interns_exactly_the_oracle_configurations(monkeypatch, name, word):
     # word answers are folded into the machine move, so the walk interns
     # one node per machine configuration, as the oracle does
     a = by_name(name)
-    n = _oracle_budget(a, word)
+    n = _oracle_budget(monkeypatch, a, word)
+    monkeypatch.setattr(automata, "MAX_NODES", n - 1)
     with pytest.raises(ClosureViolation, match="oracle walk exceeded"):
-        accept_probability(a, word, 16, max_nodes=n - 1)
+        accept_probability(a, word, 16)
     m = compile_automaton(a)
     rep = canonical_representation(word)
     accept_path_sum(m, rep, ACCEPT_REGION, ExecOptions(stack_depth=16, max_nodes=n))
