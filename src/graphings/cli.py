@@ -78,11 +78,11 @@ def cmd_compile(args) -> int:
 def cmd_accept(args) -> int:
     a = _load_machine(args.machine)
     w = _word(args.word)
+    opts = ExecOptions(stack_depth=args.stack_depth)
     p_oracle, oracle_exact = accept_probability(a, w, args.stack_depth)
     m = compile_automaton(a)
     cells = args.grid if args.grid else len(w) + 1
     rep = bang_representation(word_graph(w), tuple(range(len(w) + 1)), cells)
-    opts = ExecOptions(stack_depth=args.stack_depth)
     ps = accept_path_sum(m, rep, Region((Atom("a"),)), opts)
     _println("machine:", a.name)
     _println("word:", args.word)
@@ -266,6 +266,13 @@ def cmd_properties(args) -> int:
     return 0 if not bad else 1
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="graphings",
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("properties", help="run a randomized property suite")
     c.add_argument("suite", choices=sorted(_SUITES))
-    c.add_argument("--count", type=int, default=50)
+    c.add_argument("--count", type=_count, default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--reps", type=int, default=5)
     c.add_argument("--dump-dir", default=".")

@@ -35,7 +35,7 @@ from .errors import (ClosureViolation, DiscretizationError, TruncationError,
 from .graphing import Edge, GraphingRep, Weight
 from .linsolve import prune, solve_affine
 from .realizer import Realizer, perm_apply
-from .space import (Atom, Region, RESULT_SYMBOLS, ae_equal, box_get,
+from .space import (Atom, Region, RESULT_SYMBOLS, _atom, ae_equal, box_get,
                     difference, disjoint_ae, refine_regions, sym_index)
 from .theta import cancel_on, pair_mul
 
@@ -49,6 +49,11 @@ class ExecOptions:
     strict: bool = True          # plug: raise instead of dropping cut branches
     max_rounds: int = 12
     max_nodes: int = MAX_NODES
+
+    def __post_init__(self):
+        if self.stack_depth < 0:
+            raise ValidationError(
+                f"stack depth must be at least 0, got {self.stack_depth}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def accept_path_sum(machine, word, accept_region: Region,
             if img.sym not in RESULT_SYMBOLS:
                 for q, ans in answer(img):
                     if ans.cyl != img.cyl:
-                        ans = Atom(ans.sym, ans.box, img.cyl)
+                        ans = _atom(ans.sym, ans.box, img.cyl, 0)
                     yield "node", e.weight.p * q, (ans, e.out_state, new_stack, new_origin)
             elif any(img.intersect(ra) is not None for ra in accept_region.atoms):
                 pushes, pops = cancel_on(new_stack, new_origin)

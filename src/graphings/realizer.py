@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .space import Atom, Region, box_get, expand_prefix, sym_shift
+from .space import (Atom, Region, _atom, _canon_box, box_get, expand_prefix,
+                    sym_shift)
 from . import theta
 
 # Permutations are stored as sorted tuples of (source, image) pairs covering
@@ -141,25 +142,27 @@ class Realizer:
         """
         out = []
         for cyl in expand_prefix(atom.cyl, self.pops):
-            piece = atom if cyl == atom.cyl else Atom(atom.sym, atom.box, cyl, atom.state)
+            piece = atom if cyl == atom.cyl else _atom(atom.sym, atom.box, cyl, atom.state)
             out.append((piece, self._apply_exact(piece)))
         return out
 
     def _apply_exact(self, atom: Atom) -> Atom:
         sym = sym_shift(atom.sym, self.shift)
-        width = max((len(atom.box), *(perm_support(self.perm) or {0}),
-                     *({c for c, _ in self.box_shift} or {0})))
-        intervals = []
-        inv = perm_inverse(self.perm)
-        for c in range(1, width + 1):
-            iv = box_get(atom.box, perm_apply(inv, c))
-            amount = self.box_shift_at(c)
-            intervals.append(iv.translate(amount) if amount else iv)
+        box = atom.box
+        if self.perm or self.box_shift:
+            inv = {j: i for i, j in self.perm}
+            shifts = dict(self.box_shift)
+            image = []
+            for c in range(1, max(len(box), *inv, *shifts) + 1):
+                iv = box_get(box, inv.get(c, c))
+                amount = shifts.get(c)
+                image.append(iv.translate(amount) if amount else iv)
+            box = _canon_box(image)
         if self.pops > len(atom.cyl):
             raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
                                   f"prefix that long, got {atom.cyl!r}")
         cyl = self.pushes + atom.cyl[self.pops:]
-        return Atom(sym, tuple(intervals), cyl, atom.state)
+        return _atom(sym, box, cyl, atom.state)
 
     def apply(self, region: Region) -> Region:
         images = []

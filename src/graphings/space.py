@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .errors import FormatError, ValidationError
 
@@ -69,39 +70,83 @@ def sym_of(char: str, direction: str) -> str:
     return char + direction
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed rational subinterval of [0,1]."""
+class Interval(tuple):
+    """A closed rational subinterval of [0,1], kept as ``[a/d, b/d]``.
 
-    lo: Fraction
-    hi: Fraction
+    The three ints ``(a, b, d)`` are in lowest terms, ``gcd(a, b, d) == 1``,
+    so equal intervals are equal tuples, and they compare and hash as such.
+    Intervals have no order; ``lo``, ``hi`` and ``measure`` are ``Fraction``s.
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if not ZERO <= self.lo <= self.hi <= ONE:
-            raise ValidationError(f"interval [{self.lo},{self.hi}] not within [0,1]")
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not ZERO <= lo <= hi <= ONE:
+            raise ValidationError(f"interval [{lo},{hi}] not within [0,1]")
+        # Over the lcm of two reduced denominators the form is already lowest.
+        d = lcm(lo.denominator, hi.denominator)
+        return _new_tuple(cls, (lo.numerator * (d // lo.denominator),
+                                hi.numerator * (d // hi.denominator), d))
+
+    def __getnewargs__(self):
+        return self.lo, self.hi
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     @property
     def measure(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self[1] - self[0], self[2])
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        d = lcm(d1, d2)
+        s1, s2 = d // d1, d // d2
+        lo, hi = max(a1 * s1, a2 * s2), min(b1 * s1, b2 * s2)
         if lo >= hi:  # touching endpoints are a null set
             return None
-        return Interval(lo, hi)
+        return _interval(lo, hi, d)
 
     def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        return a1 * d2 <= a2 * d1 and b2 * d1 <= b1 * d2
 
     def translate(self, amount: Fraction) -> "Interval":
-        lo, hi = self.lo + amount, self.hi + amount
-        if lo < ZERO or hi > ONE:
+        a, b, d = self
+        d2 = lcm(d, amount.denominator)
+        s, shift = d2 // d, amount.numerator * (d2 // amount.denominator)
+        lo, hi = a * s + shift, b * s + shift
+        if lo < 0 or hi > d2:
             raise ValidationError(
                 f"translating [{self.lo},{self.hi}] by {amount} leaves the unit interval")
-        return Interval(lo, hi)
+        return _interval(lo, hi, d2)
+
+
+_new_tuple = tuple.__new__
+
+
+def _interval(a: int, b: int, d: int) -> Interval:
+    """``[a/d, b/d]`` for ``0 <= a <= b <= d``, reduced but not checked."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new_tuple(Interval, (a, b, d))
 
 
 FULL = Interval(ZERO, ONE)
@@ -116,11 +161,13 @@ def _canon_box(box) -> tuple:
     return box[:n]
 
 
-def box_measure(box) -> Fraction:
-    m = ONE
-    for iv in box:
-        m *= iv.measure
-    return m
+def box_measure(box, den: int = 1) -> Fraction:
+    """Measure of a box, divided by ``den``: one ``Fraction`` at the end."""
+    num = 1
+    for a, b, d in box:
+        num *= b - a
+        den *= d
+    return Fraction(num, den)
 
 
 def box_get(box, coord: int) -> Interval:
@@ -163,7 +210,10 @@ class Atom:
 
     def __post_init__(self):
         sym_index(self.sym)
-        object.__setattr__(self, "box", _canon_box(self.box))
+        box = tuple(self.box)
+        if not all(isinstance(iv, Interval) for iv in box):
+            raise ValidationError("an atom's box must be a tuple of intervals")
+        object.__setattr__(self, "box", _canon_box(box))
         if any(ch not in "*01" for ch in self.cyl):
             raise ValidationError(f"cylinder prefix {self.cyl!r} not over *01")
         if self.state < 0:
@@ -171,7 +221,7 @@ class Atom:
 
     @property
     def measure(self) -> Fraction:
-        return box_measure(self.box) * cyl_measure(self.cyl)
+        return box_measure(self.box, 3 ** len(self.cyl))
 
     def intersect(self, other: "Atom") -> "Atom | None":
         """The common part, or None when it is null; never a null atom."""
@@ -187,13 +237,13 @@ class Atom:
         else:
             # A full box narrows nothing, but the other box may still be null.
             box = self.box or other.box
-            if any(iv.lo == iv.hi for iv in box):
+            if any(a == b for a, b, _ in box):
                 return None
         if box is self.box and cyl is self.cyl:
             return self
         if box is other.box and cyl is other.cyl:
             return other
-        return Atom(self.sym, box, cyl, self.state)
+        return _atom(self.sym, box, cyl, self.state)
 
     def contains_ae(self, other: "Atom") -> bool:
         got = self.intersect(other)
@@ -205,6 +255,21 @@ class Atom:
     def sort_key(self):
         return (sym_index(self.sym), self.state, self.cyl,
                 tuple((iv.lo, iv.hi) for iv in self.box))
+
+
+_new_object, _set = object.__new__, object.__setattr__
+
+
+def _atom(sym: str, box: tuple, cyl: str, state: int) -> Atom:
+    """An atom from parts already valid, ``box`` canonical; nothing is checked."""
+    atom = _new_object(Atom)
+    # field by field, like the generated __init__: reading ``__dict__``
+    # would give every atom its own dict and double its size
+    _set(atom, "sym", sym)
+    _set(atom, "box", box)
+    _set(atom, "cyl", cyl)
+    _set(atom, "state", state)
+    return atom
 
 
 @dataclass(frozen=True)
@@ -281,19 +346,27 @@ def refine_regions(regions):
     for (sym, state), members in sorted(groups.items(), key=lambda kv: (sym_index(kv[0][0]), kv[0][1])):
         depth = max(len(a.cyl) for _, a in members)
         width = max((len(a.box) for _, a in members), default=0)
-        cuts = [sorted({ZERO, ONE, *(p for _, a in members
-                                     for p in (box_get(a.box, c).lo, box_get(a.box, c).hi))})
-                for c in range(1, width + 1)]
-        cells = [[Interval(lo, hi) for lo, hi in zip(cs, cs[1:]) if lo < hi] for cs in cuts]
+        # Per coordinate: every endpoint as an int over one common
+        # denominator, the position of each cut, and the cells between cuts.
+        axes = []
+        for c in range(1, width + 1):
+            ivs = [box_get(a.box, c) for _, a in members]
+            den = lcm(*(d for _, _, d in ivs))
+            cuts = sorted({0, den, *(x * (den // d) for a, b, d in ivs for x in (a, b))})
+            axes.append((den, {x: i for i, x in enumerate(cuts)},
+                         [_interval(lo, hi, den) for lo, hi in zip(cuts, cuts[1:])]))
         for ri, atom in members:
-            coord_cells = [[iv for iv in cells[c] if box_get(atom.box, c + 1).contains(iv)]
-                           for c in range(width)]
+            # the cells inside an interval are the run between its two cuts
+            coord_cells = []
+            for c, (den, pos, cells) in enumerate(axes, 1):
+                a, b, d = box_get(atom.box, c)
+                coord_cells.append(cells[pos[a * (den // d)]:pos[b * (den // d)]])
             for combo in product(*coord_cells) if width else [()]:
                 for word in expand_prefix(atom.cyl, depth):
                     key = (sym, state, combo, word)
                     at = index.get(key)
                     if at is None:
-                        elementary.append(Atom(sym, combo, word, state))
+                        elementary.append(_atom(sym, _canon_box(combo), word, state))
                         at = index[key] = len(elementary) - 1
                     covers[ri].add(at)
     return elementary, covers

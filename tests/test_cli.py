@@ -62,6 +62,14 @@ def test_accept_rejects_words_off_the_alphabet(capsys):
     assert code == 2 and "word must be over 01" in err
 
 
+def test_accept_rejects_a_negative_stack_budget(capsys):
+    # the oracle ignores the budget for a stack-free machine, so only the
+    # budget check stands between this and a false disagreement
+    code, out, err = run(capsys, "accept", "even-ones", "01", "--stack-depth", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "stack depth" in err
+
+
 def test_membership_table_checks_against_the_oracle(capsys):
     code, out, _ = run(capsys, "membership", "even-ones", "11", "1", "-",
                        "--test", "neg")
@@ -129,6 +137,15 @@ def test_properties_suites_pass_and_stay_quiet(tmp_path, capsys):
                        "--dump-dir", str(tmp_path))
     assert code == 0 and "suite det-closure: 3/3 pass" in out
     assert list(tmp_path.iterdir()) == []  # counterexamples only on failure
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_properties_count_below_one_is_a_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["properties", "det-closure", "--count", count])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--count" in out.err
 
 
 def test_output_is_byte_stable(capsys):

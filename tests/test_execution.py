@@ -336,3 +336,9 @@ def test_degenerate_accept_region_carries_no_mass():
                          ExecOptions(stack_depth=8))
     assert ps.total == {}
     assert ps.exact and ps.dropped == 0
+
+
+def test_negative_stack_budget_is_rejected():
+    with pytest.raises(ValidationError, match="stack depth"):
+        ExecOptions(stack_depth=-1)
+    assert ExecOptions(stack_depth=0).stack_depth == 0

@@ -1,14 +1,25 @@
 """Text front doors: every parser returns a value or raises FormatError."""
 
+from dataclasses import replace
+from fractions import Fraction as F
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from graphings.automata import parse_automaton
+from graphings.automata import format_automaton, parse_automaton
+from graphings.compiler import compile_automaton
+from graphings.corpus import LOW_BRANCHING, by_name, corpus
 from graphings.errors import FormatError
-from graphings.graphing import (MAX_DIALECT_RANGE, parse_graphing,
-                                parse_realizer, parse_weight)
-from graphings.space import parse_atom, parse_region
+from graphings.execution import plug
+from graphings.generators import random_det_pair, random_subprob_pair, split_sources
+from graphings.graphing import (MAX_DIALECT_RANGE, GraphingRep, Weight,
+                                format_graphing, format_realizer, format_weight,
+                                parse_graphing, parse_realizer, parse_weight)
+from graphings.realizer import Realizer, perm_of
+from graphings.space import (SYMBOLS, Atom, Interval, Region, format_atom,
+                             format_region, parse_atom, parse_region)
+from graphings.words import bang_representation, word_graph
 
 PARSERS = (parse_graphing, parse_automaton, parse_region, parse_atom,
            parse_realizer, parse_weight)
@@ -111,3 +122,74 @@ def test_widest_dialect_range_still_parses():
     top = MAX_DIALECT_RANGE - 1
     g = parse_graphing(f"dialect: 0-{top}\nsupport: a|-|-|0\n")
     assert g.dialect == tuple(range(MAX_DIALECT_RANGE))
+
+
+# --- round trips: valid values survive format then parse ---------------------
+
+_UNIT = st.integers(1, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: F(n, d)))
+_SHIFT = st.integers(1, 12).flatmap(lambda d: st.integers(-d, d).map(lambda n: F(n, d)))
+_INTERVAL_V = st.tuples(_UNIT, _UNIT).map(lambda p: Interval(min(p), max(p)))
+_ATOM_V = st.builds(Atom, st.sampled_from(SYMBOLS),
+                    st.lists(_INTERVAL_V, max_size=3).map(tuple),
+                    st.text(alphabet="*01", max_size=3), st.integers(0, 4))
+# atoms at distinct (symbol, state) pairs never overlap
+_REGION_V = st.lists(_ATOM_V, max_size=4, unique_by=lambda a: (a.sym, a.state)
+                     ).map(lambda atoms: Region(tuple(atoms)))
+_WEIGHT_V = st.builds(Weight, _UNIT, st.integers(0, 1))
+_REALIZER_V = st.builds(
+    Realizer, st.integers(-7, 7),
+    st.permutations([1, 2, 3]).map(lambda p: perm_of(dict(zip((1, 2, 3), p)))),
+    st.dictionaries(st.integers(1, 3), _SHIFT, max_size=2).map(lambda d: tuple(d.items())),
+    st.integers(0, 3), st.text(alphabet="*01", max_size=3))
+
+
+@st.composite
+def _graphing_v(draw):
+    """A word representation, a generated graphing, or a plug result."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["word", "generated", "plugged"]))
+    if kind == "word":
+        word = draw(st.text(alphabet="01", max_size=3))
+        cells = draw(st.integers(len(word) + 1, len(word) + 4))
+        injection = draw(st.permutations(range(cells)))[:len(word) + 1]
+        return bang_representation(word_graph(word), injection, cells).graphing
+    if kind == "plugged":
+        return plug(*random_det_pair(seed))
+    f, g, _ = draw(st.sampled_from([random_det_pair, random_subprob_pair]))(seed)
+    return draw(st.sampled_from([f, g, split_sources(f, seed)]))
+
+
+def _sorted_graphing(g: GraphingRep) -> GraphingRep:
+    """The form the text gives back: regions and edges listed in sorted order."""
+    return GraphingRep(g.support.sorted(), g.dialect, tuple(
+        replace(e, source=e.source.sorted()) for e in g.sorted_edges()))
+
+
+ROUND_TRIPS = {
+    "graphing": (_graphing_v(), format_graphing, parse_graphing, _sorted_graphing),
+    "automaton": (st.sampled_from(corpus()), format_automaton, parse_automaton, None),
+    "region": (_REGION_V, format_region, parse_region, Region.sorted),
+    "atom": (_ATOM_V, format_atom, parse_atom, None),
+    "realizer": (_REALIZER_V, format_realizer, parse_realizer, None),
+    "weight": (_WEIGHT_V, format_weight, parse_weight, None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_formatted_values_parse_back(kind, data):
+    values, fmt, parse, normal = ROUND_TRIPS[kind]
+    value = data.draw(values)
+    text = fmt(value)
+    back = parse(text)
+    assert back == (normal(value) if normal else value)
+    assert fmt(back) == text
+
+
+@pytest.mark.parametrize("name", LOW_BRANCHING)
+def test_compiled_graphings_parse_back(name):
+    g = compile_automaton(by_name(name)).graphing
+    text = format_graphing(g)
+    assert parse_graphing(text) == _sorted_graphing(g)
+    assert format_graphing(parse_graphing(text)) == text

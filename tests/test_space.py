@@ -1,6 +1,8 @@
 """Measure-theoretic base layer: intervals, boxes, cylinders, atoms, regions."""
 
+import copy
 from fractions import Fraction as F
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +11,11 @@ from graphings.errors import ValidationError
 from graphings.space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom,
                              Interval, Region, ae_equal, box_intersect,
                              box_measure, cyl_intersect, cyl_measure,
-                             difference, disjoint_ae,
-                             format_atom, format_region, full_symbol_region,
-                             parse_atom, parse_region, refine_regions,
-                             region_of, subset_ae, sym_index, sym_of, sym_shift)
+                             difference, disjoint_ae, format_atom,
+                             format_interval, format_region, full_symbol_region,
+                             parse_atom, parse_interval, parse_region,
+                             refine_regions, region_of, subset_ae, sym_index,
+                             sym_of, sym_shift)
 
 
 def test_symbol_table():
@@ -54,6 +57,15 @@ def test_interval_stays_in_unit():
 def test_box_trailing_full_is_implicit():
     assert Atom("a", (FULL, FULL)).box == ()
     assert Atom("a", (Interval(F(0), F(1, 2)), FULL)).box == (Interval(F(0), F(1, 2)),)
+
+
+def test_box_entries_must_be_intervals():
+    # an interval is a tuple of ints inside; neither it nor a bare triple
+    # passes for a box
+    with pytest.raises(ValidationError, match="tuple of intervals"):
+        Atom("a", Interval(F(0), F(1, 2)))
+    with pytest.raises(ValidationError, match="tuple of intervals"):
+        Atom("a", ((0, 1, 2),))
 
 
 def test_box_measure_and_intersect():
@@ -172,3 +184,57 @@ def test_degenerate_atom_meets_a_full_atom_in_nothing():
     point = Atom("0i", (Interval(F(1, 3), F(1, 3)),))
     assert point.intersect(Atom("0i")) is None
     assert Atom("0i").intersect(point) is None
+
+
+# Rationals over mixed denominators: endpoints in [0,1], shifts in [-1,1].
+_unit = st.integers(1, 30).flatmap(lambda d: st.integers(0, d).map(lambda n: F(n, d)))
+_ends = st.tuples(_unit, _unit).map(sorted).map(tuple)
+_shift = st.integers(1, 30).flatmap(lambda d: st.integers(-d, d).map(lambda n: F(n, d)))
+
+
+@given(_ends, _ends, _shift)
+def test_interval_arithmetic_matches_fractions(p, q, shift):
+    a, b = Interval(*p), Interval(*q)
+    assert (a.lo, a.hi, a.measure) == (p[0], p[1], p[1] - p[0])
+    lo, hi = max(p[0], q[0]), min(p[1], q[1])
+    got = a.intersect(b)
+    if lo >= hi:
+        assert got is None
+    else:
+        assert (got.lo, got.hi) == (lo, hi)
+    assert a.contains(b) == (p[0] <= q[0] and q[1] <= p[1])
+    lo, hi = p[0] + shift, p[1] + shift
+    if 0 <= lo and hi <= 1:
+        moved = a.translate(shift)
+        assert (moved.lo, moved.hi) == (lo, hi)
+    else:
+        with pytest.raises(ValidationError, match="leaves the unit interval"):
+            a.translate(shift)
+
+
+@given(_ends, _ends, _shift)
+def test_equal_intervals_compare_and_hash_equal(p, q, shift):
+    a = Interval(*p)
+    ways = [Interval(str(p[0]), str(p[1])), Interval(lo=p[0], hi=p[1]),
+            parse_interval(format_interval(a)), copy.deepcopy(a),
+            pickle.loads(pickle.dumps(a))]
+    if a.measure > 0:
+        ways += [a.intersect(FULL), FULL.intersect(a)]
+        if q[0] <= p[0] and p[1] <= q[1]:
+            ways.append(Interval(*q).intersect(a))
+    if 0 <= p[0] + shift and p[1] + shift <= 1:
+        ways.append(a.translate(shift).translate(-shift))
+    for b in ways:
+        assert b == a and hash(b) == hash(a)
+
+
+@given(_ends)
+def test_interval_text_is_the_fraction_text(p):
+    a = Interval(*p)
+    assert format_interval(a) == f"[{p[0]},{p[1]}]"
+    assert repr(a) == f"Interval(lo={p[0]!r}, hi={p[1]!r})"
+
+
+def test_intervals_have_no_order():
+    with pytest.raises(TypeError):
+        Interval(F(0), F(1, 2)) < Interval(F(1, 3), F(1))
