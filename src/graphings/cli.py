@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("accept", help="acceptance probability two ways")
     c.add_argument("machine")
     c.add_argument("word", help="word over 01, or - for the empty word")
-    c.add_argument("--stack-depth", type=int, default=16)
+    c.add_argument("--stack-depth", type=_count, default=16)
     c.add_argument("--grid", type=int, default=0,
                    help="word cells (default: length + 1)")
     c.set_defaults(fn=cmd_accept)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("words", nargs="+")
     c.add_argument("--test", choices=("neg", "pos", "prob"), default="pos")
     c.add_argument("--epsilon", help="threshold fraction for prob tests")
-    c.add_argument("--stack-depth", type=int, default=16)
+    c.add_argument("--stack-depth", type=_count, default=16)
     c.set_defaults(fn=cmd_membership)
 
     c = sub.add_parser("equiv", help="compare two graphing files")

@@ -1,10 +1,13 @@
 """Execution of graphings: discretization, plugging, and dialogue path sums.
 
 Plugging two graphings along a cut region sums the weights of alternating
-paths through the cut, exactly.  Cells come from a joint refinement of both
-edge systems in which every image of a cell is itself a splitter, so the
-refinement's covers say which cells tile each image; the walk over cells
-tracks the running composite realizer.
+paths through the cut, exactly.  A walk starts from each rest atom and reads
+both sides' moves from their edge indexes, as the path sum does: every move
+narrows the family to the part of the edge source it meets, splits the image
+against the cut (a turn of the other side) and the rests (an exit), and
+deepens the tracked cylinder of the origin as pops and narrower targets
+demand.  Each exit is pulled back onto its origin through the running
+composite realizer; no partition is built up front.
 
 The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
@@ -47,7 +50,6 @@ class ExecOptions:
     stack_depth: int = 16
     start_state: int | None = None
     strict: bool = True          # plug: raise instead of dropping cut branches
-    max_rounds: int = 12
     max_nodes: int = MAX_NODES
 
     def __post_init__(self):
@@ -368,47 +370,6 @@ def enumerate_paths(machine, word, max_edges: int = 40,
 # --- plugging -------------------------------------------------------------------
 
 
-def _plug_cells(f: GraphingRep, g: GraphingRep, cut: CutSpec, opts: ExecOptions):
-    """Joint stable cell partition; returns cells, zone map, per-side tables.
-
-    Splitters only accumulate, one per distinct image, so each refinement
-    refines the one before: an equal cell count means an equal partition,
-    listed in the same order, so cell indices from the round before still
-    hold.
-    """
-    splitters = [cut.left_rest, cut.cut, cut.right_rest]
-    piece_refs: list = []  # (side, edge, splitter index)
-    for si, gr in enumerate((f, g)):
-        for e in gr.edges:
-            for piece, _ in e.pieces():
-                piece_refs.append((si, e, len(splitters)))
-                splitters.append(Region((piece,)))
-    cells, covers = refine_regions(splitters)
-    image_refs: dict = {}  # image -> its splitter index
-    for _ in range(opts.max_rounds):
-        images: list = []  # (side, cell, edge, image, splitter index)
-        for si, e, ref in piece_refs:
-            for ci in covers[ref]:
-                # cells are as deep as the pieces they tile, and the pieces
-                # are deep enough for the pops, so no cell splits here
-                ((_, img),) = e.realizer.apply_atom(cells[ci])
-                img_ref = image_refs.get(img)
-                if img_ref is None:
-                    img_ref = image_refs[img] = len(splitters)
-                    splitters.append(Region((img,)))
-                images.append((si, ci, e, img, img_ref))
-        known = len(cells)
-        cells, covers = refine_regions(splitters)
-        if len(cells) == known:
-            tables: list = [dict(), dict()]
-            for si, ci, e, img, ref in images:
-                tables[si].setdefault(ci, []).append((e, img, tuple(sorted(covers[ref]))))
-            zone = {ci: z for z in (0, 1, 2) for ci in covers[z]}
-            return cells, zone, tables
-    raise DiscretizationError(
-        f"cell partition did not stabilize in {opts.max_rounds} rounds")
-
-
 def plug_dialect_pairs(f: GraphingRep, g: GraphingRep) -> list:
     return sorted(product(f.dialect, g.dialect))
 
@@ -418,9 +379,12 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     """Execute two graphings against each other along a cut.
 
     The result lives on the two rests with the product dialect (pairs in
-    sorted order).  Each maximal alternating path family contributes one
-    edge from its pulled-back source piece, weighted by the product of the
-    probabilities along it, with cyclic mass summed exactly.
+    sorted order).  A walk starts from every rest atom at every state of the
+    side it belongs to, and each maximal alternating path family through the
+    cut contributes its source piece, pulled back from where it exits,
+    weighted by the product of the probabilities along it, with cyclic mass
+    summed exactly.  Families ending on the same dialect pairs, composite and
+    flag are refined together, so pieces that overlap add their weights.
     """
     whole_f = Region(tuple(cut.left_rest.atoms) + tuple(cut.cut.atoms))
     whole_g = Region(tuple(cut.cut.atoms) + tuple(cut.right_rest.atoms))
@@ -431,88 +395,89 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     if not disjoint_ae(cut.left_rest, cut.right_rest):
         raise ValidationError("the two rests overlap")
 
-    cells, zone, tables = _plug_cells(f, g, cut, opts)
-    pairs = plug_dialect_pairs(f, g)
-    pair_index = {pr: i for i, pr in enumerate(pairs)}
-    dialects = (f.dialect, g.dialect)
-    results: dict = {}
-
-    def emit(mass: Fraction, flag: int, comp: Realizer, origin: Atom,
-             ocyl: str, tc: Atom, in_pair, out_pair):
-        base = Atom(origin.sym, origin.box, ocyl)
-        piece = comp.preimage_atom(base, tc)
-        if piece is None:
-            raise ClosureViolation("exit family lost its source piece")
-        key = (piece, pair_index[in_pair], pair_index[out_pair], comp, flag)
-        results[key] = results.get(key, _ZERO) + mass
-
-    for origin_ci, origin_zone in sorted(zone.items()):
-        if origin_zone == 1:
-            continue
-        side0 = 0 if origin_zone == 0 else 1
-        origin = cells[origin_ci]
-        for in0 in dialects[side0]:
-            _walk_origin(side0, origin_ci, origin, in0, cells, zone, tables,
-                         dialects, opts, emit)
+    pair_index = {pr: i for i, pr in enumerate(plug_dialect_pairs(f, g))}
+    families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]
+    for side0, rest in ((0, cut.left_rest), (1, cut.right_rest)):
+        for origin in rest.atoms:
+            for in0 in (f, g)[side0].dialect:
+                for piece, in_pair, out_pair, comp, flag, mass in _walk_origin(
+                        (f, g), cut, side0, origin, in0, opts):
+                    families.setdefault((pair_index[in_pair], pair_index[out_pair],
+                                         comp, flag), []).append((piece, mass))
 
     edges = []
-    for (piece, in_i, out_i, comp, flag), mass in sorted(
-            results.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1:])):
-        if mass == 0:
-            continue
-        try:
-            weight = Weight(mass, flag)
-        except ValidationError as exc:
-            raise ClosureViolation(f"path mass exceeds one: {exc}") from exc
-        edges.append(Edge(Region((piece,)), in_i, out_i, comp, weight))
+    for (in_i, out_i, comp, flag), found in families.items():
+        cells, covers = refine_regions([Region((piece,)) for piece, _ in found])
+        masses = [_ZERO] * len(cells)
+        for (_, mass), cover in zip(found, covers):
+            for ci in cover:
+                masses[ci] += mass
+        for cell, mass in zip(cells, masses):
+            if mass == 0:
+                continue
+            try:
+                weight = Weight(mass, flag)
+            except ValidationError as exc:
+                raise ClosureViolation(f"path mass exceeds one: {exc}") from exc
+            edges.append(Edge(Region((cell,)), in_i, out_i, comp, weight))
+    edges.sort(key=lambda e: (e.source.atoms[0].sort_key(), e.in_state,
+                              e.out_state, e.realizer, e.weight.flag))
     support = Region(tuple(cut.left_rest.atoms) + tuple(cut.right_rest.atoms))
-    return GraphingRep(support, tuple(range(len(pairs))), tuple(edges))
+    return GraphingRep(support, tuple(range(len(pair_index))), tuple(edges))
 
 
-def _walk_origin(side0: int, origin_ci: int, origin: Atom, in0: int,
-                 cells: list, zone: dict, tables: list, dialects, opts, emit):
+def _with(pair: tuple, side: int, value) -> tuple:
+    return (value, pair[1]) if side == 0 else (pair[0], value)
+
+
+def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
+                 opts: ExecOptions):
+    """Exit families of the walk from one rest atom at one state of its side.
+
+    Yields ``(piece, in pair, out pair, composite, flag, mass)``, the piece
+    being the part of ``origin`` that the family carries to its exit.
+    """
+    zones = ([("node", a) for a in cut.cut.atoms]
+             + [("exit", a) for a in cut.left_rest.atoms + cut.right_rest.atoms])
+
+    # key: (turn, atom, first, cur, comp, ocyl, flag).  ``atom`` is where the
+    # family stands, ``first`` and ``cur`` hold each side's first and current
+    # dialect state (None until it speaks), and ``ocyl`` is the cylinder of
+    # the part of ``origin`` that the family carries.
     def expand(key):
-        ci, turn, cur_f, cur_g, first_other, comp, ocyl, flag = key
-        cur = (cur_f, cur_g)
-        for e, img, targets in tables[turn].get(ci, ()):
-            if cur[turn] is not None and e.in_state != cur[turn]:
-                continue
-            engaged_first = first_other
-            if cur[turn] is None:
-                engaged_first = e.in_state
-            nxt = comp.compose(e.realizer)
-            if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
-                if opts.strict:
-                    raise TruncationError("composite stack action outgrew the budget")
-                continue
-            new_flag = flag | e.weight.flag
-            new_cur = list(cur)
-            new_cur[turn] = e.out_state
-            for ti in targets:
-                tc = cells[ti]
-                new_ocyl = ocyl + tc.cyl[len(img.cyl):]
-                comp_n = nxt.normalized_on(new_ocyl)
-                if zone[ti] == 1:
-                    yield "node", e.weight.p, (ti, 1 - turn, new_cur[0], new_cur[1],
-                                               engaged_first, comp_n, new_ocyl, new_flag)
-                else:
-                    yield "exit", e.weight.p, (comp_n, new_ocyl, tc, tuple(new_cur),
-                                               engaged_first, new_flag)
+        turn, atom, first, cur, comp, ocyl, flag = key
+        side = sides[turn]
+        for s in side.dialect if cur[turn] is None else (cur[turn],):
+            new_first = first if cur[turn] is not None else _with(first, turn, s)
+            for e, piece, img in _moves(side.edge_index.get((s, atom.sym), ()), atom):
+                nxt = comp.compose(e.realizer)
+                if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
+                    if opts.strict:
+                        raise TruncationError("composite stack action outgrew the budget")
+                    continue
+                new_cur = _with(cur, turn, e.out_state)
+                deeper = ocyl + piece.cyl[len(atom.cyl):]
+                for kind, target in zones:
+                    part = img.intersect(target)
+                    if part is not None:
+                        new_ocyl = deeper + part.cyl[len(img.cyl):]
+                        yield kind, e.weight.p, (1 - turn, part, new_first, new_cur,
+                                                 nxt.normalized_on(new_ocyl), new_ocyl,
+                                                 flag | e.weight.flag)
 
-    # key: (cell, turn, cur_f, cur_g, first_other, comp, ocyl, flag)
-    cur0 = (in0, None) if side0 == 0 else (None, in0)
-    seed = (origin_ci, side0, cur0[0], cur0[1], None, Realizer(), origin.cyl, 0)
-    other = 1 - side0
-    for mass, (comp, ocyl, tc, cur, engaged_first, flag) in _solve_walk(
+    cur0 = _with((None, None), side0, in0)
+    seed = (side0, origin, cur0, cur0, Realizer(), origin.cyl, 0)
+    for mass, (_, part, first, cur, comp, ocyl, flag) in _solve_walk(
             [(seed, _ONE)], expand, opts.max_nodes, "plug"):
         if mass == 0:
             continue
-        if cur[other] is None:
+        piece = comp.preimage_atom(Atom(origin.sym, origin.box, ocyl), part)
+        if piece is None:
+            raise ClosureViolation("exit family lost its source piece")
+        if cur[1 - side0] is None:
             # The other side never spoke: it passes through diagonally.
-            for d in dialects[other]:
-                in_pair = (in0, d) if side0 == 0 else (d, in0)
-                out_pair = (cur[side0], d) if side0 == 0 else (d, cur[side0])
-                emit(mass, flag, comp, origin, ocyl, tc, in_pair, out_pair)
+            for d in sides[1 - side0].dialect:
+                yield (piece, _with(first, 1 - side0, d), _with(cur, 1 - side0, d),
+                       comp, flag, mass)
         else:
-            in_pair = (in0, engaged_first) if side0 == 0 else (engaged_first, in0)
-            emit(mass, flag, comp, origin, ocyl, tc, in_pair, tuple(cur))
+            yield piece, first, cur, comp, flag, mass

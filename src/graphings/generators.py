@@ -1,8 +1,8 @@
 """Seeded random graphings and cuts for the closure and refinement checks.
 
 Everything generated here is stack-free and grid-aligned: sources are
-whole cells of a coordinate-one grid, realizers only shift symbols and
-translate between cells, so plugging always stabilizes in one round.
+whole cells of a coordinate-one grid, and realizers only shift symbols and
+translate between cells, so every plug walk narrows to whole cells.
 """
 
 from fractions import Fraction

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .space import (Atom, Region, _atom, _canon_box, box_get, expand_prefix,
-                    sym_shift)
+from .space import (Atom, Region, _atom, _canon_box, box_get, box_intersect,
+                    expand_prefix, sym_shift)
 from . import theta
 
 # Permutations are stored as sorted tuples of (source, image) pairs covering
@@ -174,24 +174,32 @@ class Realizer:
         """Pull a constraint on the image back onto a source piece.
 
         ``piece`` must have a long enough prefix for the pops (as produced by
-        :meth:`apply_atom`).  Returns the sub-atom of ``piece`` mapping into
-        ``constraint``, or ``None`` when the intersection is null.
+        :meth:`apply_atom`), and the constraint's box must pull back inside
+        the unit box, as it does when the constraint lies in the image of
+        some part of ``piece``.  The rest of ``piece`` may leave the unit box
+        under a box shift, so a whole region atom can serve as the piece.
+        Returns the sub-atom of ``piece`` mapping into ``constraint``, or
+        ``None`` when the intersection is null.
         """
-        image = self._apply_exact(piece)
-        got = image.intersect(constraint)
+        pulled = []
+        width = max(len(piece.box), len(constraint.box),
+                    *(perm_support(self.perm) or {0}))
+        for c in range(1, width + 1):
+            iv = box_get(constraint.box, perm_apply(self.perm, c))
+            amount = self.box_shift_at(perm_apply(self.perm, c))
+            pulled.append(iv.translate(-amount) if amount else iv)
+        box = box_intersect(piece.box, pulled)
+        if box is None:
+            return None
+        sub = _atom(piece.sym, box, piece.cyl, piece.state)
+        got = self._apply_exact(sub).intersect(constraint)
         if got is None:
             return None
-        intervals = []
-        width = max(len(piece.box), len(got.box), *(perm_support(self.perm) or {0}))
-        for c in range(1, width + 1):
-            iv = box_get(got.box, perm_apply(self.perm, c))
-            amount = self.box_shift_at(perm_apply(self.perm, c))
-            intervals.append(iv.translate(-amount) if amount else iv)
         if not got.cyl.startswith(self.pushes):
             raise ValidationError(f"image cylinder {got.cyl!r} does not start "
                                   f"with the pushed word {self.pushes!r}")
         cyl = piece.cyl[: self.pops] + got.cyl[len(self.pushes):]
-        return Atom(piece.sym, tuple(intervals), cyl, piece.state)
+        return _atom(piece.sym, box, cyl, piece.state)
 
     def normalized_on(self, prefix: str) -> "Realizer":
         """Equal-as-a-map canonical form on atoms with cylinder prefix ``prefix``.

@@ -65,9 +65,23 @@ def test_accept_rejects_words_off_the_alphabet(capsys):
 def test_accept_rejects_a_negative_stack_budget(capsys):
     # the oracle ignores the budget for a stack-free machine, so only the
     # budget check stands between this and a false disagreement
-    code, out, err = run(capsys, "accept", "even-ones", "01", "--stack-depth", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "stack depth" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["accept", "even-ones", "01", "--stack-depth", "-1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--stack-depth" in out.err
+
+
+@pytest.mark.parametrize("command", [["accept", "even-ones", "01"],
+                                     ["membership", "even-ones", "01"]])
+def test_zero_stack_budget_is_a_usage_error(command, capsys):
+    # compiled start edges sit under the bottom marker, so a zero budget
+    # would drop every dialogue and report a false disagreement
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--stack-depth", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--stack-depth" in out.err
 
 
 def test_membership_table_checks_against_the_oracle(capsys):

@@ -10,16 +10,18 @@ import pytest
 from graphings import automata
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
-from graphings.corpus import by_name
+from graphings.corpus import by_name, corpus
 from graphings.errors import (ClosureViolation, DiscretizationError,
                               TruncationError, ValidationError)
 from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
                                  cut_between, discretize, enumerate_paths,
                                  plug, plug_dialect_pairs)
+from graphings.generators import (random_det_pair, random_subprob_pair,
+                                  split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
                                 is_deterministic)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, Region, region_of
+from graphings.space import Atom, Interval, Region, box_get, region_of
 from graphings.words import canonical_representation
 
 ACCEPT_REGION = Region((Atom("a"),))
@@ -96,15 +98,19 @@ def test_plug_raises_when_family_mass_exceeds_one():
         plug(f, g, cut_between(f, g))
 
 
-def test_plug_stack_budget():
+def _popping_pair():
     # every trip around the cycle pops one more tracked symbol, so the
     # composite stack action grows without bound; g either loops the probe
     # back (1/2) or lets it exit (1/2)
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),
+    return _pair((Edge(region_of(A), 0, 0, _TO_C1),
                   Edge(region_of(C2), 0, 0,
                        Realizer(shift=-1, pops=1)),),
                  (Edge(region_of(C1), 0, 0, _C1_TO_C2, Weight(F(1, 2))),
                   Edge(region_of(C1), 0, 0, _C1_TO_B, Weight(F(1, 2)))))
+
+
+def test_plug_stack_budget():
+    f, g = _popping_pair()
     with pytest.raises(TruncationError):
         plug(f, g, cut_between(f, g), ExecOptions(stack_depth=5))
     out = plug(f, g, cut_between(f, g), ExecOptions(stack_depth=5, strict=False))
@@ -115,29 +121,55 @@ def test_plug_stack_budget():
                for e in out.edges)
 
 
-def _straddling_pair():
+def test_plug_tiles_an_image_straddling_cells():
     # f moves a|[0,1/2] onto 0i|[1/4,3/4], across the two halves of 0i that
-    # g sends on to r and to 0o.  Round 0 finds that image cut; round 1
-    # tiles it but finds g's images of the new quarters cut; round 2 is stable.
+    # g sends on to r and to 0o; only the quarter that reaches r exits
     low = Atom("0i", (Interval(F(0), F(1, 2)),))
     high = Atom("0i", (Interval(F(1, 2), F(1)),))
-    return _pair((Edge(region_of(A), 0, 0,
+    f, g = _pair((Edge(region_of(A), 0, 0,
                        Realizer(shift=-4, box_shift=((1, F(1, 4)),))),),
                  (Edge(region_of(low), 0, 0, _C1_TO_B),
                   Edge(region_of(high), 0, 0, _C1_TO_C2)))
-
-
-def test_plug_tiles_an_image_straddling_cells():
-    f, g = _straddling_pair()
-    out = plug(f, g, cut_between(f, g), ExecOptions(max_rounds=3))
+    out = plug(f, g, cut_between(f, g))
     assert [format_edge(e) for e in out.edges] == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
 
 
-def test_plug_raises_when_the_partition_rounds_run_out():
-    f, g = _straddling_pair()
-    with pytest.raises(DiscretizationError):
-        plug(f, g, cut_between(f, g), ExecOptions(max_rounds=2))
+def test_plug_tracks_the_origin_cylinder_through_a_carved_cut():
+    # the cut carved into the three stack cylinders: each landing in the
+    # cut fixes one more symbol of the origin's cylinder, which the pops
+    # later read
+    f, g = _popping_pair()
+    cut = cut_between(f, g)
+    deep = Region(tuple(Atom(a.sym, a.box, c) for a in cut.cut.atoms for c in "*01"))
+    opts = ExecOptions(stack_depth=5, strict=False)
+    assert plug(f, g, replace(cut, cut=deep), opts).equivalent(plug(f, g, cut, opts))
+
+
+def _carved(region: Region) -> Region:
+    # box pieces that cut across the generators' grid cells
+    cuts = (F(0), F(1, 3), F(1, 2), F(1))
+    return Region(tuple(Atom(a.sym, (Interval(lo, hi),) + a.box[1:], a.cyl)
+                        for a in region.atoms for lo, hi in zip(cuts, cuts[1:])))
+
+
+@pytest.mark.parametrize("make", [random_det_pair, random_subprob_pair])
+def test_plug_does_not_depend_on_how_the_rests_are_carved(make):
+    # every rest atom is an origin of the walk, so carving the rests into
+    # smaller atoms must give an equivalent graphing
+    for seed in range(100):
+        f, g, cut = make(seed)
+        carved = CutSpec(cut.cut, _carved(cut.left_rest), _carved(cut.right_rest))
+        assert plug(f, g, carved).equivalent(plug(f, g, cut)), seed
+
+
+def test_plug_of_split_subprobabilistic_sources_is_equivalent():
+    # criterion 9 for sub-probabilistic pairs: families that split at
+    # different source pieces end on overlapping pieces of one rest atom,
+    # and must add up on the cells they share
+    for seed in range(100):
+        f, g, cut = random_subprob_pair(seed)
+        assert plug(split_sources(f, seed), g, cut).equivalent(plug(f, g, cut)), seed
 
 
 def test_plug_dialect_is_the_sorted_product():
@@ -218,6 +250,55 @@ def test_path_sum_from_two_atom_regions(name, word, region, want, dropped):
                          ExecOptions(stack_depth=8))
     assert ps.total == want
     assert ps.dropped == dropped and ps.exact == (dropped == 0)
+
+
+def _plugged_accept_mass(m, word: str, opts: ExecOptions) -> F:
+    """Plug's weight from the marker point at the start state back into ``a``.
+
+    The point has every head on the marker cell and the stack at the bottom
+    marker; only composites that leave no pushes behind count, as in the
+    path sum's empty class.
+    """
+    rep = canonical_representation(word)
+    out = plug(m.graphing, rep.graphing, cut_between(m.graphing, rep.graphing),
+               opts)
+    start = plug_dialect_pairs(m.graphing, rep.graphing).index((m.start_state, 0))
+    total = F(0)
+    for e in out.edges:
+        (src,) = e.source.atoms
+        if (e.in_state == start and src.sym == "a" and set(src.cyl) <= {"*"}
+                and all(box_get(src.box, c).contains(rep.marker_cell)
+                        for c in range(1, m.heads + 1))
+                and e.realizer.shift == 0 and not e.realizer.pushes):
+            total += e.weight.p
+    return total
+
+
+@pytest.mark.parametrize("a", corpus(), ids=lambda a: a.name)
+def test_plug_agrees_with_the_path_sum_and_the_oracle(a):
+    # three routes to one acceptance probability: plugging the machine into
+    # the word, the dialogue path sum, and the configuration oracle
+    m = compile_automaton(a)
+    opts = ExecOptions(stack_depth=16, strict=not a.stack)
+    for word in ("", "1", "01", "110"):
+        plugged = _plugged_accept_mass(m, word, opts)
+        ps = accept_path_sum(m, canonical_representation(word), ACCEPT_REGION, opts)
+        p, oracle_exact = accept_probability(a, word, 16)
+        if a.stack:
+            assert abs(plugged - p) <= F(1, 10**6), word
+            assert abs(ps.lower_bound - p) <= F(1, 10**6), word
+        else:
+            assert oracle_exact and ps.exact, word
+            assert plugged == ps.lower_bound == p, word
+
+
+def test_plug_matches_the_oracle_at_a_tight_stack_budget():
+    # no run of this machine on 01 holds more than four stack symbols
+    a = by_name("push-all-pop-all")
+    opts = ExecOptions(stack_depth=4, strict=False)
+    p, oracle_exact = accept_probability(a, "01", 4)
+    assert oracle_exact
+    assert _plugged_accept_mass(compile_automaton(a), "01", opts) == p
 
 
 def test_node_budget_raises_in_both_walks():

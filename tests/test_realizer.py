@@ -109,6 +109,15 @@ def test_preimage_inverts_apply():
         assert back is not None and piece.contains_ae(back)
 
 
+def test_preimage_onto_a_piece_that_the_shift_carries_out_of_the_box():
+    # the whole atom leaves [0,1] under the shift; the part mapping into
+    # the constraint does not, and only that part is pulled back
+    r = Realizer(box_shift=((1, F(1, 4)),))
+    piece = Atom("a")
+    back = r.preimage_atom(piece, Atom("a", (Interval(F(1, 2), F(3, 4)),)))
+    assert back == Atom("a", (Interval(F(1, 4), F(1, 2)),))
+
+
 def test_preimage_disjoint_constraint_is_none():
     r = Realizer(pushes="0")
     [(piece, _)] = r.apply_atom(Atom("a", cyl="*"))
