@@ -14,7 +14,7 @@ from .automata import (ACCEPT, INIT, REJECT, Automaton, Instruction,
 from .compiler import (CompiledMachine, DialectState, compile_automaton,
                        format_compiled, prune_reachable)
 from .errors import (ClosureViolation, DiscretizationError, FormatError,
-                     GraphingError, ScopeError, TruncationError, ValidationError)
+                     GraphingError, TruncationError, ValidationError)
 from .execution import (CutSpec, ExecOptions, PathSum, ThickEdge, ThickGraph,
                         ThickNode, accept_path_sum, cut_between, discretize,
                         enumerate_paths, plug, plug_dialect_pairs)
@@ -22,10 +22,8 @@ from .graphing import (Edge, GraphingRep, Weight, WEIGHT_ONE, equivalent,
                        format_graphing, format_realizer, format_weight,
                        is_deterministic, is_refinement, is_subprobabilistic,
                        parse_graphing, parse_realizer, parse_weight)
-from .measurement import (INFINITE_VALUE, MeasurementValue, MemberReport,
-                          Project, Test, TestMember, TestReport, ZERO_VALUE,
-                          check_uniformity, format_value, make_test,
-                          measure_projects, measurement_value, membership,
+from .measurement import (MemberReport, Test, TestMember, TestReport,
+                          check_uniformity, make_test, membership,
                           orthogonal_to_test)
 from .realizer import Realizer, in_microcosm, perm_compose, perm_inverse, perm_of, swap
 from .space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom, Interval,

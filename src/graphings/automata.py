@@ -13,15 +13,13 @@ stack alone, and count only if the stack is exactly the bottom marker.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linsolve
 from .errors import ClosureViolation, FormatError, ValidationError
 from .linsolve import prune, solve_affine
 from .theta import STACK_OPS
 
 INIT, ACCEPT, REJECT = "init", "accept", "reject"
 DIRECTIONS = ("i", "o")
-# configurations a walk may intern: the oracle's budget and the default of
-# ExecOptions.max_nodes for the path sum and plug
-MAX_NODES = 500_000
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -171,8 +169,9 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
 
     For stack machines the run tree is cut at ``stack_depth`` symbols; a cut
     branch loses its mass, so the returned value is a lower bound and the
-    flag reports whether any branch was actually cut.  At most ``MAX_NODES``
-    configurations are interned; one more raises ``ClosureViolation``.
+    flag reports whether any branch was actually cut.  At most
+    ``linsolve.MAX_NODES`` configurations are interned; one more raises
+    ``ClosureViolation``.
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
@@ -189,7 +188,7 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     def intern(config) -> int:
         i = index.get(config)
         if i is None:
-            if len(order) >= MAX_NODES:
+            if len(order) >= linsolve.MAX_NODES:
                 raise ClosureViolation("oracle walk exceeded the node budget")
             i = index[config] = len(order)
             order.append(config)

@@ -21,9 +21,5 @@ class TruncationError(GraphingError):
     """A stack-depth budget was exhausted while an exact result was requested."""
 
 
-class ScopeError(GraphingError):
-    """The operation is only defined for the restricted shapes handled here."""
-
-
 class FormatError(GraphingError):
     """A text file does not parse under the documented grammar."""

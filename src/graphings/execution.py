@@ -18,8 +18,8 @@ their composite, reduced against the cylinder they started from.  The word
 must be stack-free, as every word representation is, so its answers to a
 question depend only on the question's symbol and box: each is computed
 once per path sum and folded into the machine move.  Every interned
-configuration is thus a machine configuration, and ``max_nodes`` counts
-exactly those.
+configuration is thus a machine configuration, and the node budget
+``linsolve.MAX_NODES`` counts exactly those.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
 breadth first under the node budget, prunes to the ancestors of an exit,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .automata import MAX_NODES
+from . import linsolve
 from .errors import (ClosureViolation, DiscretizationError, TruncationError,
                      ValidationError)
 from .graphing import Edge, GraphingRep, Weight
@@ -48,9 +48,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 @dataclass(frozen=True)
 class ExecOptions:
     stack_depth: int = 16
-    start_state: int | None = None
     strict: bool = True          # plug: raise instead of dropping cut branches
-    max_nodes: int = MAX_NODES
 
     def __post_init__(self):
         if self.stack_depth < 0:
@@ -179,7 +177,7 @@ class PathSum:
         return sorted(self.total.items())
 
 
-def _solve_walk(seeds, expand, max_nodes: int, what: str) -> list:
+def _solve_walk(seeds, expand, what: str) -> list:
     """Exact mass leaving a walk through each of its exits.
 
     ``seeds`` lists ``(key, mass)`` starting configurations.  ``expand(key)``
@@ -198,7 +196,7 @@ def _solve_walk(seeds, expand, max_nodes: int, what: str) -> list:
     def intern(key) -> int:
         i = nodes.get(key)
         if i is None:
-            if len(order) >= max_nodes:
+            if len(order) >= linsolve.MAX_NODES:
                 raise ClosureViolation(f"{what} walk exceeded the node budget")
             i = nodes[key] = len(order)
             order.append(key)
@@ -245,15 +243,12 @@ def _moves(candidates, atom: Atom):
             yield e, piece, img
 
 
-def _machine_parts(machine, opts: ExecOptions):
-    g = getattr(machine, "graphing", machine)
-    start = opts.start_state
-    if start is None:
-        start = getattr(machine, "start_state", None)
+def _machine_parts(machine):
+    start = getattr(machine, "start_state", None)
     if start is None:
         raise ValidationError("no start dialect state: pass a compiled machine "
                               "or set start_state")
-    return start, g.edge_index
+    return start, getattr(machine, "graphing", machine).edge_index
 
 
 def _word_parts(w):
@@ -282,7 +277,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     Branches whose tracked cylinder would outgrow the stack budget are
     dropped and flagged, making the class totals exact lower bounds.
     """
-    start, m_index = _machine_parts(machine, opts)
+    start, m_index = _machine_parts(machine)
     w_state, w_index = _word_parts(word)
     depth = opts.stack_depth
     for a0 in accept_region.atoms:
@@ -326,7 +321,7 @@ def accept_path_sum(machine, word, accept_region: Region,
 
     seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in accept_region.atoms]
     totals: dict = {}
-    for mass, bucket in _solve_walk(seeds, expand, opts.max_nodes, "dialogue"):
+    for mass, bucket in _solve_walk(seeds, expand, "dialogue"):
         totals[bucket] = totals.get(bucket, _ZERO) + mass
     dropped = totals.pop(None, _ZERO)
     return PathSum({k: v for k, v in sorted(totals.items()) if v != 0},
@@ -334,8 +329,7 @@ def accept_path_sum(machine, word, accept_region: Region,
 
 
 def enumerate_paths(machine, word, max_edges: int = 40,
-                    accept_region: Region | None = None,
-                    opts: ExecOptions = ExecOptions()) -> list:
+                    accept_region: Region | None = None) -> list:
     """Weights of all odd-length dialogue prefixes from a result region.
 
     Every prefix ending on a machine move is recorded once, at the product
@@ -343,7 +337,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     only bound the length.  No stack budget applies: the length bound
     already bounds the stack.
     """
-    start, m_index = _machine_parts(machine, opts)
+    start, m_index = _machine_parts(machine)
     w_state, w_index = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))
@@ -468,7 +462,7 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
     cur0 = _with((None, None), side0, in0)
     seed = (side0, origin, cur0, cur0, Realizer(), origin.cyl, 0)
     for mass, (_, part, first, cur, comp, ocyl, flag) in _solve_walk(
-            [(seed, _ONE)], expand, opts.max_nodes, "plug"):
+            [(seed, _ONE)], expand, "plug"):
         if mass == 0:
             continue
         piece = comp.preimage_atom(Atom(origin.sym, origin.box, ocyl), part)

@@ -17,6 +17,9 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# configurations a walk may intern before its solve: the one budget of the
+# oracle, the path sum and plug, read when each walk runs
+MAX_NODES = 500_000
 
 
 def strongly_connected(n: int, adj) -> list[list[int]]:

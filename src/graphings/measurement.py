@@ -1,14 +1,13 @@
-"""Measurements between projects and the standard test families.
+"""The standard test families, and orthogonality against them.
 
-A measurement value is kept in closed form as ``q + log(r)`` with q, r
-rational, r > 0, plus a separate infinite kind.  A number of that shape
-vanishes only when q = 0 and r = 1: otherwise log(r) would be a nonzero
-rational, impossible since the logarithm of a rational other than one is
-transcendental (Lindemann-Weierstrass).  Zero tests are therefore exact.
-
-Orthogonality against the shipped test families never needs the value
-itself: each family's law is an exact predicate on the stack-neutral
-dialogue mass of its members, which is how the checks here decide.
+Each family observes a region of the result space: ``neg`` the reject
+interval, ``pos`` shrinking accept cubes, ``prob`` the same cubes with the
+tracked stack tail pinned.  Each family's law is an exact predicate on the
+stack-neutral dialogue mass of its members, computed by the path-sum engine,
+so every verdict is an exact comparison of rationals or, when stack
+truncation leaves it open, a ``TruncationError``.  Membership runs a test
+against the canonical representation of a word; uniformity reruns it across
+sampled representations.
 """
 
 from dataclasses import dataclass
@@ -16,159 +15,24 @@ from fractions import Fraction
 import math
 import random
 
-from .errors import ScopeError, TruncationError, ValidationError
+from .errors import TruncationError, ValidationError
 from .execution import ExecOptions, PathSum, accept_path_sum
-from .graphing import GraphingRep, Weight
 from .space import Atom, Interval, Region
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-@dataclass(frozen=True)
-class MeasurementValue:
-    kind: str                    # "zero" | "finite" | "infinite"
-    rational_part: Fraction
-    log_arg: Fraction
-
-    def __add__(self, other: "MeasurementValue") -> "MeasurementValue":
-        if self.kind == "infinite" or other.kind == "infinite":
-            return INFINITE_VALUE
-        return measurement_value(self.rational_part + other.rational_part,
-                                 self.log_arg * other.log_arg)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    def approx(self) -> float:
-        if self.kind == "infinite":
-            return math.inf
-        return float(self.rational_part) + math.log(self.log_arg)
-
-
-def measurement_value(rational_part=0, log_arg=1) -> MeasurementValue:
-    q, r = Fraction(rational_part), Fraction(log_arg)
-    if r < 0:
-        raise ValidationError(f"log argument must be nonnegative, got {r}")
-    if r == 0:
-        return INFINITE_VALUE
-    if q == 0 and r == 1:
-        return MeasurementValue("zero", _ZERO, _ONE)
-    return MeasurementValue("finite", q, r)
-
-
-INFINITE_VALUE = MeasurementValue("infinite", _ZERO, _ZERO)
-ZERO_VALUE = MeasurementValue("zero", _ZERO, _ONE)
-
-
-def format_value(v: MeasurementValue) -> str:
-    if v.kind == "infinite":
-        return "inf"
-    if v.kind == "zero":
-        return "0"
-    parts = []
-    if v.rational_part != 0:
-        parts.append(str(v.rational_part))
-    if v.log_arg != 1:
-        parts.append(f"log({v.log_arg})")
-    return " + ".join(parts)
-
-
-# --- projects and their pairing -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Project:
-    wager: MeasurementValue
-    graphing: GraphingRep
-
-
-def _fuse_loops(g: GraphingRep):
-    """Collapse edges to spatial loop classes, forgetting dialect states.
-
-    Returns a list of (source key, image key, source region, total p, flag);
-    edges sharing the same source and image footprint fuse by summing their
-    probabilities and or-ing their flags.
-    """
-    fused: dict = {}
-    for e in g.edges:
-        pieces = list(e.pieces())
-        src_key = tuple(sorted(p.sort_key() for p, _ in pieces))
-        img_key = tuple(sorted(i.sort_key() for _, i in pieces))
-        key = (src_key, img_key)
-        prev = fused.get(key)
-        region = Region(tuple(p for p, _ in pieces))
-        if prev is None:
-            fused[key] = [region, e.weight.p, e.weight.flag]
-        else:
-            prev[1] += e.weight.p
-            prev[2] |= e.weight.flag
-    return [(sk, ik, reg, p, fl) for (sk, ik), (reg, p, fl) in fused.items()]
-
-
-def measure_projects(a: Project, b: Project) -> MeasurementValue:
-    """Pair two projects whose interaction decomposes into two-step cycles.
-
-    The right project must consist of spatial identity loops (a weighted
-    region observing itself); every fused loop of the left project that
-    meets that region must itself be a self-loop.  Each pair of overlapping
-    loops is then one prime cycle class, contributing -log(1 - m) with m the
-    flagged product of the two masses.
-    """
-    for e in b.graphing.edges:
-        for piece, img in e.pieces():
-            if img != piece or not e.realizer.normalized_on(piece.cyl).is_identity:
-                raise ScopeError("right project must be made of identity loops")
-    total = a.wager + b.wager
-    b_region = b.graphing.support
-    b_loops = _fuse_loops(b.graphing)
-    for src_key, img_key, region, p_a, flag_a in _fuse_loops(a.graphing):
-        if region.intersect(b_region).measure == 0:
-            continue
-        if src_key != img_key:
-            raise ScopeError("left project has a non-loop edge meeting the "
-                             "observed region; pairing needs loop form")
-        for _, _, region_b, p_b, flag_b in b_loops:
-            if region.intersect(region_b).measure == 0:
-                continue
-            m = p_a * p_b if (flag_a | flag_b) else _ZERO
-            if m > 1:
-                raise ValidationError(f"cycle mass {m} exceeds one")
-            total = total + (INFINITE_VALUE if m == 1
-                             else measurement_value(0, 1 / (1 - m)))
-    return total
-
-
-# --- test families --------------------------------------------------------------
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class TestMember:
     name: str
     region: Region
-    weight: Weight
-    wager: MeasurementValue
 
 
 @dataclass(frozen=True)
 class Test:
     kind: str                   # "neg" | "pos" | "prob"
     members: tuple
-    heads: int
     epsilon: Fraction | None = None
-
-    def projects(self):
-        for mb in self.members:
-            loop = GraphingRep(mb.region, (0,), (
-                _loop_edge(mb.region, mb.weight),))
-            yield mb.name, Project(mb.wager, loop)
-
-
-def _loop_edge(region: Region, weight: Weight):
-    from .graphing import Edge
-    from .realizer import Realizer
-
-    return Edge(region, 0, 0, Realizer(), weight)
 
 
 def _pos_region(n: int, cyl: str = "") -> Region:
@@ -176,42 +40,29 @@ def _pos_region(n: int, cyl: str = "") -> Region:
     return Region((Atom("a", box, cyl),))
 
 
-def make_test(kind: str, heads: int = 1, zetas=(Fraction(1),),
+def make_test(kind: str, heads: int = 1,
               epsilon: Fraction | None = None) -> Test:
     """Build one of the three standard test families.
 
-    ``neg`` observes the reject interval with unit flagged mass and a
-    nonzero wager per requested value; membership demands zero reject-side
+    ``neg`` observes the reject interval; membership demands zero reject-side
     dialogue mass.  ``pos`` observes shrinking accept cubes, one per
-    dimension count up to heads + 1, at flagged mass one half; membership
-    demands positive mass in each.  ``prob`` additionally pins the tracked
-    stack tail and raises the bar to a strict threshold.
+    dimension count up to heads + 1; membership demands positive mass in
+    each.  ``prob`` additionally pins the tracked stack tail and raises the
+    bar to a strict threshold.
     """
+    if heads < 0:
+        raise ValidationError(f"head count must be at least 0, got {heads}")
     if kind == "neg":
-        members = []
-        for z in zetas:
-            z = Fraction(z)
-            if z == 0:
-                raise ValidationError("negative-side wagers must be nonzero")
-            members.append(TestMember(f"reject[{z}]", Region((Atom("r"),)),
-                                      Weight(_ONE, 1), measurement_value(z, 1)))
-        return Test("neg", tuple(members), heads)
+        return Test("neg", (TestMember("reject[1]", Region((Atom("r"),))),))
     if kind == "pos":
-        members = tuple(
-            TestMember(f"cube[{n}]", _pos_region(n), Weight(Fraction(1, 2), 1),
-                       ZERO_VALUE)
-            for n in range(1, heads + 2))
-        return Test("pos", members, heads)
+        return Test("pos", tuple(TestMember(f"cube[{n}]", _pos_region(n))
+                                 for n in range(1, heads + 2)))
     if kind == "prob":
         if epsilon is None or not 0 <= epsilon <= 1:
             raise ValidationError("a probability test needs a threshold in [0,1]")
-        epsilon = Fraction(epsilon)
-        members = tuple(
-            TestMember(f"cube[{n}]", _pos_region(n, "*" * n),
-                       Weight(Fraction(1, 2), 1),
-                       measurement_value(0, 1 - epsilon / 2))
-            for n in range(1, heads + 2))
-        return Test("prob", members, heads, epsilon)
+        return Test("prob", tuple(TestMember(f"cube[{n}]", _pos_region(n, "*" * n))
+                                  for n in range(1, heads + 2)),
+                    Fraction(epsilon))
     raise ValidationError(f"unknown test kind {kind!r}")
 
 

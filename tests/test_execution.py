@@ -7,7 +7,7 @@ from itertools import count
 
 import pytest
 
-from graphings import automata
+from graphings import linsolve
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
@@ -301,21 +301,24 @@ def test_plug_matches_the_oracle_at_a_tight_stack_budget():
     assert _plugged_accept_mass(compile_automaton(a), "01", opts) == p
 
 
-def test_node_budget_raises_in_both_walks():
-    tight = ExecOptions(max_nodes=1)
+def test_node_budget_raises_in_both_walks(monkeypatch):
+    monkeypatch.setattr(linsolve, "MAX_NODES", 1)
     m = compile_automaton(by_name("even-ones"))
     with pytest.raises(ClosureViolation, match="dialogue walk exceeded"):
-        accept_path_sum(m, canonical_representation("01"), ACCEPT_REGION, tight)
+        accept_path_sum(m, canonical_representation("01"), ACCEPT_REGION)
     f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
                  (Edge(region_of(C1), 0, 0, _C1_TO_B),))
     with pytest.raises(ClosureViolation, match="plug walk exceeded"):
-        plug(f, g, cut_between(f, g), tight)
+        plug(f, g, cut_between(f, g))
 
 
 def _oracle_budget(monkeypatch, a, word):
-    """Smallest ``MAX_NODES`` at which the oracle does not run out."""
+    """Smallest ``linsolve.MAX_NODES`` at which the oracle does not run out.
+
+    The budget is left at that value.
+    """
     for n in count(1):
-        monkeypatch.setattr(automata, "MAX_NODES", n)
+        monkeypatch.setattr(linsolve, "MAX_NODES", n)
         try:
             accept_probability(a, word, 16)
             return n
@@ -331,16 +334,15 @@ def test_path_sum_interns_exactly_the_oracle_configurations(monkeypatch, name, w
     # word answers are folded into the machine move, so the walk interns
     # one node per machine configuration, as the oracle does
     a = by_name(name)
-    n = _oracle_budget(monkeypatch, a, word)
-    monkeypatch.setattr(automata, "MAX_NODES", n - 1)
-    with pytest.raises(ClosureViolation, match="oracle walk exceeded"):
-        accept_probability(a, word, 16)
     m = compile_automaton(a)
     rep = canonical_representation(word)
-    accept_path_sum(m, rep, ACCEPT_REGION, ExecOptions(stack_depth=16, max_nodes=n))
+    n = _oracle_budget(monkeypatch, a, word)
+    accept_path_sum(m, rep, ACCEPT_REGION, ExecOptions(stack_depth=16))
+    monkeypatch.setattr(linsolve, "MAX_NODES", n - 1)
+    with pytest.raises(ClosureViolation, match="oracle walk exceeded"):
+        accept_probability(a, word, 16)
     with pytest.raises(ClosureViolation, match="dialogue walk exceeded"):
-        accept_path_sum(m, rep, ACCEPT_REGION,
-                        ExecOptions(stack_depth=16, max_nodes=n - 1))
+        accept_path_sum(m, rep, ACCEPT_REGION, ExecOptions(stack_depth=16))
 
 
 @pytest.mark.parametrize("change", [

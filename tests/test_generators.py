@@ -82,3 +82,24 @@ def test_every_package_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == [], f"imported but never used: {unused}"
+
+
+# The oracle and the dialogue engine share only the solver, so their
+# agreement is a checked fact; the measurement sits on the engine alone.
+_ROUTE_BANS = {"execution.py": {"automata"},
+               "automata.py": {"execution", "measurement"}}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_BANS))
+def test_the_two_routes_import_nothing_from_each_other(name):
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    crossings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules = ([node.module] if node.module
+                       else [alias.name for alias in node.names])
+            if _ROUTE_BANS[name] & set(modules):
+                crossings += [f"{name}:{node.lineno} {alias.name}"
+                              for alias in node.names]
+    assert crossings == [], f"one route imports the other: {crossings}"

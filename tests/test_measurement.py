@@ -1,156 +1,41 @@
-"""Closed-form measurement values, project pairing, and the test families."""
+"""The test families, orthogonality by law on path-sum mass, and membership."""
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from graphings.automata import ACCEPT, accept_probability
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
-from graphings.errors import ScopeError, TruncationError, ValidationError
-from graphings.execution import ExecOptions
+from graphings.errors import TruncationError, ValidationError
 from graphings.graphing import Edge, GraphingRep, Weight
-from graphings.measurement import (INFINITE_VALUE, ZERO_VALUE, Project,
-                                   _judge, check_uniformity, format_value,
-                                   make_test, measure_projects,
-                                   measurement_value, membership,
-                                   orthogonal_to_test)
+from graphings.measurement import (_judge, check_uniformity, make_test,
+                                   membership, orthogonal_to_test)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, Region, region_of
+from graphings.space import Atom, Interval, region_of
 from graphings.words import canonical_representation
-
-
-# --- values ---------------------------------------------------------------------
-
-
-def test_value_factory_normalizes():
-    assert measurement_value() is not None
-    assert measurement_value(0, 1).is_zero
-    assert measurement_value(0, 1) == ZERO_VALUE
-    assert measurement_value(0, 0) == INFINITE_VALUE
-    assert measurement_value(F(1, 2), 1).kind == "finite"
-    assert measurement_value(0, 2).kind == "finite"
-    with pytest.raises(ValidationError):
-        measurement_value(0, -1)
-
-
-def test_addition_adds_rationals_and_multiplies_log_args():
-    v = measurement_value(F(1, 2), 3) + measurement_value(F(1, 3), F(1, 2))
-    assert v == measurement_value(F(5, 6), F(3, 2))
-    assert v + ZERO_VALUE == v
-    assert (v + INFINITE_VALUE).kind == "infinite"
-    assert (INFINITE_VALUE + v).kind == "infinite"
-
-
-def test_addition_can_cancel_exactly():
-    # q + log r vanishes only at q = 0, r = 1, and the arithmetic can get there
-    v = measurement_value(1, F(1, 2)) + measurement_value(-1, 2)
-    assert v.is_zero
-
-
-def test_approx_matches_closed_form():
-    import math
-
-    v = measurement_value(F(1, 4), F(6, 5))
-    assert v.approx() == pytest.approx(0.25 + math.log(1.2))
-    assert INFINITE_VALUE.approx() == math.inf
-
-
-def test_format_value():
-    assert format_value(ZERO_VALUE) == "0"
-    assert format_value(INFINITE_VALUE) == "inf"
-    assert format_value(measurement_value(F(1, 2), 1)) == "1/2"
-    assert format_value(measurement_value(0, 3)) == "log(3)"
-    assert format_value(measurement_value(F(1, 2), 3)) == "1/2 + log(3)"
-
-
-# --- pairing projects -----------------------------------------------------------
-
-
-_OBSERVED = region_of(Atom("a"))
-
-
-def _loop(p, flag, realizer=Realizer(), region=_OBSERVED):
-    return GraphingRep(region, (0,), (Edge(region, 0, 0, realizer,
-                                           Weight(F(p), flag)),))
-
-
-def test_measure_projects_worked_example():
-    # one overlapping loop pair: m = 3/4 * 1/2, so the cycle term is log(8/5)
-    # and the wager log(3/4) brings the total to log(6/5)
-    a = Project(measurement_value(0, F(3, 4)), _loop(F(3, 4), 1))
-    b = Project(ZERO_VALUE, _loop(F(1, 2), 0))
-    assert measure_projects(a, b) == measurement_value(0, F(6, 5))
-
-
-def test_measure_projects_diverges_at_unit_cycle_mass():
-    a = Project(ZERO_VALUE, _loop(1, 1))
-    b = Project(ZERO_VALUE, _loop(1, 0))
-    assert measure_projects(a, b) == INFINITE_VALUE
-
-
-def test_unflagged_pairs_contribute_nothing():
-    a = Project(measurement_value(2, 1), _loop(F(3, 4), 0))
-    b = Project(ZERO_VALUE, _loop(F(1, 2), 0))
-    assert measure_projects(a, b) == measurement_value(2, 1)
-
-
-def test_wagers_always_enter_the_total():
-    a = Project(measurement_value(F(1, 3), 1), _loop(F(1, 2), 0))
-    b = Project(measurement_value(F(1, 6), 1), _loop(F(1, 2), 0))
-    assert measure_projects(a, b) == measurement_value(F(1, 2), 1)
-
-
-def test_right_project_must_be_identity_loops():
-    moving = _loop(F(1, 2), 0, realizer=Realizer(shift=1))
-    with pytest.raises(ScopeError):
-        measure_projects(Project(ZERO_VALUE, _loop(F(1, 2), 0)),
-                         Project(ZERO_VALUE, moving))
-
-
-def test_left_non_loop_meeting_observed_region_is_out_of_scope():
-    moving = _loop(F(1, 2), 0, realizer=Realizer(shift=1))
-    with pytest.raises(ScopeError):
-        measure_projects(Project(ZERO_VALUE, moving),
-                         Project(ZERO_VALUE, _loop(F(1, 2), 0)))
-
-
-def test_left_non_loop_away_from_observed_region_is_fine():
-    elsewhere = region_of(Atom("0i"))
-    moving = _loop(F(1, 2), 0, realizer=Realizer(shift=1), region=elsewhere)
-    got = measure_projects(Project(ZERO_VALUE, moving),
-                           Project(ZERO_VALUE, _loop(F(1, 2), 0)))
-    assert got.is_zero
 
 
 # --- test families --------------------------------------------------------------
 
 
 def test_neg_family_shape():
-    t = make_test("neg", zetas=(1, F(1, 2)))
-    assert t.kind == "neg" and len(t.members) == 2
-    assert [m.name for m in t.members] == ["reject[1]", "reject[1/2]"]
-    for m in t.members:
-        assert m.region == region_of(Atom("r"))
-        assert m.weight == Weight(F(1), 1)
-        assert not m.wager.is_zero
-    with pytest.raises(ValidationError):
-        make_test("neg", zetas=(0,))
+    t = make_test("neg")
+    assert t.kind == "neg"
+    assert [m.region for m in t.members] == [region_of(Atom("r"))]
 
 
 def test_pos_family_shape():
     t = make_test("pos", heads=2)
     assert [m.name for m in t.members] == ["cube[1]", "cube[2]", "cube[3]"]
     assert [m.region.measure for m in t.members] == [F(1), F(1, 4), F(1, 27)]
-    assert all(m.wager.is_zero for m in t.members)
-    assert all(m.weight == Weight(F(1, 2), 1) for m in t.members)
 
 
 def test_prob_family_pins_stack_tail_and_needs_epsilon():
     t = make_test("prob", heads=1, epsilon=F(1, 4))
     assert t.epsilon == F(1, 4)
     assert [a.cyl for m in t.members for a in m.region.atoms] == ["*", "**"]
-    assert t.members[0].wager == measurement_value(0, F(7, 8))
     with pytest.raises(ValidationError):
         make_test("prob", heads=1)
     with pytest.raises(ValidationError):
@@ -159,14 +44,13 @@ def test_prob_family_pins_stack_tail_and_needs_epsilon():
         make_test("nope")
 
 
-def test_projects_view_wraps_members_as_identity_loops():
-    t = make_test("pos", heads=1)
-    pairs = list(t.projects())
-    assert [name for name, _ in pairs] == ["cube[1]", "cube[2]"]
-    for (_, proj), mb in zip(pairs, t.members):
-        assert proj.graphing.support == mb.region
-        (e,) = proj.graphing.edges
-        assert e.weight == mb.weight and e.realizer == Realizer()
+@pytest.mark.parametrize("kind", ["neg", "pos", "prob"])
+def test_negative_head_count_is_refused(kind):
+    # pos and prob would have no member at all, and a family with nothing to
+    # judge is orthogonal to every word, so even-ones would accept 1
+    with pytest.raises(ValidationError):
+        make_test(kind, heads=-1, epsilon=F(1, 2))
+    assert len(make_test(kind, heads=0, epsilon=F(1, 2)).members) == 1
 
 
 # --- deciding orthogonality -----------------------------------------------------
@@ -218,10 +102,10 @@ def test_shrinking_cubes_catch_mass_hiding_from_the_origin():
     box = (Interval(F(0), F(1)), Interval(F(2, 3), F(1)))
     reg = region_of(Atom("a", box))
     g = GraphingRep(reg, (0,), (Edge(reg, 0, 0, Realizer(), Weight(F(1), 0)),))
+    machine = SimpleNamespace(graphing=g, start_state=0)
     word = canonical_representation("")
-    opts = ExecOptions(start_state=0)
-    single = orthogonal_to_test(g, word, make_test("pos", heads=0), opts)
-    family = orthogonal_to_test(g, word, make_test("pos", heads=1), opts)
+    single = orthogonal_to_test(machine, word, make_test("pos", heads=0))
+    family = orthogonal_to_test(machine, word, make_test("pos", heads=1))
     assert single.orthogonal
     assert not family.orthogonal
     assert [r.ok for r in family.rows] == [True, False]
