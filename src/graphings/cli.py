@@ -81,7 +81,7 @@ def cmd_accept(args) -> int:
     opts = ExecOptions(stack_depth=args.stack_depth)
     p_oracle, oracle_exact = accept_probability(a, w, args.stack_depth)
     m = compile_automaton(a)
-    cells = args.grid if args.grid else len(w) + 1
+    cells = args.grid or len(w) + 1
     rep = bang_representation(word_graph(w), tuple(range(len(w) + 1)), cells)
     ps = accept_path_sum(m, rep, Region((Atom("a"),)), opts)
     _println("machine:", a.name)
@@ -146,7 +146,7 @@ def cmd_dump(args) -> int:
         w = _word(args.word)
         m = compile_automaton(a)
         rep = canonical_representation(w)
-        grid = args.grid if args.grid else rep.cells
+        grid = args.grid or rep.cells
         thick_m, thick_w = discretize(m.graphing, rep.graphing, grid)
         for label, tg in (("machine", thick_m), ("word", thick_w)):
             _println(f"{label}: {len(tg.nodes)} nodes, {len(tg.edges)} edges, "
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("machine")
     c.add_argument("word", help="word over 01, or - for the empty word")
     c.add_argument("--stack-depth", type=_count, default=16)
-    c.add_argument("--grid", type=int, default=0,
+    c.add_argument("--grid", type=_count,
                    help="word cells (default: length + 1)")
     c.set_defaults(fn=cmd_accept)
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--graphing", action="store_true",
                    help="print the compiled graphing instead of the rules")
     c.add_argument("--word", help="discretize against this word")
-    c.add_argument("--grid", type=int, default=0)
+    c.add_argument("--grid", type=_count)
     c.set_defaults(fn=cmd_dump)
 
     c = sub.add_parser("properties", help="run a randomized property suite")

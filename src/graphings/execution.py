@@ -17,9 +17,10 @@ probabilities along it, and families are bucketed by the net stack word of
 their composite, reduced against the cylinder they started from.  The word
 must be stack-free, as every word representation is, so its answers to a
 question depend only on the question's symbol and box: each is computed
-once per path sum and folded into the machine move.  Every interned
-configuration is thus a machine configuration, and the node budget
-``linsolve.MAX_NODES`` counts exactly those.
+once per word graphing, kept in its ``answer_table``, and folded into the
+machine move.  Every interned configuration is thus a machine
+configuration, and the node budget ``linsolve.MAX_NODES`` counts exactly
+those.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
 breadth first under the node budget, prunes to the ancestors of an exit,
@@ -252,19 +253,10 @@ def _machine_parts(machine):
 
 
 def _word_parts(w):
-    """The answering side's edges by symbol, at its one dialect state.
-
-    It must be stack-free, as every word representation is: no edge pops,
-    pushes or guards on a cylinder.
-    """
+    """The answering side's dialect state, edge index and answer table."""
     g = getattr(w, "graphing", w)
-    if len(g.dialect) != 1:
-        raise ValidationError("the answering side must have a one-state dialect")
-    for e in g.edges:
-        if (e.realizer.pops or e.realizer.pushes
-                or any(a.cyl for a in e.source.atoms)):
-            raise ValidationError("the answering side must be stack-free")
-    return g.dialect[0], g.edge_index
+    table = g.answer_table  # refuses a side that is not stack-free
+    return g.dialect[0], g.edge_index, table
 
 
 def accept_path_sum(machine, word, accept_region: Region,
@@ -278,7 +270,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     dropped and flagged, making the class totals exact lower bounds.
     """
     start, m_index = _machine_parts(machine)
-    w_state, w_index = _word_parts(word)
+    w_state, w_index, answers = _word_parts(word)
     depth = opts.stack_depth
     for a0 in accept_region.atoms:
         if a0.state != 0:
@@ -286,16 +278,16 @@ def accept_path_sum(machine, word, accept_region: Region,
 
     # The word is stack-free, so its answers leave stack, origin and the
     # question's cylinder alone and depend only on the question's (symbol,
-    # box); an answer memoised at another cylinder is moved onto this one.
-    answers: dict = {}
-
+    # box).  Its table keeps them at the empty cylinder, across path sums;
+    # each is moved onto the question's cylinder.
     def answer(question: Atom):
         key = (question.sym, question.box)
         got = answers.get(key)
         if got is None:
-            got = answers[key] = [
+            bare = _atom(question.sym, question.box, "", 0)
+            got = answers[key] = tuple(
                 (e.weight.p, img) for e, _, img in
-                _moves(w_index.get((w_state, question.sym), ()), question)]
+                _moves(w_index.get((w_state, question.sym), ()), bare))
         return got
 
     # key: (atom, dialect state, composite as (pushes, pops), origin
@@ -312,7 +304,7 @@ def accept_path_sum(machine, word, accept_region: Region,
             new_origin = origin + piece.cyl[len(atom.cyl):]
             if img.sym not in RESULT_SYMBOLS:
                 for q, ans in answer(img):
-                    if ans.cyl != img.cyl:
+                    if img.cyl:
                         ans = _atom(ans.sym, ans.box, img.cyl, 0)
                     yield "node", e.weight.p * q, (ans, e.out_state, new_stack, new_origin)
             elif any(img.intersect(ra) is not None for ra in accept_region.atoms):
@@ -338,7 +330,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     already bounds the stack.
     """
     start, m_index = _machine_parts(machine)
-    w_state, w_index = _word_parts(word)
+    w_state, w_index, _ = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))
     out: list = []

@@ -124,6 +124,25 @@ class GraphingRep:
                 index.setdefault((e.in_state, a.sym), []).append((a, e))
         return MappingProxyType({k: tuple(v) for k, v in index.items()})
 
+    @cached_property
+    def answer_table(self) -> dict:
+        """This graphing's answers as the stack-free side of a dialogue.
+
+        Maps a question's ``(sym, box)`` to its answers ``((p, image), ...)``,
+        every image at the empty cylinder.  Empty when made;
+        ``execution.accept_path_sum`` fills it as questions arrive, and it is
+        kept with the representative like ``edge_index``.  It can only be
+        made for a one-state graphing whose edges neither pop, push nor
+        guard on a cylinder, as then no answer depends on the stack.
+        """
+        if len(self.dialect) != 1:
+            raise ValidationError("the answering side must have a one-state dialect")
+        for e in self.edges:
+            if (e.realizer.pops or e.realizer.pushes
+                    or any(a.cyl for a in e.source.atoms)):
+                raise ValidationError("the answering side must be stack-free")
+        return {}
+
     # conveniences over the module-level predicates below
     def equivalent(self, other: "GraphingRep") -> bool:
         return equivalent(self, other)

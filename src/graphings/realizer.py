@@ -85,29 +85,11 @@ class Realizer:
         if self.pops < 0 or any(ch not in "*01" for ch in self.pushes):
             raise ValidationError("bad stack action")
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls) -> "Realizer":
-        return cls()
-
-    @classmethod
-    def from_ops(cls, shift: int = 0, perm: tuple = (), box_shift=(),
-                 stack_ops=()) -> "Realizer":
-        """Build from a stack-operation sequence performed left to right."""
-        pushes, pops = theta.split_normal(theta.from_ops(stack_ops))
-        return cls(shift, perm, tuple(box_shift), pops, pushes)
-
     # -- structure ------------------------------------------------------------
 
     @property
     def theta_word(self) -> str:
         return self.pushes + "c" * self.pops
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.shift == 0 and not self.perm and not self.box_shift
-                and self.pops == 0 and not self.pushes)
 
     def box_shift_at(self, coord: int) -> Fraction:
         for c, a in self.box_shift:

@@ -15,8 +15,8 @@ from itertools import permutations
 from .errors import ValidationError
 from .graphing import Edge, GraphingRep, WEIGHT_ONE
 from .realizer import Realizer
-from .space import (Atom, EXT_SYMBOLS, Interval, Region, full_symbol_region,
-                    sym_index, sym_of)
+from .space import (EXT_SYMBOLS, Region, _atom, _canon_box, _interval,
+                    full_symbol_region, sym_index, sym_of)
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,6 @@ class WordRepresentation:
     injection: tuple
     cells: int
 
-    def cell(self, slot: int) -> Interval:
-        if not 0 <= slot < self.cells:
-            raise ValidationError(f"cell {slot} outside 0..{self.cells - 1}")
-        return Interval(Fraction(slot, self.cells), Fraction(slot + 1, self.cells))
-
-    @property
-    def marker_cell(self) -> Interval:
-        return self.cell(self.injection[0])
-
 
 def bang_representation(graph: WordGraph, injection, cells: int | None = None) -> WordRepresentation:
     """Realize a word graph with the given position-to-cell injection."""
@@ -91,16 +82,14 @@ def bang_representation(graph: WordGraph, injection, cells: int | None = None) -
         raise ValidationError("injection must be one-to-one")
     if cells is None:
         cells = max(injection) + 1
-    if any(not 0 <= s < cells for s in injection):
-        raise ValidationError(f"cells must lie in 0..{cells - 1}")
     if cells < graph.positions:
         raise ValidationError(
             f"need at least {graph.positions} cells, got {cells}")
+    if any(not 0 <= s < cells for s in injection):
+        raise ValidationError(f"cells must lie in 0..{cells - 1}")
 
-    def slot(i: int) -> Interval:
-        return Interval(Fraction(injection[i], cells),
-                        Fraction(injection[i] + 1, cells))
-
+    # each position's cell, built once and unchecked: the injection is valid
+    boxes = [_canon_box((_interval(s, s + 1, cells),)) for s in injection]
     edges = []
     for _, (x, d, i), (y, d2, j) in graph.edges():
         src = sym_of(x, d)
@@ -108,7 +97,7 @@ def bang_representation(graph: WordGraph, injection, cells: int | None = None) -
         move = Fraction(injection[j] - injection[i], cells)
         realizer = Realizer(shift=sym_index(dst) - sym_index(src),
                             box_shift=(((1, move),) if move else ()))
-        edges.append(Edge(Region((Atom(src, (slot(i),)),)), 0, 0,
+        edges.append(Edge(Region((_atom(src, boxes[i], "", 0),)), 0, 0,
                           realizer, WEIGHT_ONE))
     rep = GraphingRep(full_symbol_region(EXT_SYMBOLS), (0,), tuple(edges))
     return WordRepresentation(rep, graph.word, injection, cells)
@@ -126,7 +115,24 @@ def rep_family(word: str, cells_minus_one: int) -> list[WordRepresentation]:
     return out
 
 
+# The most words ``canonical_representation`` keeps; past it the word asked
+# for first is dropped first.
+MEMO_WORDS = 1024
+_canonical: dict = {}
+
+
 def canonical_representation(word: str) -> WordRepresentation:
-    """The identity-injection representation on the fewest cells."""
-    graph = word_graph(word)
-    return bang_representation(graph, range(graph.positions), graph.positions)
+    """The identity-injection representation on the fewest cells.
+
+    It depends on the word alone and is frozen, so one representation per
+    word is kept, together with the edge index and answer table that its
+    graphing builds on first use; the memo holds at most ``MEMO_WORDS``.
+    """
+    rep = _canonical.get(word)
+    if rep is None:
+        graph = word_graph(word)
+        if len(_canonical) >= MEMO_WORDS:
+            del _canonical[next(iter(_canonical))]
+        rep = _canonical[word] = bang_representation(
+            graph, range(graph.positions), graph.positions)
+    return rep

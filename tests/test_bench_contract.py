@@ -2,7 +2,10 @@
 
 ``perfbench/tracer.py`` looks up each ``(module, attribute)`` pair of
 ``TRACED_NAMES`` whenever a ``Tracer`` is built, traced or not, so a library
-refactor that drops one of those names would fail every benchmark run.
+refactor that drops one of those names would fail every benchmark run.  The
+tracer also refuses a name that is already wrapped (one carrying
+``__wrapped__``, as every ``functools`` decorator leaves), so a traced name
+must stay the library's own undecorated function.
 """
 
 import importlib
@@ -25,3 +28,11 @@ def test_every_traced_name_resolves_to_a_library_callable():
     for module, attr, _ in names:
         mod = importlib.import_module(f"graphings.{module}")
         assert callable(getattr(mod, attr, None)), f"graphings.{module}.{attr}"
+
+
+def test_every_traced_name_is_the_library_s_own_undecorated_function():
+    for module, attr, _ in _traced_names():
+        fn = getattr(importlib.import_module(f"graphings.{module}"), attr)
+        where = f"graphings.{module}.{attr}"
+        assert fn.__module__.startswith("graphings."), where
+        assert not hasattr(fn, "__wrapped__"), f"{where} is decorated"

@@ -144,6 +144,29 @@ def test_dump_grid_view(capsys):
     assert any("->" in line and "theta=" in line for line in lines)
 
 
+@pytest.mark.parametrize("command", [["accept", "even-ones", "01"],
+                                     ["dump", "even-ones", "--word", "01"]])
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_grid_below_one_is_a_usage_error(command, grid, capsys):
+    # 0 used to mean the default grid, and -3 to name a cell range 0..-4
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--grid", grid])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--grid" in out.err
+
+
+def test_grid_too_small_for_the_word_names_the_cells_needed(capsys):
+    code, out, err = run(capsys, "accept", "even-ones", "01", "--grid", "2")
+    assert code == 2 and out == ""
+    assert err == "error: need at least 3 cells, got 2\n"
+
+
+def test_accept_on_a_wider_grid_still_agrees(capsys):
+    code, out, _ = run(capsys, "accept", "even-ones", "01", "--grid", "5")
+    assert code == 0 and out.rstrip().endswith("verdict: agree")
+
+
 def test_properties_suites_pass_and_stay_quiet(tmp_path, capsys):
     code, out, _ = run(capsys, "properties", "theta-confluence", "--count", "25")
     assert code == 0 and "suite theta-confluence: 25/25 pass" in out

@@ -7,7 +7,7 @@ from itertools import count
 
 import pytest
 
-from graphings import linsolve
+from graphings import linsolve, words
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
@@ -22,7 +22,8 @@ from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
                                 is_deterministic)
 from graphings.realizer import Realizer
 from graphings.space import Atom, Interval, Region, box_get, region_of
-from graphings.words import canonical_representation
+from graphings.words import (bang_representation, canonical_representation,
+                             word_graph)
 
 ACCEPT_REGION = Region((Atom("a"),))
 
@@ -260,6 +261,7 @@ def _plugged_accept_mass(m, word: str, opts: ExecOptions) -> F:
     path sum's empty class.
     """
     rep = canonical_representation(word)
+    marker = Interval(F(0), F(1, rep.cells))  # canonically in the first cell
     out = plug(m.graphing, rep.graphing, cut_between(m.graphing, rep.graphing),
                opts)
     start = plug_dialect_pairs(m.graphing, rep.graphing).index((m.start_state, 0))
@@ -267,7 +269,7 @@ def _plugged_accept_mass(m, word: str, opts: ExecOptions) -> F:
     for e in out.edges:
         (src,) = e.source.atoms
         if (e.in_state == start and src.sym == "a" and set(src.cyl) <= {"*"}
-                and all(box_get(src.box, c).contains(rep.marker_cell)
+                and all(box_get(src.box, c).contains(marker)
                         for c in range(1, m.heads + 1))
                 and e.realizer.shift == 0 and not e.realizer.pushes):
             total += e.weight.p
@@ -353,11 +355,33 @@ def test_path_sum_interns_exactly_the_oracle_configurations(monkeypatch, name, w
 def test_answering_side_must_be_stack_free(change):
     m = compile_automaton(by_name("even-ones"))
     g = canonical_representation("01").graphing
+    accept_path_sum(m, g, ACCEPT_REGION)  # the original's table is made
     word = replace(g, edges=(change(g.edges[0]),) + g.edges[1:])
-    with pytest.raises(ValidationError, match="stack-free"):
-        accept_path_sum(m, word, ACCEPT_REGION)
+    for _ in range(2):  # a refused table is not kept
+        with pytest.raises(ValidationError, match="stack-free"):
+            accept_path_sum(m, word, ACCEPT_REGION)
     with pytest.raises(ValidationError, match="stack-free"):
         enumerate_paths(m, word)
+
+
+def test_memoised_word_answers_match_a_fresh_representation(monkeypatch):
+    # biased-stack-walk asks first and on deep cylinders, so every later
+    # machine reads answers kept at the empty cylinder and moved onto its own
+    monkeypatch.setattr(words, "_canonical", {})
+    # every walk here interns fewer than 100 configurations; an answer left
+    # on the wrong cylinder can run away, so it should fail fast
+    monkeypatch.setattr(linsolve, "MAX_NODES", 10_000)
+    opts = ExecOptions(stack_depth=16)
+    machines = sorted(corpus(), key=lambda a: a.name != "biased-stack-walk")
+    for a in machines:
+        m = compile_automaton(a)
+        for word in ("", "1", "01", "110"):
+            graph = word_graph(word)
+            fresh = bang_representation(graph, range(graph.positions),
+                                        graph.positions)
+            memo = canonical_representation(word)
+            assert (accept_path_sum(m, memo, ACCEPT_REGION, opts)
+                    == accept_path_sum(m, fresh, ACCEPT_REGION, opts)), (a.name, word)
 
 
 def test_enumerated_paths_match_machine_traces():
@@ -396,9 +420,12 @@ def test_path_sums_reuse_the_machine_edge_index():
     edges = _CountingEdges(m.graphing.edges)
     edges.scans = 0
     object.__setattr__(m.graphing, "edges", edges)
+    table = rep.graphing.answer_table
+    assert table
     assert accept_path_sum(m, rep, ACCEPT_REGION) == first
     assert m.graphing.edge_index is index
     assert edges.scans == 0
+    assert rep.graphing.answer_table is table
 
 
 def test_word_side_is_read_at_its_own_dialect_state():

@@ -27,8 +27,7 @@ def test_perm_compose_and_inverse():
 
 
 def test_identity_acts_trivially():
-    r = Realizer.identity()
-    assert r.is_identity
+    r = Realizer()
     a = Atom("0i", (Interval(F(0), F(1, 2)),), "*1")
     assert r.apply_atom(a) == [(a, a)]
 
@@ -141,8 +140,8 @@ def test_preimage_of_an_image_without_the_pushed_word_raises(monkeypatch):
 
 def test_normalized_on_strips_pop_repush():
     r = Realizer(pops=1, pushes="*")
-    assert r.normalized_on("*").is_identity
-    assert not r.normalized_on("0").is_identity
+    assert r.normalized_on("*") == Realizer()
+    assert r.normalized_on("0") != Realizer()
     # only the matching trailing pairs go
     r2 = Realizer(pops=2, pushes="10")
     assert r2.normalized_on("01") == Realizer(pops=2, pushes="10")

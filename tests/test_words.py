@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from graphings import words
 from graphings.errors import ValidationError
 from graphings.graphing import is_deterministic
 from graphings.space import Interval
@@ -34,10 +35,33 @@ def test_canonical_representation_shape():
     rep = canonical_representation("01")
     assert rep.cells == 3
     assert rep.injection == (0, 1, 2)
-    assert rep.marker_cell == Interval(F(0), F(1, 3))
+    # the marker's outgoing right edge starts on its cell
+    assert rep.graphing.edges[0].source.atoms[0].box == (Interval(F(0), F(1, 3)),)
     assert len(rep.graphing.edges) == 6
     assert rep.graphing.dialect == (0,)
     assert is_deterministic(rep.graphing)
+
+
+def test_canonical_representation_is_built_once_per_word(monkeypatch):
+    monkeypatch.setattr(words, "_canonical", {})
+    rep = canonical_representation("01")
+    assert canonical_representation("01") is rep
+    assert rep == bang_representation(word_graph("01"), range(3), 3)
+    with pytest.raises(ValidationError):
+        canonical_representation("012")
+    assert list(words._canonical) == ["01"]
+
+
+def test_canonical_memo_drops_the_oldest_word_first(monkeypatch):
+    monkeypatch.setattr(words, "_canonical", {})
+    monkeypatch.setattr(words, "MEMO_WORDS", 2)
+    first = canonical_representation("0")
+    second = canonical_representation("1")
+    canonical_representation("01")
+    assert list(words._canonical) == ["1", "01"]
+    assert canonical_representation("1") is second
+    assert canonical_representation("0") is not first
+    assert list(words._canonical) == ["01", "0"]
 
 
 def test_representation_edges_preserve_measure():
@@ -52,8 +76,10 @@ def test_injection_must_be_one_to_one_and_fit():
         bang_representation(g, (0, 0))
     with pytest.raises(ValidationError):
         bang_representation(g, (0,))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need at least 2 cells, got 1"):
         bang_representation(g, (0, 1), cells=1)
+    with pytest.raises(ValidationError, match="cells must lie in 0..2"):
+        bang_representation(g, (0, 3), cells=3)
 
 
 def test_rep_family_is_every_injection():
@@ -67,4 +93,5 @@ def test_rep_family_is_every_injection():
 def test_scattered_injection_still_deterministic():
     rep = bang_representation(word_graph("11"), (4, 0, 2), cells=5)
     assert is_deterministic(rep.graphing)
-    assert rep.marker_cell == Interval(F(4, 5), F(1))
+    # the marker's outgoing right edge starts on its cell
+    assert rep.graphing.edges[0].source.atoms[0].box == (Interval(F(4, 5), F(1)),)
