@@ -10,7 +10,7 @@ representation and judged through orthogonality tests.
 
 from .automata import (ACCEPT, INIT, REJECT, Automaton, Instruction,
                        accept_probability, format_automaton, parse_automaton,
-                       read_vector, trace_enumerate, validate)
+                       read_vector, trace_enumerate)
 from .compiler import (CompiledMachine, DialectState, compile_automaton,
                        format_compiled, prune_reachable)
 from .errors import (ClosureViolation, DiscretizationError, FormatError,

@@ -12,6 +12,7 @@ stack alone, and count only if the stack is exactly the bottom marker.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linsolve
 from .errors import ClosureViolation, FormatError, ValidationError
@@ -36,17 +37,23 @@ class Instruction:
             object.__setattr__(self, "prob", Fraction(self.prob))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Automaton:
+    """A machine checked once, when built: ``ValidationError`` names every
+    violation.  It is frozen, and ``delta`` is a read-only private copy."""
     name: str
     heads: int
     states: tuple
-    delta: dict  # (read, state, last or None) -> tuple[Instruction]
+    delta: MappingProxyType  # (read, state, last or None) -> tuple[Instruction]
     stack: bool = False
 
     def __post_init__(self):
-        self.states = tuple(self.states)
-        self.delta = {key: tuple(instrs) for key, instrs in self.delta.items()}
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "delta", MappingProxyType(
+            {key: tuple(instrs) for key, instrs in self.delta.items()}))
+        problems = _violations(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 def lookup(a: Automaton, read: str, state: str, last: str):
@@ -62,7 +69,7 @@ def read_vector(word: str, positions) -> str:
     return "".join("*" if p % n == 0 else word[p % n - 1] for p in positions)
 
 
-def validate(a: Automaton) -> list[str]:
+def _violations(a: Automaton) -> list[str]:
     """All structural violations, as plain sentences; empty means well formed."""
     out = []
     if a.heads < 1:
@@ -175,9 +182,6 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
-    problems = validate(a)
-    if problems:
-        raise ValidationError("; ".join(problems))
     if a.stack and stack_depth < 1:
         raise ValidationError("stack machines need a positive stack budget")
 
@@ -225,9 +229,6 @@ def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
     key and instruction.  Probabilities multiply along the prefix; no stack
     budget applies because the length bound already bounds the stack.
     """
-    problems = validate(a)
-    if problems:
-        raise ValidationError("; ".join(problems))
     out = []
 
     def walk(config, steps, prob):
@@ -333,4 +334,7 @@ def parse_automaton(text: str) -> Automaton:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if heads is None or states is None:
         raise FormatError("heads: and states: lines are required")
-    return Automaton(name, heads, states, delta, stack)
+    try:
+        return Automaton(name, heads, states, delta, stack)
+    except ValidationError as exc:
+        raise FormatError(f"invalid machine: {exc}") from None

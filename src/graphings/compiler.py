@@ -19,8 +19,7 @@ edges land in the result intervals without moving anything.
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .automata import ACCEPT, INIT, REJECT, Automaton, lookup, validate
-from .errors import ValidationError
+from .automata import ACCEPT, INIT, REJECT, Automaton, lookup
 from .graphing import Edge, GraphingRep, Weight
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
@@ -75,9 +74,6 @@ def _stack_parts(op: str) -> tuple[int, str]:
 
 
 def compile_automaton(a: Automaton) -> CompiledMachine:
-    problems = validate(a)
-    if problems:
-        raise ValidationError("; ".join(problems))
     k = a.heads
     marker = "*" * k
     identity = tuple(range(1, k + 1))

@@ -1,15 +1,17 @@
 """Configuration-level probability oracle for multihead machines."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 
+from graphings import automata
 from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
                                 accept_probability, format_automaton,
-                                parse_automaton, read_vector, trace_enumerate,
-                                validate)
+                                parse_automaton, read_vector, trace_enumerate)
+from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
-from graphings.errors import ValidationError
+from graphings.errors import FormatError, ValidationError
 
 
 def p(name, word, depth=16):
@@ -25,8 +27,8 @@ def test_read_vector_marker_positions():
 
 
 def test_every_corpus_machine_validates():
-    for a in corpus():
-        assert validate(a) == [], a.name
+    # construction validates, so building the catalog is the whole check
+    assert len(corpus()) == 46
 
 
 def test_corpus_has_enough_variety():
@@ -169,15 +171,49 @@ def test_trace_enumerate_splits_on_probability():
 
 
 def test_validation_rejects_bad_tables():
-    a = Automaton("bad", 1, (ACCEPT, REJECT, "init", "s"), {
-        ("0", "init", None): (Instruction(1, "o", "id", "s", F(1, 2)),
-                              Instruction(1, "o", "id", ACCEPT, F(2, 3))),
-    })
-    assert any("probabilities" in msg or "exceed" in msg for msg in validate(a))
-    b = Automaton("bad2", 1, (ACCEPT, REJECT, "init"), {
-        ("*", ACCEPT, None): (Instruction(1, "o", "id", "init", F(1)),),
-    })
-    assert validate(b)  # final states must not move
+    with pytest.raises(ValidationError, match="probabilities sum"):
+        Automaton("bad", 1, (ACCEPT, REJECT, "init", "s"), {
+            ("0", "init", None): (Instruction(1, "o", "id", "s", F(1, 2)),
+                                  Instruction(1, "o", "id", ACCEPT, F(2, 3))),
+        })
+    with pytest.raises(ValidationError, match="no transitions may leave"):
+        Automaton("bad2", 1, (ACCEPT, REJECT, "init"), {
+            ("*", ACCEPT, None): (Instruction(1, "o", "id", "init", F(1)),),
+        })
+
+
+def test_built_machine_cannot_change():
+    a = by_name("even-ones")
+    with pytest.raises(FrozenInstanceError):
+        a.heads = 2
+    with pytest.raises(TypeError):
+        a.delta[("1", "init", None)] = ()
+    assert a == parse_automaton(format_automaton(a))
+    table = {("*", "init", None): (Instruction(1, "o", "id", ACCEPT, F(1)),)}
+    b = Automaton("now", 1, ("init", ACCEPT, REJECT), table)
+    table[("0", "init", None)] = ()  # the machine keeps its own copy
+    assert list(b.delta) == [("*", "init", None)]
+
+
+def test_consumers_trust_a_built_machine(monkeypatch):
+    calls = []
+    checker = automata._violations
+    monkeypatch.setattr(automata, "_violations",
+                        lambda a: calls.append(a.name) or checker(a))
+    a = by_name("coin-half")
+    assert calls[-1] == "coin-half"  # checked on construction
+    calls.clear()
+    accept_probability(a, "01")
+    trace_enumerate(a, "01")
+    compile_automaton(a)
+    assert calls == []
+
+
+def test_parse_reports_table_violations_as_format_errors():
+    text = ("heads: 1\nstates: init accept reject\n"
+            "rule: * | init | - -> 1 o id nowhere 1\n")
+    with pytest.raises(FormatError, match="unknown next state 'nowhere'"):
+        parse_automaton(text)
 
 
 def test_format_roundtrip_preserves_behaviour():

@@ -185,6 +185,27 @@ def test_properties_count_below_one_is_a_usage_error(count, capsys):
     assert out.out == "" and "--count" in out.err
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_properties_reps_below_one_is_a_usage_error(reps, capsys):
+    # each check compared only the canonical placement, so the suite passed
+    # without testing anything
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["properties", "uniformity", "--reps", reps])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--reps" in out.err
+
+
+def test_invalid_rule_table_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.machine"
+    path.write_text("heads: 1\nstates: init accept reject\n"
+                    "rule: * | init | - -> 1 o id nowhere 1\n")
+    code, out, err = run(capsys, "accept", str(path), "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid machine: ")
+    assert "unknown next state 'nowhere'" in err
+
+
 def test_output_is_byte_stable(capsys):
     first = run(capsys, "accept", "coin-half", "-")
     second = run(capsys, "accept", "coin-half", "-")

@@ -62,10 +62,9 @@ def test_provenance_points_back_at_instructions():
 
 
 def test_invalid_machine_is_rejected():
-    bad = Automaton("bad", 1, (ACCEPT, REJECT, "init"), {
-        ("*", "init", None): (Instruction(1, "o", "id", "nowhere", F(1)),)})
     with pytest.raises(ValidationError):
-        compile_automaton(bad)
+        Automaton("bad", 1, (ACCEPT, REJECT, "init"), {
+            ("*", "init", None): (Instruction(1, "o", "id", "nowhere", F(1)),)})
 
 
 def test_prune_keeps_behaviour():
