@@ -18,9 +18,11 @@ edges land in the result intervals without moving anything.
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 
 from .automata import ACCEPT, INIT, REJECT, Automaton, lookup
-from .graphing import Edge, GraphingRep, Weight
+from .errors import ValidationError
+from .graphing import MAX_DIALECT_RANGE, Edge, GraphingRep, Weight
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
 
@@ -54,6 +56,13 @@ class CompiledMachine:
 
 
 def _enumerate_dialect(a: Automaton):
+    # the dialect is written back as the range 0-(size-1): refuse, before
+    # listing any of it, one wider than the graphing parser reads
+    size = len(a.states) * factorial(a.heads) * 3 ** a.heads * 3
+    if size > MAX_DIALECT_RANGE:
+        raise ValidationError(f"{a.heads} heads and {len(a.states)} states give a "
+                              f"dialect of {size} states, more than the "
+                              f"{MAX_DIALECT_RANGE} a graphing file can name")
     perms = sorted(permutations(range(1, a.heads + 1)))
     reads = ["".join(r) for r in product("*01", repeat=a.heads)]
     states = []
@@ -63,6 +72,11 @@ def _enumerate_dialect(a: Automaton):
                 for last in "*01":
                     states.append(DialectState(q, coords, read, last))
     return tuple(states), {d: i for i, d in enumerate(states)}
+
+
+def _source(sym: str, last: str) -> Region:
+    """An edge source: the symbol ``sym`` under the stack cylinder ``last``."""
+    return Region((Atom(sym, (), last),))
 
 
 def _stack_parts(op: str) -> tuple[int, str]:
@@ -81,8 +95,19 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
     start = index[DialectState(INIT, identity, marker, "*")]
     edges: list[Edge] = []
     provenance: dict = {}
+    parts: dict = {}
 
-    def emit(edge: Edge, key, instr):
+    def part(make, *args):
+        """``make(*args)`` built once: the edges share few sources, realizers
+        and weights, and every copy would stay alive with the machine."""
+        value = parts.get((make, *args))
+        if value is None:
+            value = parts[make, *args] = make(*args)
+        return value
+
+    def emit(sym, last, in_state, out, realizer, key, instr):
+        edge = Edge(part(_source, sym, last), in_state, out, realizer,
+                    part(Weight, instr.prob))
         edges.append(edge)
         provenance.setdefault(edge, []).append((key, instr))
 
@@ -91,22 +116,20 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
     start_key = ("*" * k, INIT, "*" if (marker, INIT, "*") in a.delta else None)
     for t in lookup(a, marker, INIT, "*"):
         for probe in ("a", "r"):
-            src = Atom(probe, (), "*")
             if t.next_state in (ACCEPT, REJECT):
                 dst_sym = _RESULT_SYM[t.next_state]
-                realizer = Realizer(shift=sym_index(dst_sym) - sym_index(probe))
+                realizer = part(Realizer, sym_index(dst_sym) - sym_index(probe))
                 out = index[DialectState(t.next_state, identity, marker, "*")]
             else:
                 coord = t.head
                 tau = swap(1, coord)
                 dst_sym = sym_of("*", t.direction)
                 pops, pushes = _stack_parts(t.stack_op)
-                realizer = Realizer(sym_index(dst_sym) - sym_index(probe),
-                                    tau, (), pops, pushes)
+                realizer = part(Realizer, sym_index(dst_sym) - sym_index(probe),
+                                tau, (), pops, pushes)
                 out_coords = tuple(perm_apply(tau, c) for c in identity)
                 out = index[DialectState(t.next_state, out_coords, marker, "*")]
-            emit(Edge(Region((src,)), start, out, realizer, Weight(t.prob, 0)),
-                 start_key, t)
+            emit(probe, "*", start, out, realizer, start_key, t)
 
     # Move and halting edges, one family member per bookkeeping context.
     for key, instrs in a.delta.items():
@@ -127,12 +150,11 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
                             in_state = index[DialectState(q, coords, in_read, u)]
                             if t.next_state in (ACCEPT, REJECT):
                                 dst_sym = _RESULT_SYM[t.next_state]
-                                realizer = Realizer(
-                                    shift=sym_index(dst_sym) - sym_index(src_sym))
+                                realizer = part(
+                                    Realizer, sym_index(dst_sym) - sym_index(src_sym))
                                 out = index[DialectState(t.next_state, coords,
                                                          read_t, u)]
-                                emit(Edge(Region((Atom(src_sym),)), in_state, out,
-                                          realizer, Weight(t.prob, 0)), key, t)
+                                emit(src_sym, "", in_state, out, realizer, key, t)
                                 continue
                             coord = coords[t.head - 1]
                             tau = swap(1, coord)
@@ -143,17 +165,16 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
                                 for popped in "*01":
                                     out = index[DialectState(t.next_state, out_coords,
                                                              read_t, popped)]
-                                    emit(Edge(Region((Atom(src_sym, (), popped),)),
-                                              in_state, out,
-                                              Realizer(shift, tau, (), 1, ""),
-                                              Weight(t.prob, 0)), key, t)
+                                    emit(src_sym, popped, in_state, out,
+                                         part(Realizer, shift, tau, (), 1, ""),
+                                         key, t)
                             else:
                                 _, pushes = _stack_parts(t.stack_op)
                                 out = index[DialectState(t.next_state, out_coords,
                                                          read_t, u)]
-                                emit(Edge(Region((Atom(src_sym),)), in_state, out,
-                                          Realizer(shift, tau, (), 0, pushes),
-                                          Weight(t.prob, 0)), key, t)
+                                emit(src_sym, "", in_state, out,
+                                     part(Realizer, shift, tau, (), 0, pushes),
+                                     key, t)
 
     graphing = GraphingRep(full_symbol_region(), tuple(range(len(dialect_states))),
                            tuple(edges))

@@ -7,6 +7,7 @@ bottom marker before halting on the counting side, so their halts count.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .automata import ACCEPT, INIT, REJECT, Automaton, Instruction
@@ -628,9 +629,14 @@ def corpus():
     return [build() for build in _BUILDERS]
 
 
+# every builder is named after its machine, with "_" for "-"
+_BUILDER_OF = {build.__name__.replace("_", "-"): build for build in _BUILDERS}
+
+
+@cache
 def by_name(name: str) -> Automaton:
-    for build in _BUILDERS:
-        a = build()
-        if a.name == name:
-            return a
-    raise KeyError(f"no machine named {name!r}")
+    """The catalog machine ``name``, built on first use and then shared."""
+    build = _BUILDER_OF.get(name)
+    if build is None:
+        raise KeyError(f"no machine named {name!r}")
+    return build()

@@ -3,9 +3,12 @@
 Path sums around cycles are geometric series; with finitely many nodes they
 are the unique solution of a sparse affine system.  The solver decomposes the
 dependency graph into strongly connected components (iterative Tarjan, safe
-for deep graphs), walks them so that every dependency is solved first, and
-runs fraction-exact Gaussian elimination over sparse dict rows inside each
-component.  ``prune`` is the reachability cut every caller applies first.
+for deep graphs) and walks them so that every dependency is solved first.  A
+component of one node is solved in closed form.  A larger one is scaled to
+integers row by row and eliminated fraction-free over sparse dict rows, in the
+style of Bareiss (*Math. Comp.* 22, 1968) but dividing each updated row by its
+gcd, so no ``Fraction`` is built until the exact, normalised values come out.
+``prune`` is the reachability cut every caller applies first.
 
 Raises ``ArithmeticError`` when a component's system is singular, which the
 callers translate into their own domain errors.
@@ -14,9 +17,8 @@ callers translate into their own domain errors.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 # configurations a walk may intern before its solve: the one budget of the
 # oracle, the path sum and plug, read when each walk runs
 MAX_NODES = 500_000
@@ -103,65 +105,112 @@ def prune(succ, targets):
     return kept, [[(remap[j], p) for j, p in succ[i] if j in remap] for i in kept]
 
 
-def _eliminate(rows: list[dict], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the sparse system ``sum(rows[k][c] * y[c]) == rhs[k]`` exactly.
+def _gather(row, b_i, x):
+    """Split ``b_i + sum(c * x[j] for (j, c) in row)`` into known and unknown.
 
-    Column by column the diagonal is the pivot; a later row is swapped in
-    only when it is zero.  The pivot row is scaled to a unit pivot and
-    cleared out of the rows below it, so fill-in stays right of the pivot
-    column, and back-substitution over the finished rows gives ``y``.
-    Consumes ``rows`` and ``rhs``.
+    The terms whose ``x[j]`` is already solved are summed exactly as
+    ``num / den``, ``den`` the lcm of their denominators; the entries whose
+    ``x[j]`` is still ``None`` are returned as they are.
     """
-    m = len(rows)
+    num, den = b_i.numerator, b_i.denominator
+    unsolved = []
+    for j, c in row:
+        v = x[j]
+        if v is None:
+            unsolved.append((j, c))
+            continue
+        d = c.denominator * v.denominator
+        g = gcd(den, d)
+        num = num * (d // g) + c.numerator * v.numerator * (den // g)
+        den = den // g * d
+    return num, den, unsolved
+
+
+def _solve_component(rows, b, x, comp) -> list[Fraction]:
+    """Solve one strongly connected component of two or more nodes exactly.
+
+    Each row of ``I - T`` and its right-hand side (``b`` plus the already
+    solved dependencies) is scaled to integers by the lcm of its denominators.
+    Column by column the diagonal is the pivot; a later row is swapped in only
+    when it is zero.  Rows below are cleared fraction-free,
+    ``row = p * row - f * pivot_row``, and divided by the gcd of their entries
+    and right-hand side, so the integers stay small.  Back-substitution over
+    the finished rows keeps one common denominator, and each value becomes a
+    ``Fraction`` once, at the end.
+    """
+    order = {node: k for k, node in enumerate(comp)}
+    system, rhs = [], []
+    for k, node in enumerate(comp):
+        num, den, inner = _gather(rows[node], b[node], x)
+        scale = lcm(den, *(c.denominator for _, c in inner))
+        row = {k: scale}  # the coefficients of x - T x, times scale
+        for j, c in inner:
+            local = order[j]
+            row[local] = row.get(local, 0) - c.numerator * (scale // c.denominator)
+        system.append({c: v for c, v in row.items() if v})
+        rhs.append(num * (scale // den))
+    m = len(comp)
+    pivots = []
     for col in range(m):
-        r = next((r for r in range(col, m) if rows[r].get(col)), None)
+        r = next((r for r in range(col, m) if system[r].get(col)), None)
         if r is None:
             raise ArithmeticError("singular linear system")
-        rows[col], rows[r] = rows[r], rows[col]
+        system[col], system[r] = system[r], system[col]
         rhs[col], rhs[r] = rhs[r], rhs[col]
-        row = rows[col]
-        inv = ONE / row.pop(col)
-        pivot = rows[col] = {c: v * inv for c, v in row.items() if v}
-        rhs[col] *= inv
+        pivot = system[col]
+        p = pivot.pop(col)
+        pivots.append(p)
         for r in range(col + 1, m):
-            row = rows[r]
-            f = row.pop(col, None)
+            row = system[r]
+            f = row.pop(col, 0)
             if f:
+                for c in row:
+                    row[c] *= p
                 for c, v in pivot.items():
-                    if c in row:
-                        row[c] -= f * v
-                    else:
-                        row[c] = -f * v
-                rhs[r] -= f * rhs[col]
+                    row[c] = row.get(c, 0) - f * v
+                rhs[r] = p * rhs[r] - f * rhs[col]
+                g = gcd(rhs[r], *row.values()) or 1
+                system[r] = {c: v // g for c, v in row.items() if v}
+                rhs[r] //= g
+    # back-substitute over the integers: y[c] == num[c] / den for the solved
+    # c, with den the lcm of their denominators
+    num, den = [0] * m, 1
     for k in range(m - 1, -1, -1):
-        acc = rhs[k]
-        for c, v in rows[k].items():
-            acc -= v * rhs[c]
-        rhs[k] = acc
-    return rhs
+        s = rhs[k] * den - sum(v * num[c] for c, v in system[k].items())
+        d = pivots[k] * den
+        if d < 0:
+            s, d = -s, -d
+        g = gcd(s, d)
+        s, d = s // g, d // g  # y[k] == s / d in lowest terms
+        grow = d // gcd(d, den)
+        if grow > 1:
+            num = [v * grow for v in num]
+            den *= grow
+        num[k] = s * (den // d)
+    return [Fraction(v, den) for v in num]
 
 
 def solve_affine(rows, b) -> list[Fraction]:
     """Solve ``x[i] = b[i] + sum(coeff * x[j] for (j, coeff) in rows[i])``.
 
-    ``rows`` may contain repeated ``j`` entries; coefficients add up.
+    ``rows`` may contain repeated ``j`` entries; coefficients add up.  A node
+    that is its own component is solved in closed form,
+    ``x = (b + sum(c * x_j)) / (1 - loop)`` with ``loop`` its self-entries.
     """
     n = len(rows)
     x: list[Fraction | None] = [None] * n
     for comp in strongly_connected(n, [[j for j, _ in row] for row in rows]):
-        order = {node: k for k, node in enumerate(comp)}
-        system, rhs = [], []
-        for k, node in enumerate(comp):
-            row = {k: ONE}  # the coefficients of x - T x
-            acc = b[node]
-            for j, c in rows[node]:
-                local = order.get(j)
-                if local is None:
-                    acc += c * x[j]  # already solved: dependencies-first order
-                else:
-                    row[local] = row.get(local, ZERO) - c
-            system.append(row)
-            rhs.append(acc)
-        for node, value in zip(comp, _eliminate(system, rhs)):
-            x[node] = value
+        if len(comp) > 1:
+            for node, value in zip(comp, _solve_component(rows, b, x, comp)):
+                x[node] = value
+            continue
+        node = comp[0]
+        num, den, loops = _gather(rows[node], b[node], x)
+        acc = Fraction(num, den)
+        if loops:
+            loop = sum(c for _, c in loops)
+            if loop == 1:
+                raise ArithmeticError("singular linear system")
+            acc /= 1 - loop
+        x[node] = acc
     return x

@@ -10,7 +10,7 @@ from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
                                 accept_probability, format_automaton,
                                 parse_automaton, read_vector, trace_enumerate)
 from graphings.compiler import compile_automaton
-from graphings.corpus import by_name, corpus
+from graphings.corpus import by_name, coin_half, corpus
 from graphings.errors import FormatError, ValidationError
 
 
@@ -200,13 +200,33 @@ def test_consumers_trust_a_built_machine(monkeypatch):
     checker = automata._violations
     monkeypatch.setattr(automata, "_violations",
                         lambda a: calls.append(a.name) or checker(a))
-    a = by_name("coin-half")
-    assert calls[-1] == "coin-half"  # checked on construction
+    a = coin_half()
+    assert calls == ["coin-half"]  # checked on construction
     calls.clear()
     accept_probability(a, "01")
     trace_enumerate(a, "01")
     compile_automaton(a)
     assert calls == []
+
+
+def test_by_name_builds_each_machine_once(monkeypatch):
+    by_name.cache_clear()
+    calls = []
+    checker = automata._violations
+    monkeypatch.setattr(automata, "_violations",
+                        lambda a: calls.append(a.name) or checker(a))
+    a = by_name("coin-half")
+    assert by_name("coin-half") is a
+    assert by_name("peek-then-flip").name == "peek-then-flip"
+    assert calls == ["coin-half", "peek-then-flip"]
+    with pytest.raises(KeyError, match="no machine named 'nowhere'"):
+        by_name("nowhere")
+
+
+def test_by_name_finds_every_catalog_machine():
+    for a in corpus():
+        assert by_name(a.name) == a
+        assert by_name(a.name) is not a  # corpus() still builds afresh
 
 
 def test_parse_reports_table_violations_as_format_errors():

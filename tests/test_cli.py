@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graphings import cli
+from graphings import cli, compiler
 from graphings.automata import parse_automaton
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
@@ -204,6 +204,21 @@ def test_invalid_rule_table_file_is_an_input_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: invalid machine: ")
     assert "unknown next state 'nowhere'" in err
+
+
+def test_dialect_too_wide_to_compile_is_an_input_error(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the dialect was enumerated")
+
+    monkeypatch.setattr(compiler, "DialectState", no_enumeration)
+    path = tmp_path / "wide.machine"
+    path.write_text("heads: 8\nstates: init accept reject\n"
+                    "rule: ******** | init | - -> 1 o id accept 1\n")
+    code, out, err = run(capsys, "compile", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert "8 heads and 3 states give a dialect of 2380855680 states" in err
 
 
 def test_output_is_byte_stable(capsys):

@@ -5,12 +5,14 @@ from math import factorial
 
 import pytest
 
+from graphings import compiler
 from graphings.automata import ACCEPT, REJECT, Automaton, Instruction
 from graphings.compiler import compile_automaton, format_compiled, prune_reachable
 from graphings.corpus import by_name
 from graphings.errors import ValidationError
 from graphings.execution import accept_path_sum
-from graphings.graphing import is_deterministic, is_subprobabilistic, parse_graphing
+from graphings.graphing import (MAX_DIALECT_RANGE, is_deterministic,
+                                is_subprobabilistic, parse_graphing)
 from graphings.realizer import in_microcosm
 from graphings.space import Atom, Region
 from graphings.words import canonical_representation
@@ -25,6 +27,15 @@ def test_dialect_enumerates_state_placement_read_last():
         k = a.heads
         assert len(m.graphing.dialect) == len(a.states) * factorial(k) * 3 ** k * 3
         assert len(m.dialect_states) == len(m.graphing.dialect)
+
+
+def test_compiled_edges_share_equal_parts():
+    # a machine's edges hold few distinct sources, realizers and weights;
+    # one copy of each keeps a compiled machine small
+    m = compile_automaton(by_name("two-head-palindrome"))
+    for field in ("source", "realizer", "weight"):
+        parts = [getattr(e, field) for e in m.graphing.edges]
+        assert len({id(p) for p in parts}) == len(set(parts)) < len(parts)
 
 
 def test_start_state_is_initial_and_marker_anchored():
@@ -65,6 +76,38 @@ def test_invalid_machine_is_rejected():
     with pytest.raises(ValidationError):
         Automaton("bad", 1, (ACCEPT, REJECT, "init"), {
             ("*", "init", None): (Instruction(1, "o", "id", "nowhere", F(1)),)})
+
+
+def _wide(heads: int, extra_states: int) -> Automaton:
+    states = ("init",) + tuple(f"q{i}" for i in range(extra_states)) + (ACCEPT, REJECT)
+    return Automaton("wide", heads, states, {
+        ("*" * heads, "init", None): (Instruction(1, "o", "id", ACCEPT, F(1)),)})
+
+
+class Enumerated(Exception):
+    pass
+
+
+def _enumerated(*args):
+    raise Enumerated
+
+
+@pytest.mark.parametrize("heads, extra, size", [
+    (8, 0, 3 * factorial(8) * 3 ** 8 * 3),  # about 2.4e9 states
+    (4, 15, 18 * factorial(4) * 3 ** 4 * 3),  # 104,976: just over
+])
+def test_dialect_too_wide_to_write_back_is_refused(heads, extra, size, monkeypatch):
+    assert size > MAX_DIALECT_RANGE
+    monkeypatch.setattr(compiler, "DialectState", _enumerated)
+    with pytest.raises(ValidationError, match=f"dialect of {size} states"):
+        compile_automaton(_wide(heads, extra))
+
+
+def test_widest_dialect_a_file_can_name_is_enumerated(monkeypatch):
+    assert 17 * factorial(4) * 3 ** 4 * 3 == 99_144 <= MAX_DIALECT_RANGE
+    monkeypatch.setattr(compiler, "DialectState", _enumerated)
+    with pytest.raises(Enumerated):
+        compile_automaton(_wide(4, 14))
 
 
 def test_prune_keeps_behaviour():

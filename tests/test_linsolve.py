@@ -1,6 +1,7 @@
 """Exact affine fixpoint solver."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,3 +120,74 @@ def test_large_component_satisfies_the_system(system):
     x = solve_affine(rows, b)
     for i, row in enumerate(rows):
         assert x[i] == b[i] + sum((c * x[j] for j, c in row), F(0))
+
+
+def dense_reference(rows, b):
+    """Gauss-Jordan on the dense ``I - T``; ``None`` when it is singular."""
+    n = len(rows)
+    a = [[F(int(i == k)) for k in range(n)] + [F(b[i])] for i in range(n)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            a[i][j] -= c
+    for col in range(n):
+        r = next((r for r in range(col, n) if a[r][col]), None)
+        if r is None:
+            return None
+        a[col], a[r] = a[r], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+# small numerators of either sign over pairwise coprime denominators, so the
+# lcm that scales a row to integers meets several distinct primes
+_COEFFS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 7, 11, 13]))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Several components: self-loops, repeated and negative entries."""
+    n = draw(st.integers(1, 8))
+    rows = [[] for _ in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1), _COEFFS),
+                                 max_size=3 * n)):
+        rows[i].append((j, c))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        if rows[i]:
+            rows[i].append(rows[i][0])  # a repeated entry
+    b = draw(st.lists(_COEFFS, min_size=n, max_size=n))
+    return rows, b
+
+
+@given(mixed_systems())
+def test_solve_matches_a_dense_reference(system):
+    rows, b = system
+    want = dense_reference(rows, b)
+    if want is None:
+        with pytest.raises(ArithmeticError):
+            solve_affine(rows, b)
+        return
+    got = solve_affine(rows, b)
+    assert got == want
+    assert all(type(v) is F for v in got)
+
+
+def test_repeated_self_entries_summing_to_one_raise():
+    # x = 1/4 + (1/7 + 2/7 + 4/7) x: the self-loop has mass exactly one
+    with pytest.raises(ArithmeticError):
+        solve_affine([[(0, F(1, 7)), (0, F(2, 7)), (0, F(4, 7))]], [F(1, 4)])
+
+
+def test_forty_node_ring_with_chords_matches_the_reference():
+    n = 40
+    rows = [[((i + 1) % n, F(1, 7)), ((7 * i + 3) % n, F(2, 11)),
+             ((3 * i + 5) % n, F(3, 13)), (i, F(-1, 13))] for i in range(n)]
+    b = [F(i % 5, 11) for i in range(n)]
+    assert len(strongly_connected(n, [[j for j, _ in r] for r in rows])) == 1
+    x = solve_affine(rows, b)
+    assert x == dense_reference(rows, b)
+    assert all(type(v) is F and gcd(v.numerator, v.denominator) == 1 for v in x)
