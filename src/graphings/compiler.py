@@ -17,6 +17,7 @@ edges land in the result intervals without moving anything.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
@@ -45,11 +46,22 @@ class CompiledMachine:
     automaton: Automaton
     dialect_states: tuple
     start_state: int
-    provenance: dict  # Edge -> list of (key, Instruction)
 
     @property
     def heads(self) -> int:
         return self.automaton.heads
+
+    @cached_property
+    def provenance(self) -> dict:
+        """Edge -> list of ``(key, Instruction)``: the table rows behind it.
+
+        Made on first read, by emitting the automaton's edges again with
+        recording on and keeping those of this machine's graphing, so a
+        pruned machine holds the full machine's, restricted to its edges.
+        """
+        recorded: dict = {}
+        _emit_edges(self.automaton, recorded)
+        return {e: recorded[e] for e in self.graphing.edges}
 
     def label(self, index: int) -> DialectState:
         return self.dialect_states[index]
@@ -88,13 +100,24 @@ def _stack_parts(op: str) -> tuple[int, str]:
 
 
 def compile_automaton(a: Automaton) -> CompiledMachine:
+    dialect_states, start, edges = _emit_edges(a)
+    graphing = GraphingRep(full_symbol_region(), tuple(range(len(dialect_states))),
+                           tuple(edges))
+    return CompiledMachine(graphing, a, dialect_states, start)
+
+
+def _emit_edges(a: Automaton, provenance: dict | None = None):
+    """The dialect, start state and edge list of the compiled ``a``.
+
+    With a ``provenance`` dict, each edge's ``(key, Instruction)`` table
+    rows are recorded in it as well.
+    """
     k = a.heads
     marker = "*" * k
     identity = tuple(range(1, k + 1))
     dialect_states, index = _enumerate_dialect(a)
     start = index[DialectState(INIT, identity, marker, "*")]
     edges: list[Edge] = []
-    provenance: dict = {}
     parts: dict = {}
 
     def part(make, *args):
@@ -109,7 +132,8 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
         edge = Edge(part(_source, sym, last), in_state, out, realizer,
                     part(Weight, instr.prob))
         edges.append(edge)
-        provenance.setdefault(edge, []).append((key, instr))
+        if provenance is not None:
+            provenance.setdefault(edge, []).append((key, instr))
 
     # Start edges: the probe arrives on a result interval with the bottom
     # marker tracked, the machine believing every head reads the marker.
@@ -175,10 +199,7 @@ def compile_automaton(a: Automaton) -> CompiledMachine:
                                 emit(src_sym, "", in_state, out,
                                      part(Realizer, shift, tau, (), 0, pushes),
                                      key, t)
-
-    graphing = GraphingRep(full_symbol_region(), tuple(range(len(dialect_states))),
-                           tuple(edges))
-    return CompiledMachine(graphing, a, dialect_states, start, provenance)
+    return dialect_states, start, edges
 
 
 def prune_reachable(m: CompiledMachine) -> CompiledMachine:
@@ -197,9 +218,7 @@ def prune_reachable(m: CompiledMachine) -> CompiledMachine:
                 seen.add(e.out_state)
                 frontier.append(e.out_state)
     graphing = GraphingRep(m.graphing.support, tuple(sorted(seen)), tuple(kept))
-    provenance = {e: m.provenance[e] for e in kept}
-    return CompiledMachine(graphing, m.automaton, m.dialect_states,
-                           m.start_state, provenance)
+    return CompiledMachine(graphing, m.automaton, m.dialect_states, m.start_state)
 
 
 def format_compiled(m: CompiledMachine) -> str:

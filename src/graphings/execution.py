@@ -370,7 +370,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     cut contributes its source piece, pulled back from where it exits,
     weighted by the product of the probabilities along it, with cyclic mass
     summed exactly.  Families ending on the same dialect pairs, composite and
-    flag are refined together, so pieces that overlap add their weights.
+    flag are refined together, so pieces that overlap add their weights; a
+    family of one piece is kept as it is.
     """
     whole_f = Region(tuple(cut.left_rest.atoms) + tuple(cut.cut.atoms))
     whole_g = Region(tuple(cut.cut.atoms) + tuple(cut.right_rest.atoms))
@@ -393,12 +394,16 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
 
     edges = []
     for (in_i, out_i, comp, flag), found in families.items():
-        cells, covers = refine_regions([Region((piece,)) for piece, _ in found])
-        masses = [_ZERO] * len(cells)
-        for (_, mass), cover in zip(found, covers):
-            for ci in cover:
-                masses[ci] += mass
-        for cell, mass in zip(cells, masses):
+        # One piece, never null, is its own refinement; more are refined
+        # together and their masses added per cell.
+        if len(found) > 1:
+            cells, covers = refine_regions([Region((piece,)) for piece, _ in found])
+            masses = [_ZERO] * len(cells)
+            for (_, mass), cover in zip(found, covers):
+                for ci in cover:
+                    masses[ci] += mass
+            found = zip(cells, masses)
+        for cell, mass in found:
             if mass == 0:
                 continue
             try:

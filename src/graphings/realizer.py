@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .space import (Atom, Region, _atom, _canon_box, box_get, box_intersect,
-                    expand_prefix, sym_shift)
+from .space import (Atom, Region, _atom, _canon_box, _new_object, _set,
+                    box_get, box_intersect, expand_prefix, sym_shift)
 from . import theta
 
 # Permutations are stored as sorted tuples of (source, image) pairs covering
@@ -99,18 +99,16 @@ class Realizer:
 
     def compose(self, then: "Realizer") -> "Realizer":
         """Realizer applying ``self`` first and ``then`` afterwards."""
-        perm = perm_compose(self.perm, then.perm)
-        coords = ({c for c, _ in self.box_shift} | {c for c, _ in then.box_shift}
-                  | {perm_apply(then.perm, c) for c, _ in self.box_shift})
-        shifts = {}
-        for c in coords:
-            amount = then.box_shift_at(c) + self.box_shift_at(perm_apply(perm_inverse(then.perm), c))
-            if amount:
-                shifts[c] = amount
+        perm = perm_compose(self.perm, then.perm) if self.perm or then.perm else ()
+        # ``then`` carries each translation of ``self`` along with its coordinate
+        shifts = dict(then.box_shift)
+        for c, a in self.box_shift:
+            c = perm_apply(then.perm, c)
+            shifts[c] = shifts.get(c, 0) + a
+        box_shift = tuple(sorted((c, a) for c, a in shifts.items() if a))
         pushes, pops = theta.pair_mul((then.pushes, then.pops),
                                       (self.pushes, self.pops))
-        return Realizer(self.shift + then.shift, perm,
-                        tuple(shifts.items()), pops, pushes)
+        return _realizer(self.shift + then.shift, perm, box_shift, pops, pushes)
 
     # -- action ---------------------------------------------------------------
 
@@ -191,7 +189,21 @@ class Realizer:
         pointwise compare equal.
         """
         pushes, pops = theta.cancel_on((self.pushes, self.pops), prefix)
-        return Realizer(self.shift, self.perm, self.box_shift, pops, pushes)
+        if pops == self.pops:
+            return self
+        return _realizer(self.shift, self.perm, self.box_shift, pops, pushes)
+
+
+def _realizer(shift: int, perm: tuple, box_shift: tuple, pops: int,
+              pushes: str) -> Realizer:
+    """A realizer from parts already in canonical form; nothing is checked."""
+    r = _new_object(Realizer)
+    _set(r, "shift", shift)
+    _set(r, "perm", perm)
+    _set(r, "box_shift", box_shift)
+    _set(r, "pops", pops)
+    _set(r, "pushes", pushes)
+    return r
 
 
 def in_microcosm(r: Realizer, kind: str, index: int | None = None) -> bool:

@@ -72,6 +72,22 @@ def test_provenance_points_back_at_instructions():
             assert instr in m.automaton.delta[key]
 
 
+def test_provenance_is_made_only_when_read():
+    m = compile_automaton(by_name("flip-per-one"))
+    assert "provenance" not in vars(m)
+    lean = prune_reachable(m)
+    assert "provenance" not in vars(m) and "provenance" not in vars(lean)
+    assert set(m.provenance) == set(m.graphing.edges)
+    assert "provenance" in vars(m)
+
+
+def test_pruned_provenance_is_the_full_one_restricted_to_kept_edges():
+    full = compile_automaton(by_name("flip-per-one"))
+    lean = prune_reachable(full)
+    assert len(lean.graphing.edges) < len(full.graphing.edges)
+    assert lean.provenance == {e: full.provenance[e] for e in lean.graphing.edges}
+
+
 def test_invalid_machine_is_rejected():
     with pytest.raises(ValidationError):
         Automaton("bad", 1, (ACCEPT, REJECT, "init"), {

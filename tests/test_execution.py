@@ -19,9 +19,10 @@ from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
 from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
-                                is_deterministic)
+                                format_graphing, is_deterministic)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, Region, box_get, region_of
+from graphings.space import (Atom, Interval, Region, box_get, refine_regions,
+                             region_of)
 from graphings.words import (bang_representation, canonical_representation,
                              word_graph)
 
@@ -134,6 +135,51 @@ def test_plug_tiles_an_image_straddling_cells():
     out = plug(f, g, cut_between(f, g))
     assert [format_edge(e) for e in out.edges] == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
+
+
+def _refined(g: GraphingRep) -> GraphingRep:
+    """``g`` with every edge source replaced by its own refinement."""
+    return GraphingRep(g.support, g.dialect, tuple(
+        replace(e, source=Region(tuple(refine_regions([e.source])[0])))
+        for e in g.edges))
+
+
+def test_plug_keeps_one_piece_families_as_they_are():
+    # the two halves of the image go on to r along different composites,
+    # so each family holds one piece, emitted as it is
+    low = Atom("0i", (Interval(F(0), F(1, 2)),))
+    high = Atom("0i", (Interval(F(1, 2), F(1)),))
+    f, g = _pair((Edge(region_of(A), 0, 0,
+                       Realizer(shift=-4, box_shift=((1, F(1, 4)),))),),
+                 (Edge(region_of(low), 0, 0, _C1_TO_B),
+                  Edge(region_of(high), 0, 0,
+                       Realizer(shift=5, box_shift=((1, F(-1, 2)),)))))
+    out = plug(f, g, cut_between(f, g))
+    assert [format_edge(e) for e in out.sorted_edges()] == [
+        "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1",
+        "edge: a|[1/4,1/2]|-|0 @ 0 @ 0 @ s1 b1:-1/4 @ 1"]
+    assert format_graphing(_refined(out)) == format_graphing(out)
+
+
+@pytest.mark.parametrize("make", [random_det_pair, random_subprob_pair])
+def test_plugged_sources_are_their_own_refinement(make):
+    for seed in range(40):
+        out = plug(*make(seed))
+        assert format_graphing(_refined(out)) == format_graphing(out), seed
+
+
+def test_plug_adds_the_masses_of_overlapping_pieces_per_cell():
+    # two overlapping sources of g send the probe on to r along the same
+    # composite: one family of two pieces, a|[0,1/4] and a|[0,1/2]
+    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
+                 (Edge(region_of(Atom("0i", (Interval(F(0), F(1, 4)),))), 0, 0,
+                       _C1_TO_B, Weight(F(1, 2))),
+                  Edge(region_of(Atom("0i", (Interval(F(0), F(1, 2)),))), 0, 0,
+                       _C1_TO_B, Weight(F(1, 2)))))
+    out = plug(f, g, cut_between(f, g))
+    assert [format_edge(e) for e in out.sorted_edges()] == [
+        "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 @ 1",
+        "edge: a|[1/4,1/2]|-|0 @ 0 @ 0 @ s1 @ 1/2"]
 
 
 def test_plug_tracks_the_origin_cylinder_through_a_carved_cut():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from graphings.errors import ValidationError
 from graphings.realizer import (Realizer, in_microcosm, perm_apply,
                                 perm_compose, perm_inverse, perm_of, swap)
-from graphings.space import Atom, Interval
+from graphings.space import Atom, Interval, Region, ae_equal
 
 
 def test_perm_representation_drops_fixed_points():
@@ -166,3 +166,45 @@ def test_apply_atom_pieces_tile_the_atom(shift, pushes, pops, cyl):
         return
     assert sum(p.measure for p, _ in pairs) == a.measure
     assert sum(i.measure for _, i in pairs) == a.measure * F(3) ** (pops - len(pushes))
+
+
+_amount = st.sampled_from([F(1, 8), F(-1, 8), F(1, 4), F(-1, 4)])
+_realizer = st.builds(
+    Realizer, st.integers(-1, 1),
+    st.sampled_from([(), swap(1, 2), swap(2, 3), perm_of({1: 2, 2: 3, 3: 1})]),
+    st.lists(st.tuples(st.integers(1, 3), _amount), max_size=3,
+             unique_by=lambda ca: ca[0]).map(tuple),
+    st.integers(0, 2), st.text(alphabet="*01", max_size=2))
+_MIDDLE = Interval(F(3, 8), F(5, 8))
+_SAMPLES = [Region((Atom(sym, (_MIDDLE,) * 3, cyl),))
+            for sym in ("0i", "0o") for cyl in ("", "1", "0*")]
+
+
+@given(_realizer, _realizer)
+def test_composite_is_canonical_and_applies_in_order(a, b):
+    c = a.compose(b)
+    # the unchecked composite is what the validated constructor would build
+    assert c == Realizer(c.shift, c.perm, c.box_shift, c.pops, c.pushes)
+    assert all(amount for _, amount in c.box_shift)
+    for region in _SAMPLES:
+        try:
+            stepwise = b.apply(a.apply(region))
+        except ValidationError:
+            continue  # a step leaves the unit box
+        assert ae_equal(c.apply(region), stepwise)
+
+
+def test_cancelling_translations_leave_no_zero_entry():
+    there = Realizer(box_shift=((1, F(1, 4)),))
+    assert there.compose(Realizer(box_shift=((1, F(-1, 4)),))).box_shift == ()
+    # the permutation first carries the translation onto coordinate 2
+    back = Realizer(perm=swap(1, 2), box_shift=((2, F(-1, 4)),))
+    assert there.compose(back) == Realizer(perm=swap(1, 2))
+    assert there.compose(back).box_shift == ()
+
+
+def test_normalized_on_keeps_the_realizer_when_nothing_cancels():
+    r = Realizer(shift=1, box_shift=((1, F(1, 4)),), pops=1, pushes="*")
+    assert r.normalized_on("0") is r
+    assert r.normalized_on("") is r
+    assert r.normalized_on("*0") == Realizer(shift=1, box_shift=((1, F(1, 4)),))

@@ -238,3 +238,31 @@ def test_interval_text_is_the_fraction_text(p):
 def test_intervals_have_no_order():
     with pytest.raises(TypeError):
         Interval(F(0), F(1, 2)) < Interval(F(1, 3), F(1))
+
+
+def _disjoint(atoms) -> Region:
+    """The atoms that meet none kept before them, as a region."""
+    kept = []
+    for a in atoms:
+        if all(a.intersect(b) is None for b in kept):
+            kept.append(a)
+    return Region(tuple(kept))
+
+
+_region = st.lists(_atom, max_size=4).map(_disjoint)
+_null_atom = st.builds(lambda sym, x, cyl: Atom(sym, (Interval(x, x),), cyl),
+                       st.sampled_from(["a", "r"]),
+                       st.sampled_from([F(0), F(1, 3), F(1)]),
+                       st.text(alphabet="*01", max_size=2))
+
+
+@given(_region, _region, _region, st.none() | _null_atom)
+def test_subset_ae_by_measure_is_the_refinement_answer(r2, cutters, extra, null):
+    # r1: atoms that may stick out of r2, then parts of r2's atoms (inside
+    # r2 by construction), then possibly a null atom, inside anything
+    inside = [got for a in r2.atoms for b in cutters.atoms
+              if (got := a.intersect(b)) is not None]
+    assert subset_ae(Region(tuple(inside)), r2)
+    r1 = _disjoint(list(extra.atoms) + inside + ([null] if null else []))
+    _, (c1, c2) = refine_regions([r1, r2])
+    assert subset_ae(r1, r2) == (c1 <= c2)
