@@ -21,16 +21,17 @@ from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
-from .automata import ACCEPT, INIT, REJECT, Automaton, lookup
+from .automata import ACCEPT, INIT, REJECT, Automaton, _format_instr, lookup
 from .errors import ValidationError
-from .graphing import MAX_DIALECT_RANGE, Edge, GraphingRep, Weight
+from .graphing import (MAX_DIALECT_RANGE, Edge, GraphingRep, Weight,
+                       format_edge, format_header)
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
 
 _RESULT_SYM = {ACCEPT: "a", REJECT: "r"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialectState:
     """One dialect state: control state, head placement, beliefs, last pop."""
 
@@ -62,6 +63,15 @@ class CompiledMachine:
         recorded: dict = {}
         _emit_edges(self.automaton, recorded)
         return {e: recorded[e] for e in self.graphing.edges}
+
+    @cached_property
+    def reachable(self) -> GraphingRep:
+        """The graphing cut down to the edges reachable from the start state.
+
+        Made on first read; path sums walk it, so they never index the
+        edges that no dialogue can reach.
+        """
+        return prune_reachable(self).graphing
 
     def label(self, index: int) -> DialectState:
         return self.dialect_states[index]
@@ -227,12 +237,8 @@ def format_compiled(m: CompiledMachine) -> str:
     Comment lines start with '#' and are skipped by the parser, so the
     output is an ordinary graphing file.
     """
-    from .automata import _format_instr
-    from .graphing import format_edge, format_graphing
-
-    head = format_graphing(m.graphing).splitlines()[:2]
     lines = [f"# compiled from {m.automaton.name or 'unnamed machine'}"]
-    lines.extend(head)
+    lines.extend(format_header(m.graphing))
     for e in m.graphing.sorted_edges():
         for (read, state, last), instr in m.provenance.get(e, ()):
             lines.append(f"# rule {read} | {state} | {last or '-'} -> "

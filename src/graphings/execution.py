@@ -20,7 +20,13 @@ question depend only on the question's symbol and box: each is computed
 once per word graphing, kept in its ``answer_table``, and folded into the
 machine move.  Every interned configuration is thus a machine
 configuration, and the node budget ``linsolve.MAX_NODES`` counts exactly
-those.
+those.  The machine side is computed once as well: a compiled machine is
+walked on its ``reachable`` graphing (the edges reachable from its start
+state), whose ``move_table`` keeps each move out of a state and an atom.
+No machine edge reads or pops more than the graphing's ``stack_reach``
+symbols of the cylinder, so the table's key drops the rest of the
+cylinder, which passes through every move unchanged; the table therefore
+does not grow with the stack budget.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
 breadth first under the node budget, prunes to the ancestors of an exit,
@@ -245,11 +251,17 @@ def _moves(candidates, atom: Atom):
 
 
 def _machine_parts(machine):
+    """The probing side's start state and the graphing its walk reads.
+
+    A compiled machine is walked on its reachable edges only; any other
+    machine on its whole graphing.
+    """
     start = getattr(machine, "start_state", None)
     if start is None:
         raise ValidationError("no start dialect state: pass a compiled machine "
                               "or set start_state")
-    return start, getattr(machine, "graphing", machine).edge_index
+    g = getattr(machine, "reachable", None)
+    return start, g if g is not None else getattr(machine, "graphing", machine)
 
 
 def _word_parts(w):
@@ -269,7 +281,8 @@ def accept_path_sum(machine, word, accept_region: Region,
     Branches whose tracked cylinder would outgrow the stack budget are
     dropped and flagged, making the class totals exact lower bounds.
     """
-    start, m_index = _machine_parts(machine)
+    start, m = _machine_parts(machine)
+    m_index, moves, reach = m.edge_index, m.move_table, m.stack_reach
     w_state, w_index, answers = _word_parts(word)
     depth = opts.stack_depth
     for a0 in accept_region.atoms:
@@ -280,14 +293,26 @@ def accept_path_sum(machine, word, accept_region: Region,
     # question's cylinder alone and depend only on the question's (symbol,
     # box).  Its table keeps them at the empty cylinder, across path sums;
     # each is moved onto the question's cylinder.
-    def answer(question: Atom):
-        key = (question.sym, question.box)
+    def answer(sym: str, box: tuple):
+        key = (sym, box)
         got = answers.get(key)
         if got is None:
-            bare = _atom(question.sym, question.box, "", 0)
             got = answers[key] = tuple(
                 (e.weight.p, img) for e, _, img in
-                _moves(w_index.get((w_state, question.sym), ()), bare))
+                _moves(w_index.get((w_state, sym), ()), _atom(sym, box, "", 0)))
+        return got
+
+    # The machine's moves out of an atom read at most ``reach`` symbols of
+    # its cylinder, so its table keeps them with the rest of the cylinder
+    # dropped, across path sums; each is moved back onto the whole cylinder.
+    def machine_moves(state: int, atom: Atom):
+        key = (state, atom.sym, atom.box, atom.cyl[:reach])
+        got = moves.get(key)
+        if got is None:
+            head = _atom(atom.sym, atom.box, key[3], 0)
+            got = moves[key] = tuple(
+                (e, piece.cyl[len(head.cyl):], img.sym, img.box) for e, piece, img
+                in _moves(m_index.get((state, atom.sym), ()), head))
         return got
 
     # key: (atom, dialect state, composite as (pushes, pops), origin
@@ -296,18 +321,21 @@ def accept_path_sum(machine, word, accept_region: Region,
     # truncation bound.
     def expand(key):
         atom, state, stack, origin = key
-        for e, piece, img in _moves(m_index.get((state, atom.sym), ()), atom):
-            if len(img.cyl) > depth:
+        for e, grow, sym, box in machine_moves(state, atom):
+            r = e.realizer
+            cyl = r.pushes + (atom.cyl + grow)[r.pops:]
+            if len(cyl) > depth:
                 yield "exit", e.weight.p, None
                 continue
-            new_stack = pair_mul((e.realizer.pushes, e.realizer.pops), stack)
-            new_origin = origin + piece.cyl[len(atom.cyl):]
-            if img.sym not in RESULT_SYMBOLS:
-                for q, ans in answer(img):
-                    if img.cyl:
-                        ans = _atom(ans.sym, ans.box, img.cyl, 0)
+            new_stack = pair_mul((r.pushes, r.pops), stack)
+            new_origin = origin + grow
+            if sym not in RESULT_SYMBOLS:
+                for q, ans in answer(sym, box):
+                    if cyl:
+                        ans = _atom(ans.sym, ans.box, cyl, 0)
                     yield "node", e.weight.p * q, (ans, e.out_state, new_stack, new_origin)
-            elif any(img.intersect(ra) is not None for ra in accept_region.atoms):
+            elif any(_atom(sym, box, cyl, 0).intersect(ra) is not None
+                     for ra in accept_region.atoms):
                 pushes, pops = cancel_on(new_stack, new_origin)
                 yield "exit", e.weight.p, pushes + "c" * pops
 
@@ -329,7 +357,8 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     only bound the length.  No stack budget applies: the length bound
     already bounds the stack.
     """
-    start, m_index = _machine_parts(machine)
+    start, m = _machine_parts(machine)
+    m_index = m.edge_index
     w_state, w_index, _ = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))

@@ -50,7 +50,7 @@ class Weight:
 WEIGHT_ONE = Weight(ONE, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: Region
     in_state: int
@@ -142,6 +142,27 @@ class GraphingRep:
                     or any(a.cyl for a in e.source.atoms)):
                 raise ValidationError("the answering side must be stack-free")
         return {}
+
+    @cached_property
+    def move_table(self) -> dict:
+        """This graphing's moves as the machine side of a dialogue.
+
+        Maps ``(state, sym, box, cyl[:stack_reach])`` of an atom to its
+        moves ``((edge, grow, image sym, image box), ...)``: ``grow`` is
+        what the moved piece adds to the atom's cylinder.  No edge reads
+        or pops past ``stack_reach`` symbols, so the rest of the cylinder
+        rides along unchanged and the key drops it.  Empty when made;
+        ``execution.accept_path_sum`` fills it as atoms arrive, and it is
+        kept with the representative like ``edge_index``.
+        """
+        return {}
+
+    @cached_property
+    def stack_reach(self) -> int:
+        """How deep any edge looks into the stack: its longest source
+        cylinder or pop count."""
+        return max((max(e.realizer.pops, len(a.cyl))
+                    for e in self.edges for a in e.source.atoms), default=0)
 
     # conveniences over the module-level predicates below
     def equivalent(self, other: "GraphingRep") -> bool:
@@ -397,9 +418,14 @@ def format_edge(e: Edge) -> str:
             f" @ {format_realizer(e.realizer)} @ {format_weight(e.weight)}")
 
 
+def format_header(g: GraphingRep) -> list:
+    """The ``dialect:`` and ``support:`` lines of a graphing file."""
+    return [f"dialect: {_format_ints(g.dialect)}",
+            f"support: {format_region(g.support)}"]
+
+
 def format_graphing(g: GraphingRep) -> str:
-    lines = [f"dialect: {_format_ints(g.dialect)}",
-             f"support: {format_region(g.support)}"]
+    lines = format_header(g)
     lines.extend(format_edge(e) for e in g.sorted_edges())
     return "\n".join(lines) + "\n"
 

@@ -199,7 +199,7 @@ def cyl_intersect(u: str, v: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """One measurable brick: symbol interval x box x cylinder, at a dialect state."""
 
@@ -263,8 +263,7 @@ _new_object, _set = object.__new__, object.__setattr__
 def _atom(sym: str, box: tuple, cyl: str, state: int) -> Atom:
     """An atom from parts already valid, ``box`` canonical; nothing is checked."""
     atom = _new_object(Atom)
-    # field by field, like the generated __init__: reading ``__dict__``
-    # would give every atom its own dict and double its size
+    # field by field, like the generated __init__: an atom has slots, no dict
     _set(atom, "sym", sym)
     _set(atom, "box", box)
     _set(atom, "cyl", cyl)

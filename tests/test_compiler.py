@@ -1,14 +1,16 @@
 """Compilation of machines into graph-shaped dynamics."""
 
 from fractions import Fraction as F
+import hashlib
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
-from graphings import compiler
+from graphings import compiler, graphing
 from graphings.automata import ACCEPT, REJECT, Automaton, Instruction
 from graphings.compiler import compile_automaton, format_compiled, prune_reachable
-from graphings.corpus import by_name
+from graphings.corpus import by_name, corpus
 from graphings.errors import ValidationError
 from graphings.execution import accept_path_sum
 from graphings.graphing import (MAX_DIALECT_RANGE, is_deterministic,
@@ -127,14 +129,17 @@ def test_widest_dialect_a_file_can_name_is_enumerated(monkeypatch):
 
 
 def test_prune_keeps_behaviour():
-    a = by_name("flip-per-one")
-    full = compile_automaton(a)
-    lean = prune_reachable(full)
-    assert len(lean.graphing.edges) <= len(full.graphing.edges)
-    for w in ("", "1", "10"):
-        rep = canonical_representation(w)
-        assert (accept_path_sum(full, rep, ACCEPT_REGION).total
-                == accept_path_sum(lean, rep, ACCEPT_REGION).total)
+    for a in corpus():
+        full = compile_automaton(a)
+        lean = prune_reachable(full)
+        assert len(lean.graphing.edges) <= len(full.graphing.edges)
+        # a bare graphing with a start state is walked on all of its edges
+        whole = SimpleNamespace(graphing=full.graphing, start_state=full.start_state)
+        for w in ("", "0", "1"):
+            rep = canonical_representation(w)
+            want = accept_path_sum(whole, rep, ACCEPT_REGION).total
+            assert accept_path_sum(full, rep, ACCEPT_REGION).total == want, (a.name, w)
+            assert accept_path_sum(lean, rep, ACCEPT_REGION).total == want, (a.name, w)
 
 
 def test_immediate_accept_is_the_unit_dialogue():
@@ -159,3 +164,29 @@ def test_compiled_text_carries_provenance_comments():
     assert parsed.dialect == m.graphing.dialect
     assert parsed.support == m.graphing.support.sorted()
     assert parsed.sorted_edges() == m.graphing.sorted_edges()
+
+
+# the text ``format_compiled`` writes for a stack-free and a pushdown corpus
+# machine, pinned as SHA-256 so it stays the same bytes
+COMPILED_TEXT_SHA256 = {
+    "even-ones": "5e71058ce05386aee2906b8b03437599a79d2bce57edff3f7a89ad46525fbd5c",
+    "zeros-then-ones": "bcca782a0bdeaf813513f5efcfe7e1b3be4a6f048632aa8053cfc4e596a74085",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_TEXT_SHA256))
+def test_compiled_text_formats_each_edge_once(name, monkeypatch):
+    formatted = []
+    real = graphing.format_edge
+
+    def counting(e):
+        formatted.append(e)
+        return real(e)
+
+    monkeypatch.setattr(graphing, "format_edge", counting)
+    monkeypatch.setattr(compiler, "format_edge", counting)
+    m = compile_automaton(by_name(name))
+    text = format_compiled(m)
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_TEXT_SHA256[name]
+    assert len(formatted) == len(m.graphing.edges)
+    assert set(formatted) == set(m.graphing.edges)

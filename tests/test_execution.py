@@ -7,7 +7,7 @@ from itertools import count
 
 import pytest
 
-from graphings import linsolve, words
+from graphings import compiler, linsolve, words
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
@@ -20,6 +20,7 @@ from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
                                 format_graphing, is_deterministic)
+from graphings.measurement import make_test
 from graphings.realizer import Realizer
 from graphings.space import (Atom, Interval, Region, box_get, refine_regions,
                              region_of)
@@ -457,21 +458,76 @@ class _CountingEdges(tuple):
         return super().__iter__()
 
 
-def test_path_sums_reuse_the_machine_edge_index():
+def test_path_sums_reuse_the_machine_edge_index(monkeypatch):
     m = compile_automaton(by_name("two-head-palindrome"))
     rep = canonical_representation("010")
     first = accept_path_sum(m, rep, ACCEPT_REGION)
-    index = m.graphing.edge_index
-    # the representative is frozen; swap its edges for a counting copy
-    edges = _CountingEdges(m.graphing.edges)
-    edges.scans = 0
-    object.__setattr__(m.graphing, "edges", edges)
-    table = rep.graphing.answer_table
-    assert table
+    walked = m.reachable
+    index, moves = walked.edge_index, walked.move_table
+    answers = rep.graphing.answer_table
+    assert moves and answers
+    # the representatives are frozen; swap their edges for counting copies
+    counted = []
+    for g in (m.graphing, walked):
+        edges = _CountingEdges(g.edges)
+        edges.scans = 0
+        object.__setattr__(g, "edges", edges)
+        counted.append(edges)
+    applied = []
+    apply_atom = Realizer.apply_atom
+    monkeypatch.setattr(Realizer, "apply_atom",
+                        lambda r, atom: applied.append(r) or apply_atom(r, atom))
+
+    def no_prune(machine):
+        raise AssertionError("the machine was pruned again")
+
+    monkeypatch.setattr(compiler, "prune_reachable", no_prune)
     assert accept_path_sum(m, rep, ACCEPT_REGION) == first
-    assert m.graphing.edge_index is index
-    assert edges.scans == 0
-    assert rep.graphing.answer_table is table
+    assert applied == []
+    assert [edges.scans for edges in counted] == [0, 0]
+    assert m.reachable is walked
+    assert walked.edge_index is index and walked.move_table is moves
+    assert "edge_index" not in vars(m.graphing)
+    assert rep.graphing.answer_table is answers
+
+
+# every member region of the three test families: the result intervals
+# and the shrinking cubes, bare and under the cylinder ``"*" * n``
+def _member_regions(heads: int):
+    tests = [make_test("neg"), make_test("pos", heads=heads),
+             make_test("prob", heads=heads, epsilon=F(1, 2))]
+    return [mb.region for t in tests for mb in t.members]
+
+
+def test_move_table_answers_match_a_fresh_machine(monkeypatch):
+    # a move kept under too short a key can run away; fail fast
+    monkeypatch.setattr(linsolve, "MAX_NODES", 10_000)
+    for a in corpus():
+        queries = [(w, region) for w in ("", "0", "1", "00", "01", "10", "11")
+                   for region in _member_regions(a.heads)]
+        warm = compile_automaton(a)
+        # the warmed machine has run every query, the later ones first
+        for w, region in reversed(queries):
+            accept_path_sum(warm, canonical_representation(w), region)
+        compiled = compile_automaton(a)
+        for w, region in queries:
+            # each copy of the compiled machine walks a reachable graphing
+            # of its own, so its move table starts empty
+            fresh = replace(compiled)
+            rep = canonical_representation(w)
+            assert (accept_path_sum(warm, rep, region)
+                    == accept_path_sum(fresh, rep, region)), (a.name, w, region)
+
+
+def test_move_table_does_not_grow_with_the_stack_budget():
+    m = compile_automaton(by_name("biased-stack-walk"))
+    sizes = []
+    for depth in (8, 16):
+        for w in ("", "0", "01", "0110", "101101"):
+            accept_path_sum(m, canonical_representation(w), ACCEPT_REGION,
+                            ExecOptions(stack_depth=depth))
+        sizes.append(len(m.reachable.move_table))
+    assert sizes[0] == sizes[1] > 0
 
 
 def test_word_side_is_read_at_its_own_dialect_state():
