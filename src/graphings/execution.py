@@ -2,10 +2,10 @@
 
 Plugging two graphings along a cut region sums the weights of alternating
 paths through the cut, exactly.  A walk starts from each rest atom and reads
-both sides' moves from their edge indexes, as the path sum does: every move
-narrows the family to the part of the edge source it meets, splits the image
-against the cut (a turn of the other side) and the rests (an exit), and
-deepens the tracked cylinder of the origin as pops and narrower targets
+both sides' moves from ``GraphingRep.moves``, as the path sum does: every
+move narrows the family to the part of the edge source it meets, splits the
+image against the cut (a turn of the other side) and the rests (an exit),
+and deepens the tracked cylinder of the origin as pops and narrower targets
 demand.  Each exit is pulled back onto its origin through the running
 composite realizer; no partition is built up front.
 
@@ -16,17 +16,15 @@ when no answer matches, but its weight stays the product of the edge
 probabilities along it, and families are bucketed by the net stack word of
 their composite, reduced against the cylinder they started from.  The word
 must be stack-free, as every word representation is, so its answers to a
-question depend only on the question's symbol and box: each is computed
-once per word graphing, kept in its ``answer_table``, and folded into the
-machine move.  Every interned configuration is thus a machine
-configuration, and the node budget ``linsolve.MAX_NODES`` counts exactly
-those.  The machine side is computed once as well: a compiled machine is
-walked on its ``reachable`` graphing (the edges reachable from its start
-state), whose ``move_table`` keeps each move out of a state and an atom.
-No machine edge reads or pops more than the graphing's ``stack_reach``
-symbols of the cylinder, so the table's key drops the rest of the
-cylinder, which passes through every move unchanged; the table therefore
-does not grow with the stack budget.
+question depend only on the question's symbol and box and leave its
+cylinder alone; they are folded into the machine move.  Every interned
+configuration is thus a machine configuration, and the node budget
+``linsolve.MAX_NODES`` counts exactly those.  A compiled machine is walked
+on its ``reachable`` graphing (the edges reachable from its start state).
+
+Every walk, ``enumerate_paths`` too, reads both sides' moves from
+``GraphingRep.moves``, which computes each once per graphing and keeps it
+across walks; the walk rebuilds each image's cylinder from the move.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
 breadth first under the node budget, prunes to the ancestors of an exit,
@@ -240,16 +238,6 @@ def _solve_walk(seeds, expand, what: str) -> list:
             for s, i in enumerate(kept) for p, payload in exits[i]]
 
 
-def _moves(candidates, atom: Atom):
-    """Every move of ``atom`` along indexed edges, as ``(edge, piece, image)``."""
-    for src, e in candidates:
-        inter = atom.intersect(src)
-        if inter is None:
-            continue
-        for piece, img in e.realizer.apply_atom(inter):
-            yield e, piece, img
-
-
 def _machine_parts(machine):
     """The probing side's start state and the graphing its walk reads.
 
@@ -265,10 +253,21 @@ def _machine_parts(machine):
 
 
 def _word_parts(w):
-    """The answering side's dialect state, edge index and answer table."""
+    """The answering side's graphing and its one dialect state."""
     g = getattr(w, "graphing", w)
-    table = g.answer_table  # refuses a side that is not stack-free
-    return g.dialect[0], g.edge_index, table
+    if len(g.dialect) != 1:
+        raise ValidationError("the answering side must have a one-state dialect")
+    if not g.stack_free:
+        raise ValidationError("the answering side must be stack-free")
+    return g, g.dialect[0]
+
+
+def _spatial(atoms: tuple, what: str) -> tuple:
+    """Atoms a walk reads, which must be spatial: ``GraphingRep.moves``
+    keys an atom without its state."""
+    if any(a.state for a in atoms):
+        raise ValidationError(f"{what} must be spatial")
+    return atoms
 
 
 def accept_path_sum(machine, word, accept_region: Region,
@@ -282,38 +281,9 @@ def accept_path_sum(machine, word, accept_region: Region,
     dropped and flagged, making the class totals exact lower bounds.
     """
     start, m = _machine_parts(machine)
-    m_index, moves, reach = m.edge_index, m.move_table, m.stack_reach
-    w_state, w_index, answers = _word_parts(word)
+    w, w_state = _word_parts(word)
+    probes = _spatial(accept_region.atoms, "the probed region")
     depth = opts.stack_depth
-    for a0 in accept_region.atoms:
-        if a0.state != 0:
-            raise ValidationError("the probed region must be spatial")
-
-    # The word is stack-free, so its answers leave stack, origin and the
-    # question's cylinder alone and depend only on the question's (symbol,
-    # box).  Its table keeps them at the empty cylinder, across path sums;
-    # each is moved onto the question's cylinder.
-    def answer(sym: str, box: tuple):
-        key = (sym, box)
-        got = answers.get(key)
-        if got is None:
-            got = answers[key] = tuple(
-                (e.weight.p, img) for e, _, img in
-                _moves(w_index.get((w_state, sym), ()), _atom(sym, box, "", 0)))
-        return got
-
-    # The machine's moves out of an atom read at most ``reach`` symbols of
-    # its cylinder, so its table keeps them with the rest of the cylinder
-    # dropped, across path sums; each is moved back onto the whole cylinder.
-    def machine_moves(state: int, atom: Atom):
-        key = (state, atom.sym, atom.box, atom.cyl[:reach])
-        got = moves.get(key)
-        if got is None:
-            head = _atom(atom.sym, atom.box, key[3], 0)
-            got = moves[key] = tuple(
-                (e, piece.cyl[len(head.cyl):], img.sym, img.box) for e, piece, img
-                in _moves(m_index.get((state, atom.sym), ()), head))
-        return got
 
     # key: (atom, dialect state, composite as (pushes, pops), origin
     # cylinder), always at the machine's turn.  An exit bucket of None marks
@@ -321,7 +291,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     # truncation bound.
     def expand(key):
         atom, state, stack, origin = key
-        for e, grow, sym, box in machine_moves(state, atom):
+        for e, grow, sym, box in m.moves(state, atom.sym, atom.box, atom.cyl):
             r = e.realizer
             cyl = r.pushes + (atom.cyl + grow)[r.pops:]
             if len(cyl) > depth:
@@ -330,16 +300,16 @@ def accept_path_sum(machine, word, accept_region: Region,
             new_stack = pair_mul((r.pushes, r.pops), stack)
             new_origin = origin + grow
             if sym not in RESULT_SYMBOLS:
-                for q, ans in answer(sym, box):
-                    if cyl:
-                        ans = _atom(ans.sym, ans.box, cyl, 0)
-                    yield "node", e.weight.p * q, (ans, e.out_state, new_stack, new_origin)
+                # a stack-free answer neither reads nor moves the cylinder
+                for ans, _, s, b in w.moves(w_state, sym, box, ""):
+                    yield "node", e.weight.p * ans.weight.p, (
+                        _atom(s, b, cyl, 0), e.out_state, new_stack, new_origin)
             elif any(_atom(sym, box, cyl, 0).intersect(ra) is not None
-                     for ra in accept_region.atoms):
+                     for ra in probes):
                 pushes, pops = cancel_on(new_stack, new_origin)
                 yield "exit", e.weight.p, pushes + "c" * pops
 
-    seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in accept_region.atoms]
+    seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in probes]
     totals: dict = {}
     for mass, bucket in _solve_walk(seeds, expand, "dialogue"):
         totals[bucket] = totals.get(bucket, _ZERO) + mass
@@ -358,8 +328,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     already bounds the stack.
     """
     start, m = _machine_parts(machine)
-    m_index = m.edge_index
-    w_state, w_index, _ = _word_parts(word)
+    w, w_state = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))
     out: list = []
@@ -367,17 +336,19 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     def walk(atom: Atom, state: int, turn: int, used: int, weight: Fraction):
         if used >= max_edges:
             return
-        if turn == 0:
-            for e, _, img in _moves(m_index.get((state, atom.sym), ()), atom):
-                w = weight * e.weight.p
-                out.append(w)
-                if img.sym not in RESULT_SYMBOLS:
-                    walk(img, e.out_state, 1, used + 1, w)
-        else:
-            for e, _, img in _moves(w_index.get((w_state, atom.sym), ()), atom):
-                walk(img, state, 0, used + 1, weight * e.weight.p)
+        side, s = (m, state) if turn == 0 else (w, w_state)
+        for e, grow, sym, box in side.moves(s, atom.sym, atom.box, atom.cyl):
+            r = e.realizer
+            img = _atom(sym, box, r.pushes + (atom.cyl + grow)[r.pops:], 0)
+            p = weight * e.weight.p
+            if turn == 1:
+                walk(img, state, 0, used + 1, p)
+            else:
+                out.append(p)
+                if sym not in RESULT_SYMBOLS:
+                    walk(img, e.out_state, 1, used + 1, p)
 
-    for a0 in accept_region.atoms:
+    for a0 in _spatial(accept_region.atoms, "the probed region"):
         walk(a0, start, 0, 0, _ONE)
     return sorted(out)
 
@@ -410,6 +381,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         raise ValidationError("right support must be the cut plus the right rest")
     if not disjoint_ae(cut.left_rest, cut.right_rest):
         raise ValidationError("the two rests overlap")
+    _spatial(whole_f.atoms + cut.right_rest.atoms, "the cut and the rests")
 
     pair_index = {pr: i for i, pr in enumerate(plug_dialect_pairs(f, g))}
     families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]
@@ -466,17 +438,19 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
     # the part of ``origin`` that the family carries.
     def expand(key):
         turn, atom, first, cur, comp, ocyl, flag = key
-        side = sides[turn]
+        side, cyl = sides[turn], atom.cyl
         for s in side.dialect if cur[turn] is None else (cur[turn],):
             new_first = first if cur[turn] is not None else _with(first, turn, s)
-            for e, piece, img in _moves(side.edge_index.get((s, atom.sym), ()), atom):
-                nxt = comp.compose(e.realizer)
+            for e, grow, sym, box in side.moves(s, atom.sym, atom.box, cyl):
+                r = e.realizer
+                nxt = comp.compose(r)
                 if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
                     if opts.strict:
                         raise TruncationError("composite stack action outgrew the budget")
                     continue
                 new_cur = _with(cur, turn, e.out_state)
-                deeper = ocyl + piece.cyl[len(atom.cyl):]
+                img = _atom(sym, box, r.pushes + (cyl + grow)[r.pops:], 0)
+                deeper = ocyl + grow
                 for kind, target in zones:
                     part = img.intersect(target)
                     if part is not None:

@@ -21,12 +21,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
-from .space import (ONE, ZERO, Region, ae_equal, expand_prefix, format_region,
-                    parse_region, refine_regions, subset_ae)
+from .space import (ONE, ZERO, Region, _atom, ae_equal, expand_prefix,
+                    format_region, parse_region, refine_regions, subset_ae)
 from . import theta
 
 
@@ -111,58 +110,48 @@ class GraphingRep:
     def sorted_edges(self) -> tuple:
         return tuple(sorted(self.edges, key=Edge.key))
 
-    @cached_property
-    def edge_index(self):
-        """Read-only ``(in_state, sym) -> ((source atom, edge), ...)``.
+    def moves(self, state: int, sym: str, box: tuple, cyl: str) -> tuple:
+        """Every move out of an atom at a dialect state, computed once.
 
-        Built over every edge on first use and kept with the representative;
-        equality and hashing still look at the fields only.
+        Returns ``((edge, grow, image sym, image box), ...)``: ``grow`` is
+        what the moved piece adds to the atom's cylinder ``cyl``, and the
+        image's cylinder is ``pushes + (cyl + grow)[pops:]`` under the
+        edge's realizer.  No edge reads or pops past the graphing's stack
+        reach (its longest source cylinder or pop count), so the rest of
+        the cylinder rides along unchanged and the table's key drops it: the
+        table does not grow with the stack.  The atom must be spatial.
         """
+        table, index, reach = self._move_parts
+        key = (state, sym, box, cyl[:reach])
+        got = table.get(key)
+        if got is None:
+            head = _atom(sym, box, key[3], 0)
+            got = table[key] = tuple(
+                (e, piece.cyl[len(head.cyl):], img.sym, img.box)
+                for src, e in index.get((state, sym), ())
+                if (inter := head.intersect(src)) is not None
+                for piece, img in e.realizer.apply_atom(inter))
+        return got
+
+    @cached_property
+    def _move_parts(self) -> tuple:
+        """``moves``' table (filled as atoms arrive), its ``(in_state, sym)``
+        edge index and the stack reach, made on first use and kept with the
+        representative; equality and hashing still look at the fields only."""
         index: dict = {}
+        reach = 0
         for e in self.edges:
             for a in e.source.atoms:
                 index.setdefault((e.in_state, a.sym), []).append((a, e))
-        return MappingProxyType({k: tuple(v) for k, v in index.items()})
+                reach = max(reach, e.realizer.pops, len(a.cyl))
+        return {}, index, reach
 
     @cached_property
-    def answer_table(self) -> dict:
-        """This graphing's answers as the stack-free side of a dialogue.
-
-        Maps a question's ``(sym, box)`` to its answers ``((p, image), ...)``,
-        every image at the empty cylinder.  Empty when made;
-        ``execution.accept_path_sum`` fills it as questions arrive, and it is
-        kept with the representative like ``edge_index``.  It can only be
-        made for a one-state graphing whose edges neither pop, push nor
-        guard on a cylinder, as then no answer depends on the stack.
-        """
-        if len(self.dialect) != 1:
-            raise ValidationError("the answering side must have a one-state dialect")
-        for e in self.edges:
-            if (e.realizer.pops or e.realizer.pushes
-                    or any(a.cyl for a in e.source.atoms)):
-                raise ValidationError("the answering side must be stack-free")
-        return {}
-
-    @cached_property
-    def move_table(self) -> dict:
-        """This graphing's moves as the machine side of a dialogue.
-
-        Maps ``(state, sym, box, cyl[:stack_reach])`` of an atom to its
-        moves ``((edge, grow, image sym, image box), ...)``: ``grow`` is
-        what the moved piece adds to the atom's cylinder.  No edge reads
-        or pops past ``stack_reach`` symbols, so the rest of the cylinder
-        rides along unchanged and the key drops it.  Empty when made;
-        ``execution.accept_path_sum`` fills it as atoms arrive, and it is
-        kept with the representative like ``edge_index``.
-        """
-        return {}
-
-    @cached_property
-    def stack_reach(self) -> int:
-        """How deep any edge looks into the stack: its longest source
-        cylinder or pop count."""
-        return max((max(e.realizer.pops, len(a.cyl))
-                    for e in self.edges for a in e.source.atoms), default=0)
+    def stack_free(self) -> bool:
+        """No edge pops, pushes or guards on a cylinder: no move depends on
+        the stack, and every move leaves it alone."""
+        return not any(e.realizer.pops or e.realizer.pushes
+                       or any(a.cyl for a in e.source.atoms) for e in self.edges)
 
     # conveniences over the module-level predicates below
     def equivalent(self, other: "GraphingRep") -> bool:

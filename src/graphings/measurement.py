@@ -13,6 +13,7 @@ sampled representations.
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+from numbers import Real
 import random
 
 from .errors import TruncationError, ValidationError
@@ -28,11 +29,23 @@ class TestMember:
     region: Region
 
 
+# each family's law on the mass of its members
+_LAWS = {"neg": "zero", "pos": "positive", "prob": "threshold"}
+
+
 @dataclass(frozen=True)
 class Test:
     kind: str                   # "neg" | "pos" | "prob"
     members: tuple
     epsilon: Fraction | None = None
+
+    def __post_init__(self):
+        if self.kind not in _LAWS:
+            raise ValidationError(f"unknown test kind {self.kind!r}")
+        if self.kind == "prob":
+            if not isinstance(self.epsilon, Real) or not 0 <= self.epsilon <= 1:
+                raise ValidationError("a probability test needs a threshold in [0,1]")
+            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
 
 
 def _pos_region(n: int, cyl: str = "") -> Region:
@@ -54,16 +67,10 @@ def make_test(kind: str, heads: int = 1,
         raise ValidationError(f"head count must be at least 0, got {heads}")
     if kind == "neg":
         return Test("neg", (TestMember("reject[1]", Region((Atom("r"),))),))
-    if kind == "pos":
-        return Test("pos", tuple(TestMember(f"cube[{n}]", _pos_region(n))
-                                 for n in range(1, heads + 2)))
-    if kind == "prob":
-        if epsilon is None or not 0 <= epsilon <= 1:
-            raise ValidationError("a probability test needs a threshold in [0,1]")
-        return Test("prob", tuple(TestMember(f"cube[{n}]", _pos_region(n, "*" * n))
-                                  for n in range(1, heads + 2)),
-                    Fraction(epsilon))
-    raise ValidationError(f"unknown test kind {kind!r}")
+    tail = "*" if kind == "prob" else ""
+    return Test(kind, tuple(TestMember(f"cube[{n}]", _pos_region(n, tail * n))
+                            for n in range(1, heads + 2)),
+                epsilon if kind == "prob" else None)
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,7 @@ def orthogonal_to_test(machine, word, test: Test,
     engine; the family's law is then an exact comparison.  When truncation
     leaves the comparison undecidable this raises instead of guessing.
     """
-    law = {"neg": "zero", "pos": "positive", "prob": "threshold"}[test.kind]
+    law = _LAWS[test.kind]
     rows = []
     for mb in test.members:
         ps: PathSum = accept_path_sum(machine, word, mb.region, opts)

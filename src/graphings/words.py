@@ -125,8 +125,8 @@ def canonical_representation(word: str) -> WordRepresentation:
     """The identity-injection representation on the fewest cells.
 
     It depends on the word alone and is frozen, so one representation per
-    word is kept, together with the edge index and answer table that its
-    graphing builds on first use; the memo holds at most ``MEMO_WORDS``.
+    word is kept, together with the move table that its graphing fills as
+    walks ask it; the memo holds at most ``MEMO_WORDS``.
     """
     rep = _canonical.get(word)
     if rep is None:

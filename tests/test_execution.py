@@ -189,9 +189,16 @@ def test_plug_tracks_the_origin_cylinder_through_a_carved_cut():
     # later read
     f, g = _popping_pair()
     cut = cut_between(f, g)
-    deep = Region(tuple(Atom(a.sym, a.box, c) for a in cut.cut.atoms for c in "*01"))
+    deep = replace(cut, cut=Region(tuple(Atom(a.sym, a.box, c)
+                                         for a in cut.cut.atoms for c in "*01")))
     opts = ExecOptions(stack_depth=5, strict=False)
-    assert plug(f, g, replace(cut, cut=deep), opts).equivalent(plug(f, g, cut, opts))
+    assert plug(f, g, deep, opts).equivalent(plug(f, g, cut, opts))
+    # the move tables, warm from both plugs, key on one cylinder symbol
+    # while the origins' cylinders grow to five; fresh copies start empty
+    assert f._move_parts[2] == 1
+    for spec in (deep, cut):
+        assert (format_graphing(plug(f, g, spec, opts))
+                == format_graphing(plug(replace(f), replace(g), spec, opts)))
 
 
 def _carved(region: Region) -> Region:
@@ -209,6 +216,16 @@ def test_plug_does_not_depend_on_how_the_rests_are_carved(make):
         f, g, cut = make(seed)
         carved = CutSpec(cut.cut, _carved(cut.left_rest), _carved(cut.right_rest))
         assert plug(f, g, carved).equivalent(plug(f, g, cut)), seed
+
+
+@pytest.mark.parametrize("make", [random_det_pair, random_subprob_pair])
+def test_a_warm_move_table_plugs_as_fresh_graphings(make):
+    for seed in range(40):
+        f, g, cut = make(seed)
+        # the carved rests warm both tables on other origins first
+        plug(f, g, CutSpec(cut.cut, _carved(cut.left_rest), _carved(cut.right_rest)))
+        assert (format_graphing(plug(f, g, cut))
+                == format_graphing(plug(replace(f), replace(g), cut))), seed
 
 
 def test_plug_of_split_subprobabilistic_sources_is_equivalent():
@@ -411,6 +428,31 @@ def test_answering_side_must_be_stack_free(change):
         enumerate_paths(m, word)
 
 
+def test_answering_side_must_have_one_dialect_state():
+    m = compile_automaton(by_name("even-ones"))
+    g = canonical_representation("01").graphing
+    word = replace(g, dialect=(0, 1))
+    with pytest.raises(ValidationError, match="one-state dialect"):
+        accept_path_sum(m, word, ACCEPT_REGION)
+    with pytest.raises(ValidationError, match="one-state dialect"):
+        enumerate_paths(m, word)
+
+
+def test_walks_refuse_a_start_atom_off_the_space():
+    # the move table keys an atom without its dialect state
+    m = compile_automaton(by_name("even-ones"))
+    rep = canonical_representation("")
+    probe = Region((Atom("a", state=1),))
+    with pytest.raises(ValidationError, match="must be spatial"):
+        accept_path_sum(m, rep, probe)
+    with pytest.raises(ValidationError, match="must be spatial"):
+        enumerate_paths(m, rep, accept_region=probe)
+    f = GraphingRep(region_of(A.with_state(1), C1), (0,), ())
+    g = GraphingRep(region_of(C1, B), (0,), ())
+    with pytest.raises(ValidationError, match="must be spatial"):
+        plug(f, g, cut_between(f, g))
+
+
 def test_memoised_word_answers_match_a_fresh_representation(monkeypatch):
     # biased-stack-walk asks first and on deep cylinders, so every later
     # machine reads answers kept at the empty cylinder and moved onto its own
@@ -458,25 +500,32 @@ class _CountingEdges(tuple):
         return super().__iter__()
 
 
-def test_path_sums_reuse_the_machine_edge_index(monkeypatch):
-    m = compile_automaton(by_name("two-head-palindrome"))
-    rep = canonical_representation("010")
-    first = accept_path_sum(m, rep, ACCEPT_REGION)
-    walked = m.reachable
-    index, moves = walked.edge_index, walked.move_table
-    answers = rep.graphing.answer_table
-    assert moves and answers
-    # the representatives are frozen; swap their edges for counting copies
-    counted = []
-    for g in (m.graphing, walked):
-        edges = _CountingEdges(g.edges)
-        edges.scans = 0
-        object.__setattr__(g, "edges", edges)
-        counted.append(edges)
+def _count_moves(monkeypatch) -> list:
+    """Record every realizer a move computation applies from now on."""
     applied = []
     apply_atom = Realizer.apply_atom
     monkeypatch.setattr(Realizer, "apply_atom",
                         lambda r, atom: applied.append(r) or apply_atom(r, atom))
+    return applied
+
+
+def test_path_sums_reuse_the_machine_edge_index(monkeypatch):
+    m = compile_automaton(by_name("two-head-palindrome"))
+    rep = canonical_representation("010")
+    first = accept_path_sum(m, rep, ACCEPT_REGION)
+    walked, word = m.reachable, rep.graphing
+    # the machine's table and the word's answers, both filled by the walk
+    parts = [g._move_parts for g in (walked, word)]
+    assert all(table for table, _, _ in parts)
+    sizes = [len(table) for table, _, _ in parts]
+    # the representatives are frozen; swap their edges for counting copies
+    counted = []
+    for g in (m.graphing, walked, word):
+        edges = _CountingEdges(g.edges)
+        edges.scans = 0
+        object.__setattr__(g, "edges", edges)
+        counted.append(edges)
+    applied = _count_moves(monkeypatch)
 
     def no_prune(machine):
         raise AssertionError("the machine was pruned again")
@@ -484,11 +533,24 @@ def test_path_sums_reuse_the_machine_edge_index(monkeypatch):
     monkeypatch.setattr(compiler, "prune_reachable", no_prune)
     assert accept_path_sum(m, rep, ACCEPT_REGION) == first
     assert applied == []
-    assert [edges.scans for edges in counted] == [0, 0]
+    assert [edges.scans for edges in counted] == [0, 0, 0]
     assert m.reachable is walked
-    assert walked.edge_index is index and walked.move_table is moves
-    assert "edge_index" not in vars(m.graphing)
-    assert rep.graphing.answer_table is answers
+    assert all(g._move_parts is got for g, got in zip((walked, word), parts))
+    assert [len(table) for table, _, _ in parts] == sizes
+    assert "_move_parts" not in vars(m.graphing)
+
+
+def test_second_plug_and_enumeration_compute_no_move(monkeypatch):
+    f, g, cut = random_subprob_pair(7)
+    m = compile_automaton(by_name("two-head-palindrome"))
+    rep = canonical_representation("010")
+    first_plug = format_graphing(plug(f, g, cut))
+    first_paths = enumerate_paths(m, rep, max_edges=12)
+    assert first_paths
+    applied = _count_moves(monkeypatch)
+    assert format_graphing(plug(f, g, cut)) == first_plug
+    assert enumerate_paths(m, rep, max_edges=12) == first_paths
+    assert applied == []
 
 
 # every member region of the three test families: the result intervals
@@ -519,15 +581,21 @@ def test_move_table_answers_match_a_fresh_machine(monkeypatch):
                     == accept_path_sum(fresh, rep, region)), (a.name, w, region)
 
 
-def test_move_table_does_not_grow_with_the_stack_budget():
+def test_move_table_does_not_grow_with_the_stack_budget(monkeypatch):
     m = compile_automaton(by_name("biased-stack-walk"))
-    sizes = []
-    for depth in (8, 16):
+
+    def size_and_reach(depth: int) -> tuple:
         for w in ("", "0", "01", "0110", "101101"):
             accept_path_sum(m, canonical_representation(w), ACCEPT_REGION,
                             ExecOptions(stack_depth=depth))
-        sizes.append(len(m.reachable.move_table))
-    assert sizes[0] == sizes[1] > 0
+        table, _, reach = m.reachable._move_parts
+        return len(table), reach
+
+    warm = size_and_reach(8)
+    assert warm[0] > 0 and warm[1] == 1
+    applied = _count_moves(monkeypatch)
+    assert size_and_reach(16) == warm
+    assert applied == []
 
 
 def test_word_side_is_read_at_its_own_dialect_state():

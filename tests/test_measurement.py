@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from graphings import measurement
 from graphings.automata import ACCEPT, accept_probability
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
@@ -42,6 +43,17 @@ def test_prob_family_pins_stack_tail_and_needs_epsilon():
         make_test("prob", heads=1, epsilon=2)
     with pytest.raises(ValidationError):
         make_test("nope")
+
+
+def test_a_hand_built_test_checks_its_fields():
+    # ``Test`` is imported through its module so pytest does not collect it
+    members = make_test("pos").members
+    with pytest.raises(ValidationError, match="unknown test kind 'bogus'"):
+        measurement.Test("bogus", ())
+    for epsilon in (None, "1/2", 2):
+        with pytest.raises(ValidationError, match="threshold"):
+            measurement.Test("prob", members, epsilon)
+    assert measurement.Test("prob", members, 0.5).epsilon == F(1, 2)
 
 
 @pytest.mark.parametrize("kind", ["neg", "pos", "prob"])
