@@ -13,11 +13,10 @@ from .automata import (ACCEPT, INIT, REJECT, Automaton, Instruction,
                        read_vector, trace_enumerate)
 from .compiler import (CompiledMachine, DialectState, compile_automaton,
                        format_compiled, prune_reachable)
-from .errors import (ClosureViolation, DiscretizationError, FormatError,
-                     GraphingError, TruncationError, ValidationError)
-from .execution import (CutSpec, ExecOptions, PathSum, ThickEdge, ThickGraph,
-                        ThickNode, accept_path_sum, cut_between, discretize,
-                        enumerate_paths, plug, plug_dialect_pairs)
+from .errors import (ClosureViolation, FormatError, GraphingError,
+                     TruncationError, ValidationError)
+from .execution import (CutSpec, ExecOptions, PathSum, accept_path_sum,
+                        cut_between, enumerate_paths, plug, plug_dialect_pairs)
 from .graphing import (Edge, GraphingRep, Weight, WEIGHT_ONE, equivalent,
                        format_graphing, format_realizer, format_weight,
                        is_deterministic, is_refinement, is_subprobabilistic,

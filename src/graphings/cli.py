@@ -16,13 +16,13 @@ from .automata import (ACCEPT, REJECT, accept_probability, parse_automaton,
 from .compiler import compile_automaton, format_compiled
 from .corpus import by_name
 from .errors import GraphingError
-from .execution import ExecOptions, accept_path_sum, discretize, plug
+from .execution import ExecOptions, accept_path_sum, plug
 from .generators import random_det_pair, random_subprob_pair, split_sources
 from .graphing import format_graphing, parse_graphing
 from .measurement import make_test, membership
 from .space import Atom, Region
 from .theta import format_theta, reduce, reduce_random
-from .words import canonical_representation, word_graph, bang_representation
+from .words import bang_representation, word_graph
 
 
 def _load_machine(spec: str):
@@ -48,6 +48,13 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise GraphingError(f"not a fraction: {text!r}") from None
+
+
+def _word_rep(w: str, cells: int | None):
+    """The representation of ``w`` that ``accept`` walks: position i in cell
+    i, on ``cells`` cells (default one per position)."""
+    return bang_representation(word_graph(w), range(len(w) + 1),
+                               cells or len(w) + 1)
 
 
 def _println(*parts):
@@ -76,8 +83,7 @@ def cmd_accept(args) -> int:
     opts = ExecOptions(stack_depth=args.stack_depth)
     p_oracle, oracle_exact = accept_probability(a, w, args.stack_depth)
     m = compile_automaton(a)
-    cells = args.grid or len(w) + 1
-    rep = bang_representation(word_graph(w), tuple(range(len(w) + 1)), cells)
+    rep = _word_rep(w, args.grid)
     ps = accept_path_sum(m, rep, Region((Atom("a"),)), opts)
     _println("machine:", a.name)
     _println("word:", args.word)
@@ -138,27 +144,17 @@ def cmd_dump(args) -> int:
         sys.stdout.write(format_compiled(m))
         return 0
     if args.word is not None:
-        w = _word(args.word)
+        # the two graphings ``accept`` walks, both built before any output
         m = compile_automaton(a)
-        rep = canonical_representation(w)
-        grid = args.grid or rep.cells
-        thick_m, thick_w = discretize(m.graphing, rep.graphing, grid)
-        for label, tg in (("machine", thick_m), ("word", thick_w)):
-            _println(f"{label}: {len(tg.nodes)} nodes, {len(tg.edges)} edges, "
-                     f"grid {tg.grid}")
-            for e in tg.edges:
-                s, t = tg.nodes[e.source], tg.nodes[e.target]
-                _println(" ", _thick_node(s), "->", _thick_node(t),
-                         f"w={e.weight.p}", f"theta={format_theta(e.theta)}",
-                         f"guard={e.guard or '-'}")
+        rep = _word_rep(_word(args.word), args.grid)
+        _println(f"# reachable graphing of {a.name} from start state "
+                 f"{m.start_state}")
+        sys.stdout.write(format_graphing(m.reachable))
+        _println(f"# word {args.word} on {rep.cells} cells")
+        sys.stdout.write(format_graphing(rep.graphing))
         return 0
     sys.stdout.write(format_automaton(a))
     return 0
-
-
-def _thick_node(n) -> str:
-    cube = ",".join(f"{c}:{i}" for c, i in n.cube) or "-"
-    return f"{n.sym}[{cube}]@{n.state}"
 
 
 def _dump_counterexample(directory, name, text) -> str:
@@ -304,12 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("right")
     c.set_defaults(fn=cmd_equiv)
 
-    c = sub.add_parser("dump", help="print a machine, its graphing, or a grid view")
+    c = sub.add_parser("dump", help="print a machine, its graphing, or the two "
+                                    "graphings accept walks for a word")
     c.add_argument("machine")
-    c.add_argument("--graphing", action="store_true",
-                   help="print the compiled graphing instead of the rules")
-    c.add_argument("--word", help="discretize against this word")
-    c.add_argument("--grid", type=_count)
+    view = c.add_mutually_exclusive_group()
+    view.add_argument("--graphing", action="store_true",
+                      help="print the compiled graphing instead of the rules")
+    view.add_argument("--word", help="print the reachable graphing and this "
+                                     "word's representation, as accept walks them")
+    c.add_argument("--grid", type=_count,
+                   help="word cells, with --word (default: length + 1)")
     c.set_defaults(fn=cmd_dump)
 
     c = sub.add_parser("properties", help="run a randomized property suite")
@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "dump" and args.grid is not None and args.word is None:
+        ap.error("argument --grid: only with --word")
     try:
         return args.fn(args)
     except GraphingError as exc:

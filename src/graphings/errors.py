@@ -9,10 +9,6 @@ class ValidationError(GraphingError):
     """A value violates a structural invariant (malformed atom, bad machine table, ...)."""
 
 
-class DiscretizationError(GraphingError):
-    """A graphing does not restrict to the requested grid."""
-
-
 class ClosureViolation(GraphingError):
     """An execution diverges: the cut relation carries non-convergent weight mass."""
 

@@ -1,4 +1,4 @@
-"""Execution of graphings: discretization, plugging, and dialogue path sums.
+"""Execution of graphings: plugging and dialogue path sums.
 
 Plugging two graphings along a cut region sums the weights of alternating
 paths through the cut, exactly.  A walk starts from each rest atom and reads
@@ -38,13 +38,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import linsolve
-from .errors import (ClosureViolation, DiscretizationError, TruncationError,
-                     ValidationError)
+from .errors import ClosureViolation, TruncationError, ValidationError
 from .graphing import Edge, GraphingRep, Weight
 from .linsolve import prune, solve_affine
-from .realizer import Realizer, perm_apply
-from .space import (Atom, Region, RESULT_SYMBOLS, _atom, ae_equal, box_get,
-                    difference, disjoint_ae, refine_regions, sym_index)
+from .realizer import Realizer
+from .space import (Atom, Region, RESULT_SYMBOLS, _atom, ae_equal, difference,
+                    disjoint_ae, refine_regions)
 from .theta import cancel_on, pair_mul
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -76,82 +75,6 @@ def cut_between(f: GraphingRep, g: GraphingRep) -> CutSpec:
     if not disjoint_ae(left, right):
         raise ValidationError("supports overlap outside the shared cut")
     return CutSpec(shared.sorted(), left.sorted(), right.sorted())
-
-
-# --- discretized skeletons ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThickNode:
-    sym: str
-    cube: tuple  # sorted ((coordinate, cell index), ...) for constrained coords
-    state: int
-
-
-@dataclass(frozen=True)
-class ThickEdge:
-    source: int
-    target: int
-    weight: Weight
-    theta: str
-    guard: str
-
-
-@dataclass(frozen=True)
-class ThickGraph:
-    nodes: tuple
-    edges: tuple
-    grid: int
-
-
-def _grid_cells(iv, grid: int, what: str):
-    lo, hi = iv.lo * grid, iv.hi * grid
-    if lo.denominator != 1 or hi.denominator != 1:
-        raise DiscretizationError(
-            f"{what} endpoints [{iv.lo},{iv.hi}] do not sit on the 1/{grid} grid")
-    return range(int(lo), int(hi))
-
-
-def _thicken(g: GraphingRep, grid: int) -> ThickGraph:
-    raw_nodes: set = set()
-    raw_edges: list = []
-    for e in g.sorted_edges():
-        for piece, img in e.pieces():
-            coords = [c for c in range(1, len(piece.box) + 1)
-                      if box_get(piece.box, c).measure < 1]
-            cell_axes = [list(_grid_cells(box_get(piece.box, c), grid, "edge source"))
-                         for c in coords]
-            for combo in product(*cell_axes) if coords else [()]:
-                src_cube = tuple(zip(coords, combo))
-                dst = {}
-                for c, cell in src_cube:
-                    c2 = perm_apply(e.realizer.perm, c)
-                    move = e.realizer.box_shift_at(c2) * grid
-                    if move.denominator != 1:
-                        raise DiscretizationError(
-                            f"translation by {e.realizer.box_shift_at(c2)} is not "
-                            f"a multiple of 1/{grid}")
-                    dst[c2] = cell + int(move)
-                dst_cube = tuple(sorted(dst.items()))
-                src = ThickNode(piece.sym, src_cube, e.in_state)
-                tgt = ThickNode(img.sym, dst_cube, e.out_state)
-                raw_nodes.add(src)
-                raw_nodes.add(tgt)
-                raw_edges.append((src, tgt, e.weight, e.realizer.theta_word,
-                                  piece.cyl))
-    nodes = sorted(raw_nodes, key=lambda n: (sym_index(n.sym), n.cube, n.state))
-    index = {n: i for i, n in enumerate(nodes)}
-    edges = sorted((ThickEdge(index[s], index[t], w, th, gu)
-                    for s, t, w, th, gu in raw_edges),
-                   key=lambda e: (e.source, e.target, e.weight, e.theta, e.guard))
-    return ThickGraph(tuple(nodes), tuple(edges), grid)
-
-
-def discretize(f: GraphingRep, g: GraphingRep, grid: int):
-    """Finite skeletons of two graphings over a shared coordinate grid."""
-    if grid < 1:
-        raise ValidationError(f"grid must be positive, got {grid}")
-    return _thicken(f, grid), _thicken(g, grid)
 
 
 # --- dialogue path sums ---------------------------------------------------------

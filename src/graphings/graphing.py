@@ -42,9 +42,6 @@ class Weight:
         if self.flag not in (0, 1):
             raise ValidationError(f"weight flag must be 0 or 1, got {self.flag}")
 
-    def combine(self, other: "Weight") -> "Weight":
-        return Weight(self.p * other.p, max(self.flag, other.flag))
-
 
 WEIGHT_ONE = Weight(ONE, 0)
 

@@ -1,7 +1,9 @@
 """Command line behavior: exit codes, output shape, byte stability."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from graphings.automata import parse_automaton
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
 from graphings.graphing import format_graphing, parse_graphing
+from graphings.words import bang_representation, word_graph
 
 
 def run(capsys, *argv):
@@ -135,13 +138,25 @@ def test_dump_graphing_round_trips(capsys):
     assert g.equivalent(compile_automaton(by_name("coin-half")).graphing)
 
 
-def test_dump_grid_view(capsys):
-    code, out, _ = run(capsys, "dump", "even-ones", "--word", "01")
+@pytest.mark.parametrize("machine, word, grid", [("even-ones", "01", None),
+                                                 ("even-ones", "01", 5),
+                                                 ("biased-stack-walk", "0", None)])
+def test_dump_word_prints_the_graphings_accept_walks(machine, word, grid, capsys):
+    argv = ["dump", machine, "--word", word] + (["--grid", str(grid)] if grid else [])
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("machine: ")
-    assert any(line.startswith("word: 6 nodes, 6 edges, grid 3") for line in lines)
-    assert any("->" in line and "theta=" in line for line in lines)
+    m = compile_automaton(by_name(machine))
+    rep = bang_representation(word_graph(word), range(len(word) + 1),
+                              grid or len(word) + 1)
+    split = out.index("# word ")
+    machine_text, word_text = out[:split], out[split:]
+    assert machine_text.startswith(
+        f"# reachable graphing of {machine} from start state {m.start_state}\n")
+    assert word_text.startswith(f"# word {word} on {rep.cells} cells\n")
+    for text, want in ((machine_text, m.reachable), (word_text, rep.graphing)):
+        got = parse_graphing(text)
+        assert got.dialect == want.dialect and got.support == want.support
+        assert got.sorted_edges() == want.sorted_edges()
 
 
 @pytest.mark.parametrize("command", [["accept", "even-ones", "01"],
@@ -154,6 +169,20 @@ def test_grid_below_one_is_a_usage_error(command, grid, capsys):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "--grid" in out.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["dump", "even-ones", "--grid", "5"], "--grid"),
+    (["dump", "even-ones", "--graphing", "--word", "01"], "--word"),
+])
+def test_dump_option_it_would_ignore_is_a_usage_error(argv, option, capsys):
+    # the rule table and graphing views read no word, so printing them would
+    # drop the option unseen
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and option in out.err
 
 
 def test_grid_too_small_for_the_word_names_the_cells_needed(capsys):
@@ -222,9 +251,32 @@ def test_dialect_too_wide_to_compile_is_an_input_error(tmp_path, capsys,
 
 
 def test_output_is_byte_stable(capsys):
-    first = run(capsys, "accept", "coin-half", "-")
-    second = run(capsys, "accept", "coin-half", "-")
-    assert first == second
+    for argv in (["accept", "coin-half", "-"], ["dump", "even-ones", "--word", "01"]):
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second
+
+
+def test_readme_names_only_options_the_parser_has():
+    # every option README's command line section shows on a
+    # ``graphings <command>`` line, or on the lines continuing it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    found, command = [], None
+    for line in section.splitlines():
+        named = re.match(r"(?:\$ )?graphings (\w+)", line)
+        if named:
+            command = named.group(1)
+        elif not line.startswith(" "):
+            command = None
+        if command:
+            found += [(command, opt) for opt in re.findall(r"--[a-z][a-z-]*", line)]
+    assert ("dump", "--word") in found
+    ap = cli.build_parser()
+    commands = next(a for a in ap._actions if a.dest == "command").choices
+    for command, option in found:
+        assert option in commands[command]._option_string_actions, (
+            f"README shows graphings {command} {option}")
 
 
 def test_module_entry_point():

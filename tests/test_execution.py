@@ -1,4 +1,4 @@
-"""Dialogue engine: discretization, path sums, plugging along a cut."""
+"""Dialogue engine: path sums, plugging along a cut."""
 
 from collections import Counter
 from dataclasses import replace
@@ -11,11 +11,10 @@ from graphings import compiler, linsolve, words
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
-from graphings.errors import (ClosureViolation, DiscretizationError,
-                              TruncationError, ValidationError)
+from graphings.errors import ClosureViolation, TruncationError, ValidationError
 from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
-                                 cut_between, discretize, enumerate_paths,
-                                 plug, plug_dialect_pairs)
+                                 cut_between, enumerate_paths, plug,
+                                 plug_dialect_pairs)
 from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
@@ -253,23 +252,6 @@ def test_plug_keeps_unengaged_side_diagonal():
     out = plug(f, g, cut_between(f, g))
     assert len(out.edges) == 2
     assert {(e.in_state, e.out_state) for e in out.edges} == {(0, 0), (1, 1)}
-
-
-def test_discretize_counts_word_cells():
-    rep = canonical_representation("01")
-    m = compile_automaton(by_name("even-ones"))
-    _, thick_w = discretize(m.graphing, rep.graphing, 3)
-    assert thick_w.grid == 3
-    assert len(thick_w.nodes) == 6
-    assert len(thick_w.edges) == 6
-    assert all(e.weight == Weight(F(1)) for e in thick_w.edges)
-
-
-def test_discretize_rejects_off_grid_boxes():
-    rep = canonical_representation("0")  # cells of width 1/2
-    m = compile_automaton(by_name("even-ones"))
-    with pytest.raises(DiscretizationError):
-        discretize(m.graphing, rep.graphing, 3)
 
 
 def test_path_sum_of_immediate_accept():

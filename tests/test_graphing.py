@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from graphings.errors import ValidationError
-from graphings.graphing import (Edge, GraphingRep, WEIGHT_ONE, Weight,
-                                equivalent, format_graphing, is_deterministic,
+from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
+                                format_graphing, is_deterministic,
                                 is_refinement, is_subprobabilistic,
                                 parse_graphing)
 from graphings.realizer import Realizer
@@ -18,12 +18,6 @@ def test_weight_bounds():
         Weight(F(3, 2))
     with pytest.raises(ValidationError):
         Weight(F(1, 2), 2)
-
-
-def test_weight_combine_multiplies_and_ors():
-    got = Weight(F(1, 2), 0).combine(Weight(F(1, 3), 1))
-    assert got == Weight(F(1, 6), 1)
-    assert WEIGHT_ONE.combine(WEIGHT_ONE) == WEIGHT_ONE
 
 
 def test_edge_source_must_be_spatial_and_fat():
