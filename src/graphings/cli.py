@@ -132,7 +132,8 @@ def cmd_equiv(args) -> int:
         f = parse_graphing(fh.read())
     with open(args.right) as fh:
         g = parse_graphing(fh.read())
-    same = f.equivalent(g)
+    # equivalence is only meaningful between valid graphings
+    same = f.validate().equivalent(g.validate())
     _println("equivalent:", "yes" if same else "no")
     return 0 if same else 1
 

@@ -36,10 +36,11 @@ actions compose and cancel through ``theta``, as in ``Realizer``.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from . import linsolve
 from .errors import ClosureViolation, TruncationError, ValidationError
-from .graphing import Edge, GraphingRep, Weight
+from .graphing import GraphingRep, Weight, _edge
 from .linsolve import prune, solve_affine
 from .realizer import Realizer
 from .space import (Atom, Region, RESULT_SYMBOLS, _atom, ae_equal, difference,
@@ -316,7 +317,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                     families.setdefault((pair_index[in_pair], pair_index[out_pair],
                                          comp, flag), []).append((piece, mass))
 
-    edges = []
+    rows = []  # (cell, in pair, out pair, composite, weight)
     for (in_i, out_i, comp, flag), found in families.items():
         # One piece, never null, is its own refinement; more are refined
         # together and their masses added per cell.
@@ -334,11 +335,15 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                 weight = Weight(mass, flag)
             except ValidationError as exc:
                 raise ClosureViolation(f"path mass exceeds one: {exc}") from exc
-            edges.append(Edge(Region((cell,)), in_i, out_i, comp, weight))
-    edges.sort(key=lambda e: (e.source.atoms[0].sort_key(), e.in_state,
-                              e.out_state, e.realizer, e.weight.flag))
+            rows.append((cell, in_i, out_i, comp, weight))
+    # every endpoint over one denominator sorts the cells in ints
+    den = lcm(*(d for row in rows for _, _, d in row[0].box))
+    rows.sort(key=lambda row: (row[0].sort_key_over(den), *row[1:4], row[4].flag))
+    # the cells are positive-measure spatial atoms: nothing to check
+    edges = tuple(_edge(Region((cell,)), in_i, out_i, comp, weight)
+                  for cell, in_i, out_i, comp, weight in rows)
     support = Region(tuple(cut.left_rest.atoms) + tuple(cut.right_rest.atoms))
-    return GraphingRep(support, tuple(range(len(pair_index))), tuple(edges))
+    return GraphingRep(support, tuple(range(len(pair_index))), edges)
 
 
 def _with(pair: tuple, side: int, value) -> tuple:
@@ -388,7 +393,7 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
             [(seed, _ONE)], expand, "plug"):
         if mass == 0:
             continue
-        piece = comp.preimage_atom(Atom(origin.sym, origin.box, ocyl), part)
+        piece = comp.preimage_atom(_atom(origin.sym, origin.box, ocyl, 0), part)
         if piece is None:
             raise ClosureViolation("exit family lost its source piece")
         if cur[1 - side0] is None:

@@ -24,8 +24,9 @@ from functools import cached_property
 
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
-from .space import (ONE, ZERO, Region, _atom, ae_equal, expand_prefix,
-                    format_region, parse_region, refine_regions, subset_ae)
+from .space import (ONE, ZERO, Region, _atom, _new_object, _set, ae_equal,
+                    expand_prefix, format_region, parse_region, refine_regions,
+                    subset_ae)
 from . import theta
 
 
@@ -58,21 +59,29 @@ class Edge:
         for a in self.source.atoms:
             if a.state != 0:
                 raise ValidationError("edge sources are spatial; state lives in in_state")
-            if a.measure == 0:
+            if any(lo == hi for lo, hi, _ in a.box):
                 raise ValidationError("edge source atom has measure zero")
 
     def image(self) -> Region:
         return self.realizer.apply(self.source)
 
-    def pieces(self):
-        """Source split so the realizer acts exactly: ``(piece, image)`` pairs."""
-        for atom in self.source.atoms:
-            yield from self.realizer.apply_atom(atom)
-
     def key(self):
         return (self.in_state, self.out_state,
                 sorted(a.sort_key() for a in self.source.atoms),
                 self.realizer, self.weight)
+
+
+def _edge(source: Region, in_state: int, out_state: int, realizer: Realizer,
+          weight: Weight) -> Edge:
+    """An edge from parts already valid, spatial and non-null; nothing is
+    checked."""
+    e = _new_object(Edge)
+    _set(e, "source", source)
+    _set(e, "in_state", in_state)
+    _set(e, "out_state", out_state)
+    _set(e, "realizer", realizer)
+    _set(e, "weight", weight)
+    return e
 
 
 @dataclass(frozen=True)
@@ -166,25 +175,48 @@ class GraphingRep:
 
 # --- per-cell tables ----------------------------------------------------------
 #
-# The comparison predicates all start the same way: split every edge source
-# fine enough that the realizer acts exactly, refine everything into elementary
-# cells keyed by (spatial atom, in_state), and list what each cell carries.
+# ``equivalent`` splits every edge source as deep as its realizer pops, so the
+# realizer's normal form is fixed on each piece, refines all pieces into
+# elementary cells keyed by (spatial atom, in_state), and lists what each cell
+# carries.  The other two predicates look at where sources meet, by pairwise
+# intersection within an (in_state, symbol) group, and refine only those.
 
 
 def _cell_items(graphings):
     items = []  # (graphing index, single-atom region, payload)
     for gi, g in enumerate(graphings):
         for e in g.edges:
-            for piece, _ in e.pieces():
-                payload = (e.out_state, e.realizer.normalized_on(piece.cyl),
-                           e.weight)
-                items.append((gi, Region((piece.with_state(e.in_state),)), payload))
-    elementary, covers = refine_regions([r for _, r, _ in items])
+            r = e.realizer
+            for atom in e.source.atoms:
+                for cyl in expand_prefix(atom.cyl, r.pops):
+                    piece = _atom(atom.sym, atom.box, cyl, e.in_state)
+                    items.append((gi, Region((piece,)),
+                                  (e.out_state, r.normalized_on(cyl), e.weight)))
+    _, covers = refine_regions([r for _, r, _ in items])
     tables = [defaultdict(list) for _ in graphings]
     for (gi, _, payload), cover in zip(items, covers):
         for cell in cover:
             tables[gi][cell].append(payload)
-    return elementary, tables
+    return tables
+
+
+def _source_groups(g: GraphingRep) -> list:
+    """Per ``(in_state, symbol)``: the ``(source atom, probability)`` pairs."""
+    groups: dict = defaultdict(list)
+    for e in g.edges:
+        for a in e.source.atoms:
+            groups[(e.in_state, a.sym)].append((a, e.weight.p))
+    return list(groups.values())
+
+
+def _meeting(members: list) -> list:
+    """The members whose source atom meets another member's."""
+    hit = set()
+    for i, (a, _) in enumerate(members):
+        for j in range(i + 1, len(members)):
+            if a.intersect(members[j][0]) is not None:
+                hit.update((i, j))
+    return [members[i] for i in sorted(hit)]
 
 
 def equivalent(g1: GraphingRep, g2: GraphingRep) -> bool:
@@ -193,7 +225,7 @@ def equivalent(g1: GraphingRep, g2: GraphingRep) -> bool:
         return False
     if not ae_equal(g1.support, g2.support):
         return False
-    _, (t1, t2) = _cell_items([g1, g2])
+    t1, t2 = _cell_items([g1, g2])
     for cell in set(t1) | set(t2):
         if sorted(t1.get(cell, ())) != sorted(t2.get(cell, ())):
             return False
@@ -201,18 +233,33 @@ def equivalent(g1: GraphingRep, g2: GraphingRep) -> bool:
 
 
 def is_deterministic(g: GraphingRep) -> bool:
-    """At most one edge through every point at every state, with probability 1."""
+    """At most one edge through every point at every state, with probability 1.
+
+    Sources in different ``(in_state, symbol)`` groups never meet, so it is
+    enough that no two source atoms of one group intersect.
+    """
     if any(e.weight.p != ONE for e in g.edges):
         return False
-    _, (table,) = _cell_items([g])
-    return all(len(v) <= 1 for v in table.values())
+    return not any(_meeting(members) for members in _source_groups(g))
 
 
 def is_subprobabilistic(g: GraphingRep) -> bool:
-    """Total outgoing probability at most 1 through every point at every state."""
-    _, (table,) = _cell_items([g])
-    for payloads in table.values():
-        if sum((w.p for _, _, w in payloads), ZERO) > ONE:
+    """Total outgoing probability at most 1 through every point at every state.
+
+    Every probability is at most 1, so only points where sources meet can
+    carry more: per group, the sources that meet another one are refined
+    into cells, unless their probabilities add up to at most 1 anyway.
+    """
+    for members in _source_groups(g):
+        meeting = _meeting(members)
+        if sum(p for _, p in meeting) <= ONE:
+            continue
+        cells, covers = refine_regions([Region((a,)) for a, _ in meeting])
+        mass = [ZERO] * len(cells)
+        for (_, p), cover in zip(meeting, covers):
+            for ci in cover:
+                mass[ci] += p
+        if any(m > ONE for m in mass):
             return False
     return True
 

@@ -163,11 +163,17 @@ def _canon_box(box) -> tuple:
 
 def box_measure(box, den: int = 1) -> Fraction:
     """Measure of a box, divided by ``den``: one ``Fraction`` at the end."""
+    return Fraction(*_box_parts(box, den))
+
+
+def _box_parts(box, den: int = 1) -> tuple:
+    """Measure of a box, divided by ``den``, as ``(numerator, denominator)``
+    ints, not reduced."""
     num = 1
     for a, b, d in box:
         num *= b - a
         den *= d
-    return Fraction(num, den)
+    return num, den
 
 
 def box_get(box, coord: int) -> Interval:
@@ -256,6 +262,12 @@ class Atom:
         return (sym_index(self.sym), self.state, self.cyl,
                 tuple((iv.lo, iv.hi) for iv in self.box))
 
+    def sort_key_over(self, den: int):
+        """``sort_key``'s order in ints: ``den`` must be a multiple of every
+        interval's denominator."""
+        return (sym_index(self.sym), self.state, self.cyl,
+                tuple((a * (den // d), b * (den // d)) for a, b, d in self.box))
+
 
 _new_object, _set = object.__new__, object.__setattr__
 
@@ -312,10 +324,12 @@ def region_of(*atoms) -> Region:
 
 # --- common refinement -------------------------------------------------------
 #
-# Many predicates reduce to: carve a family of regions into elementary atoms
-# fine enough that every input atom is exactly a union of them.  Per
-# (symbol, state) group we split each coordinate at every endpoint present and
-# expand every cylinder prefix to the longest length present.
+# Where atoms overlap and carry different payloads (plug's masses, the
+# graphing predicates' edges), carve the family into elementary atoms fine
+# enough that every input atom is exactly a union of them.  Per (symbol,
+# state) group we split each coordinate at every endpoint present and expand
+# every cylinder prefix to the longest length present.  The region
+# comparisons below need no carving: they decide by pairwise intersection.
 
 
 def expand_prefix(prefix: str, depth: int):
@@ -373,8 +387,7 @@ def refine_regions(regions):
 
 def ae_equal(r1: Region, r2: Region) -> bool:
     """Do two regions agree up to a null set?"""
-    _, (c1, c2) = refine_regions([r1, r2])
-    return c1 == c2
+    return subset_ae(r1, r2) and subset_ae(r2, r1)
 
 
 def subset_ae(r1: Region, r2: Region) -> bool:
@@ -382,15 +395,19 @@ def subset_ae(r1: Region, r2: Region) -> bool:
 
     The atoms of ``r2`` are pairwise a.e.-disjoint, so an atom lies inside
     ``r2`` exactly when its intersections with them add up to its measure;
-    no refinement is built.
+    no refinement is built, and the measures are added as ints over one
+    denominator.
     """
     for a in r1.atoms:
-        covered = ZERO
+        num, den = 0, 1
         for b in r2.atoms:
             got = a.intersect(b)
             if got is not None:
-                covered += got.measure
-        if covered != a.measure:
+                n, d = _box_parts(got.box, 3 ** len(got.cyl))
+                common = lcm(den, d)
+                num, den = num * (common // den) + n * (common // d), common
+        n, d = _box_parts(a.box, 3 ** len(a.cyl))
+        if num * d != n * den:
             return False
     return True
 
@@ -402,7 +419,9 @@ def difference(r1: Region, r2: Region) -> Region:
 
 
 def disjoint_ae(r1: Region, r2: Region) -> bool:
-    return r1.intersect(r2).measure == 0
+    """Do two regions meet only on a null set?  An intersection is never a
+    null atom, so they do exactly when no two of their atoms intersect."""
+    return all(a.intersect(b) is None for a in r1.atoms for b in r2.atoms)
 
 
 # --- text form ---------------------------------------------------------------

@@ -119,6 +119,19 @@ def test_equiv_compares_graphing_files(tmp_path, capsys):
     assert code == 1 and "equivalent: no" in out
 
 
+@pytest.mark.parametrize("support, edge", [
+    # the source leaves the support
+    ("a|[0,1/2]|-|0", "a|[1/2,1]|-|0 @ 0 @ 0 @ id @ 1"),
+    # the image leaves the unit interval
+    ("a|-|-|0", "a|[0,1]|-|0 @ 0 @ 0 @ b1:1/2 @ 1"),
+])
+def test_equiv_refuses_an_invalid_graphing(tmp_path, capsys, support, edge):
+    path = tmp_path / "bad.graphing"
+    path.write_text(f"dialect: 0\nsupport: {support}\nedge: {edge}\n")
+    code, out, err = run(capsys, "equiv", str(path), str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_equiv_missing_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "equiv", str(tmp_path / "nope"), str(tmp_path / "nope"))
     assert code == 2 and err.startswith("error:")
