@@ -32,7 +32,7 @@ from .space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom, Interval,
                     subset_ae, sym_index, sym_of, sym_shift)
 from .theta import (format_theta, from_ops, is_normal, is_stack_accepting,
                     parse_theta, reduce, reduce_random, split_normal, theta_mul)
-from .words import (WordGraph, WordRepresentation, bang_representation,
-                    canonical_representation, rep_family, word_graph)
+from .words import (WordRepresentation, bang_representation,
+                    canonical_representation, rep_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

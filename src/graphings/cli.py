@@ -7,7 +7,9 @@ on the arguments, so identical invocations produce identical bytes.
 """
 
 import argparse
+from functools import partial
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -18,11 +20,12 @@ from .corpus import by_name
 from .errors import GraphingError
 from .execution import ExecOptions, accept_path_sum, plug
 from .generators import random_det_pair, random_subprob_pair, split_sources
-from .graphing import format_graphing, parse_graphing
-from .measurement import make_test, membership
+from .graphing import (format_graphing, is_deterministic, is_subprobabilistic,
+                       parse_graphing)
+from .measurement import check_uniformity, make_test, membership
 from .space import Atom, Region
 from .theta import format_theta, reduce, reduce_random
-from .words import bang_representation, word_graph
+from .words import bang_representation
 
 
 def _load_machine(spec: str):
@@ -53,8 +56,7 @@ def _fraction(text: str) -> Fraction:
 def _word_rep(w: str, cells: int | None):
     """The representation of ``w`` that ``accept`` walks: position i in cell
     i, on ``cells`` cells (default one per position)."""
-    return bang_representation(word_graph(w), range(len(w) + 1),
-                               cells or len(w) + 1)
+    return bang_representation(w, range(len(w) + 1), cells or len(w) + 1)
 
 
 def _println(*parts):
@@ -65,14 +67,15 @@ def cmd_compile(args) -> int:
     a = _load_machine(args.machine)
     m = compile_automaton(a)
     g = m.graphing
+    if args.out:  # written before any output, so a bad path prints nothing
+        with open(args.out, "w") as fh:
+            fh.write(format_compiled(m))
     _println("machine:", a.name)
     _println("heads:", a.heads)
     _println("stack:", "yes" if a.stack else "no")
     _println("dialect-states:", len(g.dialect))
     _println("edges:", len(g.edges))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(format_compiled(m))
         _println("wrote:", args.out)
     return 0
 
@@ -106,12 +109,12 @@ def cmd_membership(args) -> int:
                      epsilon=_fraction(args.epsilon) if args.epsilon else None)
     opts = ExecOptions(stack_depth=args.stack_depth)
     m = compile_automaton(a)
+    words = [_word(raw) for raw in args.words]  # all checked before any output
     _println("machine:", a.name)
     _println("test:", args.test + (f"[{test.epsilon}]" if test.epsilon is not None
                                    else ""))
     failures = 0
-    for raw in args.words:
-        w = _word(raw)
+    for raw, w in zip(args.words, words):
         report = membership(m, w, test, opts)
         if args.test == "neg":
             q, _ = accept_probability(a, w, args.stack_depth, outcome=REJECT)
@@ -158,55 +161,40 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _dump_counterexample(directory, name, text) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+def _seeds(args) -> range:
+    """The seeds a counted suite runs: ``--count`` of them (default 50)."""
+    return range(args.seed, args.seed + (args.count or 50))
 
 
-def _suite_det_closure(args) -> list:
+def _suite_closure(pair, closed, args) -> list:
+    """Plug each seeded ``pair`` and keep the seeds whose result is not ``closed``."""
     bad = []
-    for seed in range(args.seed, args.seed + args.count):
-        f, g, cut = random_det_pair(seed)
-        result = plug(f, g, cut)
-        if not result.is_deterministic():
-            bad.append((seed, f, g))
-    return bad
-
-
-def _suite_subprob_closure(args) -> list:
-    bad = []
-    for seed in range(args.seed, args.seed + args.count):
-        f, g, cut = random_subprob_pair(seed)
-        result = plug(f, g, cut)
-        if not result.is_subprobabilistic():
-            bad.append((seed, f, g))
+    for seed in _seeds(args):
+        f, g, cut = pair(seed)
+        if not closed(plug(f, g, cut)):
+            bad.append((seed, (f, g)))
     return bad
 
 
 def _suite_refinement(args) -> list:
     bad = []
-    for seed in range(args.seed, args.seed + args.count):
+    for seed in _seeds(args):
         f, g, cut = random_det_pair(seed)
         fine = split_sources(f, seed)
         ok = (fine.is_refinement(f) and fine.equivalent(f)
               and plug(fine, g, cut).equivalent(plug(f, g, cut)))
         if not ok:
-            bad.append((seed, f, fine))
+            bad.append((seed, (f, fine)))
     return bad
 
 
 def _suite_theta_confluence(args) -> list:
-    import random
-
     bad = []
-    for seed in range(args.seed, args.seed + args.count):
+    for seed in _seeds(args):
         rng = random.Random(seed)
         word = "".join(rng.choice("01*c") for _ in range(rng.randrange(9)))
         if reduce_random(word, rng) != reduce(word):
-            bad.append((seed, word, None))
+            bad.append((f"{seed}/{format_theta(word)}", ()))
     return bad
 
 
@@ -215,8 +203,6 @@ _UNIFORMITY_WORDS = ("", "1", "01", "110")
 
 
 def _suite_uniformity(args) -> list:
-    from .measurement import check_uniformity
-
     bad = []
     test_cache = {}
     for i, name in enumerate(_UNIFORMITY_MACHINES):
@@ -224,16 +210,17 @@ def _suite_uniformity(args) -> list:
         test = test_cache.setdefault(a.heads, make_test("pos", heads=a.heads))
         m = compile_automaton(a)
         for j, w in enumerate(_UNIFORMITY_WORDS):
-            uniform, _ = check_uniformity(m, w, test, samples=args.reps,
+            uniform, _ = check_uniformity(m, w, test, samples=args.reps or 5,
                                           seed=args.seed + i * 31 + j)
             if not uniform:
-                bad.append((f"{name}/{w or '-'}", None, None))
+                bad.append((f"{name}/{w or '-'}", ()))
     return bad
 
 
 _SUITES = {
-    "det-closure": _suite_det_closure,
-    "subprob-closure": _suite_subprob_closure,
+    "det-closure": partial(_suite_closure, random_det_pair, is_deterministic),
+    "subprob-closure": partial(_suite_closure, random_subprob_pair,
+                               is_subprobabilistic),
     "refinement": _suite_refinement,
     "theta-confluence": _suite_theta_confluence,
     "uniformity": _suite_uniformity,
@@ -243,20 +230,16 @@ _SUITES = {
 def cmd_properties(args) -> int:
     suite = _SUITES[args.suite]
     bad = suite(args)
-    total = (args.count if args.suite != "uniformity"
+    total = (len(_seeds(args)) if args.suite != "uniformity"
              else len(_UNIFORMITY_MACHINES) * len(_UNIFORMITY_WORDS))
     _println(f"suite {args.suite}: {total - len(bad)}/{total} pass")
-    for case, left, right in bad:
+    for case, pair in bad:  # a failing pair of graphings is dumped
         _println("fail:", case)
-        if left is not None:
-            path = _dump_counterexample(
-                args.dump_dir, f"{args.suite}-{case}-left.graphing",
-                format_graphing(left))
-            _println("  wrote", path)
-        if right is not None:
-            path = _dump_counterexample(
-                args.dump_dir, f"{args.suite}-{case}-right.graphing",
-                format_graphing(right))
+        for side, g in zip(("left", "right"), pair):
+            os.makedirs(args.dump_dir, exist_ok=True)
+            path = os.path.join(args.dump_dir, f"{args.suite}-{case}-{side}.graphing")
+            with open(path, "w") as fh:
+                fh.write(format_graphing(g))
             _println("  wrote", path)
     return 0 if not bad else 1
 
@@ -292,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("machine")
     c.add_argument("words", nargs="+")
     c.add_argument("--test", choices=("neg", "pos", "prob"), default="pos")
-    c.add_argument("--epsilon", help="threshold fraction for prob tests")
+    c.add_argument("--epsilon", help="threshold fraction, with --test prob")
     c.add_argument("--stack-depth", type=_count, default=16)
     c.set_defaults(fn=cmd_membership)
 
@@ -315,20 +298,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("properties", help="run a randomized property suite")
     c.add_argument("suite", choices=sorted(_SUITES))
-    c.add_argument("--count", type=_count, default=50)
+    c.add_argument("--count", type=_count,
+                   help="cases to run (default 50; not with uniformity)")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--reps", type=_count, default=5)
+    c.add_argument("--reps", type=_count,
+                   help="random placements per word (default 5; uniformity only)")
     c.add_argument("--dump-dir", default=".")
     c.set_defaults(fn=cmd_properties)
 
     return ap
 
 
+def _ignored_option(args) -> str | None:
+    """An option given that the command would not read, and where it belongs."""
+    if args.command == "dump" and args.grid is not None and args.word is None:
+        return "--grid: only with --word"
+    if args.command == "membership" and args.epsilon is not None and args.test != "prob":
+        return "--epsilon: only with --test prob"
+    if args.command == "properties":
+        if args.suite == "uniformity" and args.count is not None:
+            return "--count: not with uniformity"
+        if args.suite != "uniformity" and args.reps is not None:
+            return "--reps: only with uniformity"
+    return None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "dump" and args.grid is not None and args.word is None:
-        ap.error("argument --grid: only with --word")
+    ignored = _ignored_option(args)
+    if ignored:
+        ap.error(f"argument {ignored}")
     try:
         return args.fn(args)
     except GraphingError as exc:

@@ -14,6 +14,9 @@ direction the previous answer arrived with, the stale remembered letter of the
 previously active head, and the applicable last-popped symbols (pop rows split
 further over the symbol actually popped, guarded by its cylinder).  Halting
 edges land in the result intervals without moving anything.
+
+One step builds the edges of a table row in every shape; its stack action
+is the row's operation as ``theta`` encodes it, split into pushes and pops.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,7 @@ from .graphing import (MAX_DIALECT_RANGE, Edge, GraphingRep, Weight,
                        format_edge, format_header)
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
+from .theta import encode_stack_op, split_normal
 
 _RESULT_SYM = {ACCEPT: "a", REJECT: "r"}
 
@@ -101,14 +105,6 @@ def _source(sym: str, last: str) -> Region:
     return Region((Atom(sym, (), last),))
 
 
-def _stack_parts(op: str) -> tuple[int, str]:
-    if op == "pop":
-        return 1, ""
-    if op.startswith("push_"):
-        return 0, op[-1]
-    return 0, ""
-
-
 def compile_automaton(a: Automaton) -> CompiledMachine:
     dialect_states, start, edges = _emit_edges(a)
     graphing = GraphingRep(full_symbol_region(), tuple(range(len(dialect_states))),
@@ -131,8 +127,9 @@ def _emit_edges(a: Automaton, provenance: dict | None = None):
     parts: dict = {}
 
     def part(make, *args):
-        """``make(*args)`` built once: the edges share few sources, realizers
-        and weights, and every copy would stay alive with the machine."""
+        """``make(*args)`` built once.  The edges share few sources, realizers
+        and weights, and every copy would stay alive with the machine; each
+        stack operation's action is worked out once."""
         value = parts.get((make, *args))
         if value is None:
             value = parts[make, *args] = make(*args)
@@ -145,25 +142,32 @@ def _emit_edges(a: Automaton, provenance: dict | None = None):
         if provenance is not None:
             provenance.setdefault(edge, []).append((key, instr))
 
+    def step(src_sym, guard, in_state, coords, read, last, key, t):
+        """The edges of row ``t`` fired from ``in_state`` on ``src_sym``: a
+        halt lands on its result interval; a move lands on its head's letter
+        on coordinate 1, and a pop splits over the symbols ``guard`` allows."""
+        if t.next_state in (ACCEPT, REJECT):
+            shift = sym_index(_RESULT_SYM[t.next_state]) - sym_index(src_sym)
+            out = index[DialectState(t.next_state, coords, read, last)]
+            emit(src_sym, guard, in_state, out, part(Realizer, shift), key, t)
+            return
+        tau = swap(1, coords[t.head - 1])
+        out_coords = tuple(perm_apply(tau, c) for c in coords)
+        shift = sym_index(sym_of(read[t.head - 1], t.direction)) - sym_index(src_sym)
+        pushes, pops = part(split_normal, encode_stack_op(t.stack_op))
+        realizer = part(Realizer, shift, tau, (), pops, pushes)
+        # a pop is guarded on the symbol it pops, which becomes the last one
+        for src_guard, out_last in ([(p, p) for p in guard or "*01"] if pops
+                                    else [(guard, last)]):
+            out = index[DialectState(t.next_state, out_coords, read, out_last)]
+            emit(src_sym, src_guard, in_state, out, realizer, key, t)
+
     # Start edges: the probe arrives on a result interval with the bottom
     # marker tracked, the machine believing every head reads the marker.
-    start_key = ("*" * k, INIT, "*" if (marker, INIT, "*") in a.delta else None)
+    start_key = (marker, INIT, "*" if (marker, INIT, "*") in a.delta else None)
     for t in lookup(a, marker, INIT, "*"):
         for probe in ("a", "r"):
-            if t.next_state in (ACCEPT, REJECT):
-                dst_sym = _RESULT_SYM[t.next_state]
-                realizer = part(Realizer, sym_index(dst_sym) - sym_index(probe))
-                out = index[DialectState(t.next_state, identity, marker, "*")]
-            else:
-                coord = t.head
-                tau = swap(1, coord)
-                dst_sym = sym_of("*", t.direction)
-                pops, pushes = _stack_parts(t.stack_op)
-                realizer = part(Realizer, sym_index(dst_sym) - sym_index(probe),
-                                tau, (), pops, pushes)
-                out_coords = tuple(perm_apply(tau, c) for c in identity)
-                out = index[DialectState(t.next_state, out_coords, marker, "*")]
-            emit(probe, "*", start, out, realizer, start_key, t)
+            step(probe, "*", start, identity, marker, "*", start_key, t)
 
     # Move and halting edges, one family member per bookkeeping context.
     for key, instrs in a.delta.items():
@@ -182,33 +186,7 @@ def _emit_edges(a: Automaton, provenance: dict | None = None):
                         in_read = read_t[:h1 - 1] + stale + read_t[h1:]
                         for u in u_range:
                             in_state = index[DialectState(q, coords, in_read, u)]
-                            if t.next_state in (ACCEPT, REJECT):
-                                dst_sym = _RESULT_SYM[t.next_state]
-                                realizer = part(
-                                    Realizer, sym_index(dst_sym) - sym_index(src_sym))
-                                out = index[DialectState(t.next_state, coords,
-                                                         read_t, u)]
-                                emit(src_sym, "", in_state, out, realizer, key, t)
-                                continue
-                            coord = coords[t.head - 1]
-                            tau = swap(1, coord)
-                            out_coords = tuple(perm_apply(tau, c) for c in coords)
-                            dst_sym = sym_of(read_t[t.head - 1], t.direction)
-                            shift = sym_index(dst_sym) - sym_index(src_sym)
-                            if t.stack_op == "pop":
-                                for popped in "*01":
-                                    out = index[DialectState(t.next_state, out_coords,
-                                                             read_t, popped)]
-                                    emit(src_sym, popped, in_state, out,
-                                         part(Realizer, shift, tau, (), 1, ""),
-                                         key, t)
-                            else:
-                                _, pushes = _stack_parts(t.stack_op)
-                                out = index[DialectState(t.next_state, out_coords,
-                                                         read_t, u)]
-                                emit(src_sym, "", in_state, out,
-                                     part(Realizer, shift, tau, (), 0, pushes),
-                                     key, t)
+                            step(src_sym, "", in_state, coords, read_t, u, key, t)
     return dialect_states, start, edges
 
 

@@ -151,14 +151,13 @@ def check_uniformity(machine, word: str, test: Test, m: int | None = None,
     test against each.  Returns (uniform, verdicts) with one verdict per
     distinct injection, the canonical placement always included first.
     """
-    from .words import bang_representation, word_graph
+    from .words import bang_representation
 
     k = len(word)
     if m is None:
         m = k + 3
     if m < k:
         raise ValidationError(f"grid bound {m} cannot place {k} positions")
-    graph = word_graph(word)
     rng = random.Random(seed)
     injections = [tuple(range(k + 1))]
     available = math.perm(m, k)
@@ -168,7 +167,7 @@ def check_uniformity(machine, word: str, test: Test, m: int | None = None,
             injections.append(inj)
     verdicts = []
     for inj in injections:
-        rep = bang_representation(graph, inj, cells=m + 1)
+        rep = bang_representation(word, inj, cells=m + 1)
         report = orthogonal_to_test(machine, rep, test, opts)
         verdicts.append((inj, report.orthogonal))
     uniform = len({v for _, v in verdicts}) == 1

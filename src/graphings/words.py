@@ -1,11 +1,11 @@
-"""Circular word graphs and their interval representations.
+"""Interval representations of marked binary words.
 
 A binary word is read as a cycle with a single marker cell in front, so a
 word of length k occupies positions 0..k with position 0 reserved for the
-marker.  The word graph has one right-moving and one left-moving edge per
-position; a representation places each position into one of ``cells`` unit
-subintervals of coordinate 1 and realizes the edges by interval
-translations.
+marker.  Its representation is a graphing with one right-moving and one
+left-moving edge per position: it places each position into one of
+``cells`` unit subintervals of coordinate 1 and realizes the edges by
+interval translations.
 """
 
 from dataclasses import dataclass
@@ -20,47 +20,8 @@ from .space import (EXT_SYMBOLS, Region, _atom, _canon_box, _interval,
 
 
 @dataclass(frozen=True)
-class WordGraph:
-    """The cyclic dialogue graph of a marked binary word."""
-
-    word: str
-
-    def __post_init__(self):
-        if any(ch not in "01" for ch in self.word):
-            raise ValidationError(f"word must be over 0/1, got {self.word!r}")
-
-    @property
-    def positions(self) -> int:
-        """Number of cells on the cycle, marker included."""
-        return len(self.word) + 1
-
-    def letter(self, i: int) -> str:
-        i %= self.positions
-        return "*" if i == 0 else self.word[i - 1]
-
-    def edges(self):
-        """Labeled edges ``(label, source, target)``.
-
-        Vertices are ``(letter, direction, position)``.  The right edge at
-        position i carries an outgoing visit to the next position; the left
-        edge carries an incoming visit to the previous one.
-        """
-        n = self.positions
-        for i in range(n):
-            j = (i + 1) % n
-            yield (("r", i), (self.letter(i), "o", i), (self.letter(j), "i", j))
-        for i in range(n):
-            j = (i - 1) % n
-            yield (("l", i), (self.letter(i), "i", i), (self.letter(j), "o", j))
-
-
-def word_graph(word: str) -> WordGraph:
-    return WordGraph(word)
-
-
-@dataclass(frozen=True)
 class WordRepresentation:
-    """A word graph realized on the six dialogue symbol intervals.
+    """A marked word realized on the six dialogue symbol intervals.
 
     ``injection[i]`` is the cell (out of ``cells`` equal subdivisions of
     coordinate 1) assigned to position i.
@@ -72,47 +33,51 @@ class WordRepresentation:
     cells: int
 
 
-def bang_representation(graph: WordGraph, injection, cells: int | None = None) -> WordRepresentation:
-    """Realize a word graph with the given position-to-cell injection."""
+def bang_representation(word: str, injection, cells: int | None = None) -> WordRepresentation:
+    """Realize ``word`` with the given position-to-cell injection: a right
+    edge per position carrying an outgoing visit to the next one round the
+    cycle, then a left edge per position carrying an incoming visit back."""
+    if any(ch not in "01" for ch in word):
+        raise ValidationError(f"word must be over 0/1, got {word!r}")
+    letters = "*" + word
+    positions = len(letters)
     injection = tuple(injection)
-    if len(injection) != graph.positions:
-        raise ValidationError(
-            f"injection must assign all {graph.positions} positions")
+    if len(injection) != positions:
+        raise ValidationError(f"injection must assign all {positions} positions")
     if len(set(injection)) != len(injection):
         raise ValidationError("injection must be one-to-one")
     if cells is None:
         cells = max(injection) + 1
-    if cells < graph.positions:
-        raise ValidationError(
-            f"need at least {graph.positions} cells, got {cells}")
+    if cells < positions:
+        raise ValidationError(f"need at least {positions} cells, got {cells}")
     if any(not 0 <= s < cells for s in injection):
         raise ValidationError(f"cells must lie in 0..{cells - 1}")
 
     # each position's cell, built once and unchecked: the injection is valid
     boxes = [_canon_box((_interval(s, s + 1, cells),)) for s in injection]
     edges = []
-    for _, (x, d, i), (y, d2, j) in graph.edges():
-        src = sym_of(x, d)
-        dst = sym_of(y, d2)
-        move = Fraction(injection[j] - injection[i], cells)
-        realizer = Realizer(shift=sym_index(dst) - sym_index(src),
-                            box_shift=(((1, move),) if move else ()))
-        edges.append(Edge(Region((_atom(src, boxes[i], "", 0),)), 0, 0,
-                          realizer, WEIGHT_ONE))
+    for step, d_src, d_dst in ((1, "o", "i"), (-1, "i", "o")):
+        for i in range(positions):
+            j = (i + step) % positions
+            src = sym_of(letters[i], d_src)
+            dst = sym_of(letters[j], d_dst)
+            move = Fraction(injection[j] - injection[i], cells)
+            realizer = Realizer(shift=sym_index(dst) - sym_index(src),
+                                box_shift=(((1, move),) if move else ()))
+            edges.append(Edge(Region((_atom(src, boxes[i], "", 0),)), 0, 0,
+                              realizer, WEIGHT_ONE))
     rep = GraphingRep(full_symbol_region(EXT_SYMBOLS), (0,), tuple(edges))
-    return WordRepresentation(rep, graph.word, injection, cells)
+    return WordRepresentation(rep, word, injection, cells)
 
 
 def rep_family(word: str, cells_minus_one: int) -> list[WordRepresentation]:
     """Every representation of ``word`` into cells 0..``cells_minus_one``."""
-    graph = word_graph(word)
-    if cells_minus_one + 1 < graph.positions:
+    positions = len(word) + 1
+    if cells_minus_one + 1 < positions:
         raise ValidationError(
-            f"word of length {len(word)} needs at least {graph.positions} cells")
-    out = []
-    for injection in permutations(range(cells_minus_one + 1), graph.positions):
-        out.append(bang_representation(graph, injection, cells_minus_one + 1))
-    return out
+            f"word of length {len(word)} needs at least {positions} cells")
+    return [bang_representation(word, injection, cells_minus_one + 1)
+            for injection in permutations(range(cells_minus_one + 1), positions)]
 
 
 # The most words ``canonical_representation`` keeps; past it the word asked
@@ -130,9 +95,9 @@ def canonical_representation(word: str) -> WordRepresentation:
     """
     rep = _canonical.get(word)
     if rep is None:
-        graph = word_graph(word)
+        positions = len(word) + 1
+        rep = bang_representation(word, range(positions), positions)
         if len(_canonical) >= MEMO_WORDS:
             del _canonical[next(iter(_canonical))]
-        rep = _canonical[word] = bang_representation(
-            graph, range(graph.positions), graph.positions)
+        _canonical[word] = rep
     return rep

@@ -1,4 +1,4 @@
-"""The benchmark's tracer wraps library names; every one must exist.
+"""The benchmark runs against the library: every name it reads must exist.
 
 ``perfbench/tracer.py`` looks up each ``(module, attribute)`` pair of
 ``TRACED_NAMES`` whenever a ``Tracer`` is built, traced or not, so a library
@@ -10,9 +10,15 @@ must stay the library's own undecorated function.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+import subprocess
+import sys
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _traced_names():
@@ -36,3 +42,19 @@ def test_every_traced_name_is_the_library_s_own_undecorated_function():
         where = f"graphings.{module}.{attr}"
         assert fn.__module__.startswith("graphings."), where
         assert not hasattr(fn, "__wrapped__"), f"{where} is decorated"
+
+
+@pytest.mark.parametrize("workload",
+                         ["pushdown-accept", "multihead-laws", "plug-closure"])
+def test_tiny_workload_runs_and_matches_its_recorded_digest(workload, tmp_path):
+    # seed 7 at the tiny size has a recorded answer digest, so every answer
+    # is checked; a name the harness reads and the library lost shows up
+    # here rather than as a failed benchmark run
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "7", "--seconds", "0.2", "--trace", "0", "--size", "tiny"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert list(tmp_path.iterdir()) == []  # an untraced run writes no file

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output shape, byte stability."""
 
+from functools import partial
 import re
 import subprocess
 import sys
@@ -11,8 +12,9 @@ from graphings import cli, compiler
 from graphings.automata import parse_automaton
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name
+from graphings.generators import random_det_pair
 from graphings.graphing import format_graphing, parse_graphing
-from graphings.words import bang_representation, word_graph
+from graphings.words import bang_representation
 
 
 def run(capsys, *argv):
@@ -159,8 +161,7 @@ def test_dump_word_prints_the_graphings_accept_walks(machine, word, grid, capsys
     code, out, _ = run(capsys, *argv)
     assert code == 0
     m = compile_automaton(by_name(machine))
-    rep = bang_representation(word_graph(word), range(len(word) + 1),
-                              grid or len(word) + 1)
+    rep = bang_representation(word, range(len(word) + 1), grid or len(word) + 1)
     split = out.index("# word ")
     machine_text, word_text = out[:split], out[split:]
     assert machine_text.startswith(
@@ -187,15 +188,35 @@ def test_grid_below_one_is_a_usage_error(command, grid, capsys):
 @pytest.mark.parametrize("argv, option", [
     (["dump", "even-ones", "--grid", "5"], "--grid"),
     (["dump", "even-ones", "--graphing", "--word", "01"], "--word"),
+    (["membership", "coin-half", "-", "--test", "neg", "--epsilon", "7"],
+     "--epsilon"),
+    (["membership", "coin-half", "-", "--epsilon", "1/2"], "--epsilon"),
+    (["properties", "det-closure", "--reps", "9"], "--reps"),
+    (["properties", "uniformity", "--count", "1"], "--count"),
 ])
-def test_dump_option_it_would_ignore_is_a_usage_error(argv, option, capsys):
-    # the rule table and graphing views read no word, so printing them would
-    # drop the option unseen
+def test_option_a_command_would_ignore_is_a_usage_error(argv, option, capsys):
+    # the rule table and graphing views read no word, only prob tests read a
+    # threshold, only uniformity samples placements and it runs a fixed set
+    # of cases: running would drop the option unseen
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and option in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "even-ones", "0", "2"],
+    ["compile", "even-ones", "--out", "missing-dir/x.graphing"],
+])
+def test_bad_input_found_late_still_prints_nothing(argv, tmp_path, monkeypatch,
+                                                   capsys):
+    # a bad later word, or a file that cannot be written, used to come to
+    # light only after the first lines were out
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_too_small_for_the_word_names_the_cells_needed(capsys):
@@ -216,6 +237,35 @@ def test_properties_suites_pass_and_stay_quiet(tmp_path, capsys):
                        "--dump-dir", str(tmp_path))
     assert code == 0 and "suite det-closure: 3/3 pass" in out
     assert list(tmp_path.iterdir()) == []  # counterexamples only on failure
+
+
+def test_failing_theta_confluence_case_names_its_word_and_dumps_nothing(
+        tmp_path, monkeypatch, capsys):
+    # its word is no graphing to dump: the suite used to crash on the first
+    # failure and never reach the next seed
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "reduce_random", lambda word, rng: word + "c")
+    code, out, _ = run(capsys, "properties", "theta-confluence", "--count", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "suite theta-confluence: 0/2 pass"
+    assert [ln.split("/")[0] for ln in lines[1:]] == ["fail: 0", "fail: 1"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_closure_case_dumps_its_pair(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._SUITES, "det-closure", partial(
+        cli._suite_closure, random_det_pair, lambda plugged: False))
+    code, out, _ = run(capsys, "properties", "det-closure", "--count", "1",
+                       "--dump-dir", str(tmp_path))
+    left, right = (tmp_path / f"det-closure-0-{side}.graphing"
+                   for side in ("left", "right"))
+    assert code == 1
+    assert out.splitlines() == ["suite det-closure: 0/1 pass", "fail: 0",
+                                f"  wrote {left}", f"  wrote {right}"]
+    f, g, _ = random_det_pair(0)
+    assert parse_graphing(left.read_text()).equivalent(f)
+    assert parse_graphing(right.read_text()).equivalent(g)
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from graphings import compiler, graphing
-from graphings.automata import ACCEPT, REJECT, Automaton, Instruction
+from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
+                                parse_automaton)
 from graphings.compiler import compile_automaton, format_compiled, prune_reachable
 from graphings.corpus import by_name, corpus
 from graphings.errors import ValidationError
@@ -190,3 +191,50 @@ def test_compiled_text_formats_each_edge_once(name, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_TEXT_SHA256[name]
     assert len(formatted) == len(m.graphing.edges)
     assert set(formatted) == set(m.graphing.edges)
+
+
+# Two machines whose start row no corpus machine has: one that pops the
+# bottom marker first (the start row is a wildcard), and a 2-head one whose
+# exact ``** | init | *`` row pushes with either head.
+POP_MARKER = """\
+name: pop-marker
+heads: 1
+stack: yes
+states: accept init reject q
+rule: * | init | - -> 1 o pop q 1
+rule: * | q | - -> 1 o id accept 1
+rule: 0 | q | - -> 1 o id q 1
+rule: 1 | q | - -> 1 o id q 1
+"""
+START_PUSH = """\
+name: start-push
+heads: 2
+stack: yes
+states: accept init reject q
+rule: ** | init | * -> 2 i push_* q 1/2 ; 1 o push_* q 1/3
+rule: ** | q | - -> 1 o pop q 1/2 ; 2 o id reject 1/2
+rule: ** | q | * -> 2 i push_* q 1
+rule: ** | q | 0 -> 1 o id accept 1
+rule: 0* | q | - -> 1 i push_0 q 2/3
+"""
+HAND_BUILT = {"pop-marker": POP_MARKER, "start-push": START_PUSH}
+
+# SHA-256 over each machine's edges, start state, compiled text and reachable
+# edges, pinned so that however the edges are built they stay the same bytes
+COMPILED_SHA256 = {
+    "corpus": "4980b164844c4a351961eab4f05d56a13b4fd6e86e0ada65eee1445d5101fb20",
+    "pop-marker": "325bd3b9c1b52cc6abb228aae45fa554599b30bf085737b2418d0d134c8f5828",
+    "start-push": "6fe0b83fecae4daa9fd157870db532af40a3884629b4057ff0aaf1cf8a27f0ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_SHA256))
+def test_compiled_machines_are_pinned(name):
+    machines = corpus() if name == "corpus" else [parse_automaton(HAND_BUILT[name])]
+    digest = hashlib.sha256()
+    for a in machines:
+        m = compile_automaton(a)
+        for part in (repr(m.graphing.edges), repr(m.start_state),
+                     format_compiled(m), repr(m.reachable.edges)):
+            digest.update(part.encode())
+    assert digest.hexdigest() == COMPILED_SHA256[name]

@@ -23,8 +23,7 @@ from graphings.measurement import make_test
 from graphings.realizer import Realizer
 from graphings.space import (Atom, Interval, Region, box_get, refine_regions,
                              region_of)
-from graphings.words import (bang_representation, canonical_representation,
-                             word_graph)
+from graphings.words import bang_representation, canonical_representation
 
 ACCEPT_REGION = Region((Atom("a"),))
 
@@ -447,9 +446,8 @@ def test_memoised_word_answers_match_a_fresh_representation(monkeypatch):
     for a in machines:
         m = compile_automaton(a)
         for word in ("", "1", "01", "110"):
-            graph = word_graph(word)
-            fresh = bang_representation(graph, range(graph.positions),
-                                        graph.positions)
+            fresh = bang_representation(word, range(len(word) + 1),
+                                        len(word) + 1)
             memo = canonical_representation(word)
             assert (accept_path_sum(m, memo, ACCEPT_REGION, opts)
                     == accept_path_sum(m, fresh, ACCEPT_REGION, opts)), (a.name, word)

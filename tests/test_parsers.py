@@ -19,7 +19,7 @@ from graphings.graphing import (MAX_DIALECT_RANGE, GraphingRep, Weight,
 from graphings.realizer import Realizer, perm_of
 from graphings.space import (SYMBOLS, Atom, Interval, Region, format_atom,
                              format_region, parse_atom, parse_region)
-from graphings.words import bang_representation, word_graph
+from graphings.words import bang_representation
 
 PARSERS = (parse_graphing, parse_automaton, parse_region, parse_atom,
            parse_realizer, parse_weight)
@@ -152,7 +152,7 @@ def _graphing_v(draw):
         word = draw(st.text(alphabet="01", max_size=3))
         cells = draw(st.integers(len(word) + 1, len(word) + 4))
         injection = draw(st.permutations(range(cells)))[:len(word) + 1]
-        return bang_representation(word_graph(word), injection, cells).graphing
+        return bang_representation(word, injection, cells).graphing
     if kind == "plugged":
         return plug(*random_det_pair(seed))
     f, g, _ = draw(st.sampled_from([random_det_pair, random_subprob_pair]))(seed)

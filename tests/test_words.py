@@ -1,6 +1,8 @@
-"""Word graphs and their interval representations."""
+"""Interval representations of marked binary words."""
 
 from fractions import Fraction as F
+import hashlib
+from itertools import combinations, product
 
 import pytest
 
@@ -9,26 +11,57 @@ from graphings.errors import ValidationError
 from graphings.graphing import is_deterministic
 from graphings.space import Interval
 from graphings.words import (bang_representation, canonical_representation,
-                             rep_family, word_graph)
+                             rep_family)
+
+# SHA-256 of the representations below, pinned so that however they are
+# built they stay the same bytes
+REPRESENTATIONS_SHA256 = (
+    "62ad3879b5b53490e1a6af15f8053128f878437a007ea9498fa2ea1de054225f")
+
+
+def test_representations_are_pinned():
+    # every injection on len + 1 cells, and every order-keeping one with the
+    # marker at cell 0 on len + 3 cells, of each word of length at most 4
+    digest = hashlib.sha256()
+    for k in range(5):
+        for word in map("".join, product("01", repeat=k)):
+            reps = rep_family(word, k)
+            reps += [bang_representation(word, (0,) + scatter, k + 3)
+                     for scatter in combinations(range(1, k + 3), k)]
+            for rep in reps:
+                digest.update(repr(rep).encode())
+    assert digest.hexdigest() == REPRESENTATIONS_SHA256
 
 
 def test_word_graph_positions_and_letters():
-    g = word_graph("01")
-    assert g.positions == 3
-    assert [g.letter(i) for i in range(3)] == ["*", "0", "1"]
-    assert g.letter(3) == "*"  # wraps
+    # one right edge per position, marker first, each leaving its letter
+    # outgoing; then one left edge per position, leaving it incoming
+    for word in ("", "0", "01", "110"):
+        rep = bang_representation(word, range(len(word) + 1))
+        edges, letters = rep.graphing.edges, "*" + word
+        assert len(rep.injection) == len(word) + 1
+        assert [e.source.atoms[0].sym for e in edges] == (
+            [ch + "o" for ch in letters] + [ch + "i" for ch in letters])
+    # the last position's right edge wraps round onto the marker
+    last_right = bang_representation("01", range(3)).graphing.edges[2]
+    (image,) = last_right.image().atoms
+    assert (image.sym, image.box) == ("*i", (Interval(F(0), F(1, 3)),))
 
 
 def test_word_graph_edge_counts():
-    assert len(list(word_graph("").edges())) == 2
-    assert len(list(word_graph("0").edges())) == 4
-    assert len(list(word_graph("01").edges())) == 6
+    for word in ("", "0", "01", "110"):
+        edges = bang_representation(word, range(len(word) + 1)).graphing.edges
+        assert len(edges) == 2 * (len(word) + 1)
 
 
 def test_empty_word_edges_loop_on_the_marker():
-    edges = list(word_graph("").edges())
-    assert (("r", 0), ("*", "o", 0), ("*", "i", 0)) in edges
-    assert (("l", 0), ("*", "i", 0), ("*", "o", 0)) in edges
+    # the marker's right edge sends *o to *i, its left edge *i to *o, and
+    # both stay on its one cell
+    right, left = bang_representation("", (0,)).graphing.edges
+    for edge, src, dst in ((right, "*o", "*i"), (left, "*i", "*o")):
+        (source,), (image,) = edge.source.atoms, edge.image().atoms
+        assert (source.sym, image.sym) == (src, dst)
+        assert image.box == source.box
 
 
 def test_canonical_representation_shape():
@@ -46,7 +79,7 @@ def test_canonical_representation_is_built_once_per_word(monkeypatch):
     monkeypatch.setattr(words, "_canonical", {})
     rep = canonical_representation("01")
     assert canonical_representation("01") is rep
-    assert rep == bang_representation(word_graph("01"), range(3), 3)
+    assert rep == bang_representation("01", range(3), 3)
     with pytest.raises(ValidationError):
         canonical_representation("012")
     assert list(words._canonical) == ["01"]
@@ -71,15 +104,16 @@ def test_representation_edges_preserve_measure():
 
 
 def test_injection_must_be_one_to_one_and_fit():
-    g = word_graph("0")
     with pytest.raises(ValidationError):
-        bang_representation(g, (0, 0))
+        bang_representation("0", (0, 0))
     with pytest.raises(ValidationError):
-        bang_representation(g, (0,))
+        bang_representation("0", (0,))
     with pytest.raises(ValidationError, match="need at least 2 cells, got 1"):
-        bang_representation(g, (0, 1), cells=1)
+        bang_representation("0", (0, 1), cells=1)
     with pytest.raises(ValidationError, match="cells must lie in 0..2"):
-        bang_representation(g, (0, 3), cells=3)
+        bang_representation("0", (0, 3), cells=3)
+    with pytest.raises(ValidationError, match="word must be over 0/1"):
+        bang_representation("0*", (0, 1, 2))
 
 
 def test_rep_family_is_every_injection():
@@ -91,7 +125,7 @@ def test_rep_family_is_every_injection():
 
 
 def test_scattered_injection_still_deterministic():
-    rep = bang_representation(word_graph("11"), (4, 0, 2), cells=5)
+    rep = bang_representation("11", (4, 0, 2), cells=5)
     assert is_deterministic(rep.graphing)
     # the marker's outgoing right edge starts on its cell
     assert rep.graphing.edges[0].source.atoms[0].box == (Interval(F(4, 5), F(1)),)
