@@ -110,10 +110,7 @@ def cmd_membership(args) -> int:
     opts = ExecOptions(stack_depth=args.stack_depth)
     m = compile_automaton(a)
     words = [_word(raw) for raw in args.words]  # all checked before any output
-    _println("machine:", a.name)
-    _println("test:", args.test + (f"[{test.epsilon}]" if test.epsilon is not None
-                                   else ""))
-    failures = 0
+    rows = []  # every word is run before any output, as it may raise
     for raw, w in zip(args.words, words):
         report = membership(m, w, test, opts)
         if args.test == "neg":
@@ -122,12 +119,15 @@ def cmd_membership(args) -> int:
         else:
             p, _ = accept_probability(a, w, args.stack_depth, outcome=ACCEPT)
             oracle = p > 0 if args.test == "pos" else p > test.epsilon
-        ok = report.orthogonal == oracle
-        failures += 0 if ok else 1
-        _println(raw, "orthogonal" if report.orthogonal else "crossing",
-                 "oracle=" + ("yes" if oracle else "no"),
-                 "ok" if ok else "MISMATCH")
-    return 0 if failures == 0 else 1
+        rows.append((raw, "orthogonal" if report.orthogonal else "crossing",
+                     "oracle=" + ("yes" if oracle else "no"),
+                     "ok" if report.orthogonal == oracle else "MISMATCH"))
+    _println("machine:", a.name)
+    _println("test:", args.test + (f"[{test.epsilon}]" if test.epsilon is not None
+                                   else ""))
+    for row in rows:
+        _println(*row)
+    return 0 if all(row[-1] == "ok" for row in rows) else 1
 
 
 def cmd_equiv(args) -> int:
@@ -233,11 +233,12 @@ def cmd_properties(args) -> int:
     total = (len(_seeds(args)) if args.suite != "uniformity"
              else len(_UNIFORMITY_MACHINES) * len(_UNIFORMITY_WORDS))
     _println(f"suite {args.suite}: {total - len(bad)}/{total} pass")
+    dump_dir = args.dump_dir or "."
     for case, pair in bad:  # a failing pair of graphings is dumped
         _println("fail:", case)
         for side, g in zip(("left", "right"), pair):
-            os.makedirs(args.dump_dir, exist_ok=True)
-            path = os.path.join(args.dump_dir, f"{args.suite}-{case}-{side}.graphing")
+            os.makedirs(dump_dir, exist_ok=True)
+            path = os.path.join(dump_dir, f"{args.suite}-{case}-{side}.graphing")
             with open(path, "w") as fh:
                 fh.write(format_graphing(g))
             _println("  wrote", path)
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--reps", type=_count,
                    help="random placements per word (default 5; uniformity only)")
-    c.add_argument("--dump-dir", default=".")
+    c.add_argument("--dump-dir")  # default .; two suites never dump
     c.set_defaults(fn=cmd_properties)
 
     return ap
@@ -320,6 +321,9 @@ def _ignored_option(args) -> str | None:
             return "--count: not with uniformity"
         if args.suite != "uniformity" and args.reps is not None:
             return "--reps: only with uniformity"
+        if (args.suite in ("theta-confluence", "uniformity")
+                and args.dump_dir is not None):  # no graphing pair to dump
+            return f"--dump-dir: not with {args.suite}"
     return None
 
 

@@ -43,8 +43,8 @@ from .errors import ClosureViolation, TruncationError, ValidationError
 from .graphing import GraphingRep, Weight, _edge
 from .linsolve import prune, solve_affine
 from .realizer import Realizer
-from .space import (Atom, Region, RESULT_SYMBOLS, _atom, ae_equal, difference,
-                    disjoint_ae, refine_regions)
+from .space import (Atom, Region, RESULT_SYMBOLS, _atom, _new_object, _set,
+                    ae_equal, difference, disjoint_ae, refine_regions)
 from .theta import cancel_on, pair_mul
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -317,7 +317,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                     families.setdefault((pair_index[in_pair], pair_index[out_pair],
                                          comp, flag), []).append((piece, mass))
 
-    rows = []  # (cell, in pair, out pair, composite, weight)
+    rows = []  # (cell, in pair, out pair, composite, flag, mass)
     for (in_i, out_i, comp, flag), found in families.items():
         # One piece, never null, is its own refinement; more are refined
         # together and their masses added per cell.
@@ -331,19 +331,27 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         for cell, mass in found:
             if mass == 0:
                 continue
-            try:
-                weight = Weight(mass, flag)
-            except ValidationError as exc:
-                raise ClosureViolation(f"path mass exceeds one: {exc}") from exc
-            rows.append((cell, in_i, out_i, comp, weight))
+            if not 0 < mass <= 1:
+                raise ClosureViolation(f"path mass exceeds one: weight "
+                                       f"probability {mass} outside [0,1]")
+            rows.append((cell, in_i, out_i, comp, flag, mass))
     # every endpoint over one denominator sorts the cells in ints
     den = lcm(*(d for row in rows for _, _, d in row[0].box))
-    rows.sort(key=lambda row: (row[0].sort_key_over(den), *row[1:4], row[4].flag))
-    # the cells are positive-measure spatial atoms: nothing to check
-    edges = tuple(_edge(Region((cell,)), in_i, out_i, comp, weight)
-                  for cell, in_i, out_i, comp, weight in rows)
+    rows.sort(key=lambda row: (row[0].sort_key_over(den), *row[1:5]))
+    edges = tuple(_cell_edge(*row) for row in rows)
     support = Region(tuple(cut.left_rest.atoms) + tuple(cut.right_rest.atoms))
     return GraphingRep(support, tuple(range(len(pair_index))), edges)
+
+
+def _cell_edge(cell: Atom, in_i: int, out_i: int, comp: Realizer, flag: int,
+               mass: Fraction):
+    """One edge of ``plug``'s output.  The cell is a positive-measure spatial
+    atom and the mass lies in (0, 1], so nothing is checked."""
+    source, weight = _new_object(Region), _new_object(Weight)
+    _set(source, "atoms", (cell,))
+    _set(weight, "p", mass)
+    _set(weight, "flag", flag)
+    return _edge(source, in_i, out_i, comp, weight)
 
 
 def _with(pair: tuple, side: int, value) -> tuple:
@@ -357,8 +365,11 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
     Yields ``(piece, in pair, out pair, composite, flag, mass)``, the piece
     being the part of ``origin`` that the family carries to its exit.
     """
-    zones = ([("node", a) for a in cut.cut.atoms]
-             + [("exit", a) for a in cut.left_rest.atoms + cut.right_rest.atoms])
+    zones: dict = {}  # symbol -> [(kind, atom)]: only these can meet an image
+    for kind, atoms in (("node", cut.cut.atoms),
+                        ("exit", cut.left_rest.atoms + cut.right_rest.atoms)):
+        for a in atoms:
+            zones.setdefault(a.sym, []).append((kind, a))
 
     # key: (turn, atom, first, cur, comp, ocyl, flag).  ``atom`` is where the
     # family stands, ``first`` and ``cur`` hold each side's first and current
@@ -379,7 +390,7 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
                 new_cur = _with(cur, turn, e.out_state)
                 img = _atom(sym, box, r.pushes + (cyl + grow)[r.pops:], 0)
                 deeper = ocyl + grow
-                for kind, target in zones:
+                for kind, target in zones.get(sym, ()):
                     part = img.intersect(target)
                     if part is not None:
                         new_ocyl = deeper + part.cyl[len(img.cyl):]

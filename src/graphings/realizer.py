@@ -29,7 +29,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .space import (Atom, Region, _atom, _canon_box, _new_object, _set,
-                    box_get, box_intersect, expand_prefix, sym_shift)
+                    box_get, box_intersect, cyl_intersect, expand_prefix,
+                    sym_shift)
 from . import theta
 
 # Permutations are stored as sorted tuples of (source, image) pairs covering
@@ -91,21 +92,18 @@ class Realizer:
     def theta_word(self) -> str:
         return self.pushes + "c" * self.pops
 
-    def box_shift_at(self, coord: int) -> Fraction:
-        for c, a in self.box_shift:
-            if c == coord:
-                return a
-        return Fraction(0)
-
     def compose(self, then: "Realizer") -> "Realizer":
         """Realizer applying ``self`` first and ``then`` afterwards."""
         perm = perm_compose(self.perm, then.perm) if self.perm or then.perm else ()
-        # ``then`` carries each translation of ``self`` along with its coordinate
-        shifts = dict(then.box_shift)
-        for c, a in self.box_shift:
-            c = perm_apply(then.perm, c)
-            shifts[c] = shifts.get(c, 0) + a
-        box_shift = tuple(sorted((c, a) for c, a in shifts.items() if a))
+        if self.box_shift:
+            # ``then`` carries each translation of ``self`` along with its coordinate
+            shifts = dict(then.box_shift)
+            for c, a in self.box_shift:
+                c = perm_apply(then.perm, c)
+                shifts[c] = shifts[c] + a if c in shifts else a
+            box_shift = tuple(sorted((c, a) for c, a in shifts.items() if a))
+        else:
+            box_shift = then.box_shift
         pushes, pops = theta.pair_mul((then.pushes, then.pops),
                                       (self.pushes, self.pops))
         return _realizer(self.shift + then.shift, perm, box_shift, pops, pushes)
@@ -160,26 +158,40 @@ class Realizer:
         under a box shift, so a whole region atom can serve as the piece.
         Returns the sub-atom of ``piece`` mapping into ``constraint``, or
         ``None`` when the intersection is null.
+
+        The box is pulled back by the inverse translation and the cylinder
+        is read off the pushed word; nothing is pushed forward.  The checks
+        come in the order of the forward action, so this raises exactly
+        where pushing the pulled-back part forward would.
         """
-        pulled = []
-        width = max(len(piece.box), len(constraint.box),
-                    *(perm_support(self.perm) or {0}))
-        for c in range(1, width + 1):
-            iv = box_get(constraint.box, perm_apply(self.perm, c))
-            amount = self.box_shift_at(perm_apply(self.perm, c))
-            pulled.append(iv.translate(-amount) if amount else iv)
+        perm, shifts = self.perm, dict(self.box_shift)
+        width = max(len(piece.box), len(constraint.box), *(i for i, _ in perm))
+        pulled = constraint.box
+        if perm or shifts:
+            pulled = []
+            for c in range(1, width + 1):
+                j = perm_apply(perm, c)  # where the action puts coordinate c
+                amount = shifts.get(j)
+                iv = box_get(constraint.box, j)
+                pulled.append(iv.translate(-amount) if amount else iv)
         box = box_intersect(piece.box, pulled)
         if box is None:
             return None
-        sub = _atom(piece.sym, box, piece.cyl, piece.state)
-        got = self._apply_exact(sub).intersect(constraint)
-        if got is None:
+        sym = sym_shift(piece.sym, self.shift)
+        for c, amount in self.box_shift:
+            if c > width:  # a full coordinate cannot move inside [0,1]
+                raise ValidationError(f"translating coordinate {c} by {amount} "
+                                      "leaves the unit interval")
+        if self.pops > len(piece.cyl):
+            raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
+                                  f"prefix that long, got {piece.cyl!r}")
+        if sym != constraint.sym or piece.state != constraint.state:
             return None
-        if not got.cyl.startswith(self.pushes):
-            raise ValidationError(f"image cylinder {got.cyl!r} does not start "
-                                  f"with the pushed word {self.pushes!r}")
-        cyl = piece.cyl[: self.pops] + got.cyl[len(self.pushes):]
-        return _atom(piece.sym, box, cyl, piece.state)
+        cyl = cyl_intersect(self.pushes + piece.cyl[self.pops:], constraint.cyl)
+        if cyl is None:
+            return None
+        return _atom(piece.sym, box, piece.cyl[: self.pops] + cyl[len(self.pushes):],
+                     piece.state)
 
     def normalized_on(self, prefix: str) -> "Realizer":
         """Equal-as-a-map canonical form on atoms with cylinder prefix ``prefix``.

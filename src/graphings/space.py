@@ -243,8 +243,9 @@ class Atom:
         else:
             # A full box narrows nothing, but the other box may still be null.
             box = self.box or other.box
-            if any(a == b for a, b, _ in box):
-                return None
+            for a, b, _ in box:
+                if a == b:
+                    return None
         if box is self.box and cyl is self.cyl:
             return self
         if box is other.box and cyl is other.cyl:
@@ -300,7 +301,13 @@ class Region:
 
     @property
     def measure(self) -> Fraction:
-        return sum((a.measure for a in self.atoms), ZERO)
+        # added as ints over one denominator, as ``subset_ae`` does
+        num, den = 0, 1
+        for a in self.atoms:
+            n, d = _box_parts(a.box, 3 ** len(a.cyl))
+            common = lcm(den, d)
+            num, den = num * (common // den) + n * (common // d), common
+        return Fraction(num, den)
 
     def intersect(self, other: "Region") -> "Region":
         out = []

@@ -193,11 +193,14 @@ def test_grid_below_one_is_a_usage_error(command, grid, capsys):
     (["membership", "coin-half", "-", "--epsilon", "1/2"], "--epsilon"),
     (["properties", "det-closure", "--reps", "9"], "--reps"),
     (["properties", "uniformity", "--count", "1"], "--count"),
+    (["properties", "uniformity", "--dump-dir", "d"], "--dump-dir"),
+    (["properties", "theta-confluence", "--dump-dir", "d"], "--dump-dir"),
 ])
 def test_option_a_command_would_ignore_is_a_usage_error(argv, option, capsys):
     # the rule table and graphing views read no word, only prob tests read a
     # threshold, only uniformity samples placements and it runs a fixed set
-    # of cases: running would drop the option unseen
+    # of cases, and only the suites of graphing pairs dump a failure:
+    # running would drop the option unseen
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -217,6 +220,22 @@ def test_bad_input_found_late_still_prints_nothing(argv, tmp_path, monkeypatch,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_word_that_fails_at_run_time_prints_nothing(tmp_path, capsys):
+    # the oracle refuses every word of this machine only when it runs it;
+    # the header lines used to be out by then
+    path = tmp_path / "pop-marker.machine"
+    path.write_text("name: pop-marker\nheads: 1\nstack: yes\n"
+                    "states: accept init reject q\n"
+                    "rule: * | init | - -> 1 o pop q 1\n"
+                    "rule: * | q | - -> 1 o id accept 1\n"
+                    "rule: 0 | q | - -> 1 o id q 1\n"
+                    "rule: 1 | q | - -> 1 o id q 1\n")
+    code, out, err = run(capsys, "membership", str(path), "-", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: pop-marker: popped the bottom marker and then failed "
+                   "to push it back (state q, read *)\n")
 
 
 def test_grid_too_small_for_the_word_names_the_cells_needed(capsys):
@@ -266,6 +285,19 @@ def test_failing_closure_case_dumps_its_pair(tmp_path, monkeypatch, capsys):
     f, g, _ = random_det_pair(0)
     assert parse_graphing(left.read_text()).equivalent(f)
     assert parse_graphing(right.read_text()).equivalent(g)
+
+
+def test_failing_closure_case_dumps_into_the_working_directory_by_default(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._SUITES, "det-closure", partial(
+        cli._suite_closure, random_det_pair, lambda plugged: False))
+    code, out, _ = run(capsys, "properties", "det-closure", "--count", "1")
+    assert code == 1
+    assert out.splitlines()[2:] == ["  wrote ./det-closure-0-left.graphing",
+                                    "  wrote ./det-closure-0-right.graphing"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "det-closure-0-left.graphing", "det-closure-0-right.graphing"]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -16,7 +16,7 @@ import pytest
 from graphings import execution, generators, graphing, space
 from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 format_graphing, is_deterministic,
-                                is_subprobabilistic)
+                                is_refinement, is_subprobabilistic)
 from graphings.realizer import Realizer, swap
 from graphings.space import (Atom, Interval, Region, ae_equal, disjoint_ae,
                              refine_regions, subset_ae, sym_index)
@@ -246,3 +246,20 @@ def test_plug_output_bytes_are_pinned():
             digest.update(repr(out.edges).encode())
     assert digest.hexdigest() == (
         "539a8f960ae3092f3783e9c4cf4ae96307acbd35e467233ee426861955d52d31")
+
+
+def test_refinement_triple_bytes_and_verdicts_are_pinned():
+    # criterion 9 over seeds 0-99: the plug of the split left side, as text
+    # and as the edges' repr, and the three verdicts the triple is checked by
+    digest = hashlib.sha256()
+    for seed in range(100):
+        f, g, cut = generators.random_det_pair(seed)
+        fine = generators.split_sources(f, seed)
+        out = execution.plug(fine, g, cut)
+        digest.update(format_graphing(out).encode())
+        digest.update(repr(out.edges).encode())
+        verdicts = (is_refinement(fine, f), equivalent(fine, f),
+                    equivalent(out, execution.plug(f, g, cut)))
+        digest.update(repr(verdicts).encode())
+    assert digest.hexdigest() == (
+        "e636f9a77bd9839d88545ecdc90162f3c0d8d2b90bee277b245ca4fde6c9ff5c")

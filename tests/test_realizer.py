@@ -3,12 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphings.errors import ValidationError
 from graphings.realizer import (Realizer, in_microcosm, perm_apply,
                                 perm_compose, perm_inverse, perm_of, swap)
-from graphings.space import Atom, Interval, Region, ae_equal
+from graphings.space import (Atom, Interval, Region, ae_equal, box_get,
+                             box_intersect)
 
 
 def test_perm_representation_drops_fixed_points():
@@ -129,15 +130,6 @@ def test_preimage_of_a_piece_too_short_for_the_pops_raises():
         r.preimage_atom(Atom("a", cyl="*"), Atom("a"))
 
 
-def test_preimage_of_an_image_without_the_pushed_word_raises(monkeypatch):
-    # Images always start with the pushed word; a faulty image must still be
-    # refused by a raised error, which -O does not strip like an assert.
-    r = Realizer(pushes="0")
-    monkeypatch.setattr(Realizer, "_apply_exact", lambda self, atom: atom)
-    with pytest.raises(ValidationError):
-        r.preimage_atom(Atom("a", cyl="1"), Atom("a"))
-
-
 def test_normalized_on_strips_pop_repush():
     r = Realizer(pops=1, pushes="*")
     assert r.normalized_on("*") == Realizer()
@@ -178,6 +170,66 @@ _realizer = st.builds(
 _MIDDLE = Interval(F(3, 8), F(5, 8))
 _SAMPLES = [Region((Atom(sym, (_MIDDLE,) * 3, cyl),))
             for sym in ("0i", "0o") for cyl in ("", "1", "0*")]
+
+
+_eighths = st.integers(0, 8)
+_atom = st.builds(
+    Atom, st.sampled_from(["*i", "0i", "0o", "1o", "a"]),
+    st.lists(st.tuples(_eighths, _eighths).map(
+        lambda ab: Interval(F(min(ab), 8), F(max(ab), 8))), max_size=3).map(tuple),
+    st.text(alphabet="*01", max_size=3), st.integers(0, 1))
+
+
+def _forward_preimage(r, piece, constraint):
+    """The pullback by the forward action: pull the box back, push that part
+    of the piece forward, intersect its image with the constraint and read
+    the source cylinder off the image's."""
+    shifts = dict(r.box_shift)
+    width = max(len(piece.box), len(constraint.box), *(i for i, _ in r.perm))
+    pulled = []
+    for c in range(1, width + 1):
+        iv = box_get(constraint.box, perm_apply(r.perm, c))
+        amount = shifts.get(perm_apply(r.perm, c))
+        pulled.append(iv.translate(-amount) if amount else iv)
+    box = box_intersect(piece.box, pulled)
+    if box is None:
+        return None
+    sub = Atom(piece.sym, box, piece.cyl, piece.state)
+    if r.pops > len(sub.cyl):
+        raise ValidationError("the piece is too short for the pops")
+    [(_, image)] = r.apply_atom(sub)
+    got = image.intersect(constraint)
+    if got is None:
+        return None
+    assert got.cyl.startswith(r.pushes)
+    return Atom(piece.sym, box, piece.cyl[:r.pops] + got.cyl[len(r.pushes):],
+                piece.state)
+
+
+def _outcome(pullback, *args):
+    try:
+        return pullback(*args)
+    except ValidationError:
+        return "raises"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_realizer, _atom, _atom, st.data())
+def test_preimage_matches_the_forward_construction(r, piece, other, data):
+    # the same atom, None, or a raise, as pushing the pulled-back part
+    # forward gives; half the constraints are narrowed images of a piece
+    constraint = other
+    try:
+        pairs = r.apply_atom(piece)
+    except ValidationError:
+        pairs = []
+    if pairs and data.draw(st.booleans()):
+        piece, image = data.draw(st.sampled_from(pairs))
+        box = box_intersect(image.box, other.box)
+        constraint = Atom(image.sym, image.box if box is None else box,
+                          image.cyl + other.cyl, image.state)
+    assert (_outcome(r.preimage_atom, piece, constraint)
+            == _outcome(_forward_preimage, r, piece, constraint))
 
 
 @given(_realizer, _realizer)
