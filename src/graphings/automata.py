@@ -127,6 +127,13 @@ def _violations(a: Automaton) -> list[str]:
 _START_LAST = "*"
 
 
+def _check_word(word: str) -> None:
+    """Refuse a word with a letter other than 0 or 1: ``read_vector`` would
+    read a ``*`` as the marker and any other letter as a letter."""
+    if any(ch not in "01" for ch in word):
+        raise ValidationError(f"word must be over 0/1, got {word!r}")
+
+
 def _start_config(a: Automaton):
     return (INIT, (0,) * a.heads, ("*",), _START_LAST, False)
 
@@ -184,9 +191,10 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
     if a.stack and stack_depth < 1:
         raise ValidationError("stack machines need a positive stack budget")
+    _check_word(word)
 
     index = {}
-    order, rows, contrib = [], [], []
+    order, preds, contrib = [], [], []
     truncated = False
 
     def intern(config) -> int:
@@ -196,7 +204,7 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
                 raise ClosureViolation("oracle walk exceeded the node budget")
             i = index[config] = len(order)
             order.append(config)
-            rows.append([])
+            preds.append([])
             contrib.append(_ZERO)
         return i
 
@@ -210,16 +218,21 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
             elif kind == "drop":
                 truncated = True
             else:
-                rows[pos].append((intern(payload), t.prob))
+                preds[intern(payload)].append((pos, t.prob))
         pos += 1
 
-    # Configurations that cannot reach a halting contribution carry value 0;
-    # dropping them keeps probability-one loops out of the linear system.
-    kept, sub_rows = prune(rows, [i for i, c in enumerate(contrib) if c > 0])
+    # Each move is recorded in the predecessor list of the configuration it
+    # enters.  Only configurations that can still reach a halting
+    # contribution are kept; dropping the rest keeps probability-one loops
+    # out of the linear system.  The solve gives the expected number of
+    # visits to each kept configuration from the start, and the answer sums
+    # the halting contribution of every visit.
+    kept, rows = prune(preds, [i for i, c in enumerate(contrib) if c > 0])
     if not kept or kept[0] != 0:
         return _ZERO, not truncated
-    solved = solve_affine(sub_rows, [contrib[i] for i in kept])
-    return solved[0], not truncated
+    visits = solve_affine(rows, [_ONE] + [_ZERO] * (len(kept) - 1))
+    return sum((v * contrib[i] for v, i in zip(visits, kept) if contrib[i]),
+               _ZERO), not truncated
 
 
 def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
@@ -229,6 +242,7 @@ def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
     key and instruction.  Probabilities multiply along the prefix; no stack
     budget applies because the length bound already bounds the stack.
     """
+    _check_word(word)
     out = []
 
     def walk(config, steps, prob):

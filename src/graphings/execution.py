@@ -27,8 +27,11 @@ Every walk, ``enumerate_paths`` too, reads both sides' moves from
 across walks; the walk rebuilds each image's cylinder from the move.
 
 Both walks run on one kernel, ``_solve_walk``: it interns configurations
-breadth first under the node budget, prunes to the ancestors of an exit,
-and resolves cyclic mass with one exact linear solve rather than iteration.
+breadth first under the node budget and records each move once, in the
+predecessor list of the configuration it enters.  Those lists are the rows
+of the mass-arriving system: ``linsolve.prune`` walks them back from the
+exits to keep the ancestors of an exit, and one exact linear solve resolves
+cyclic mass rather than iteration.
 Each caller supplies only its own moves and reads its own exits.  Stack
 actions compose and cancel through ``theta``, as in ``Realizer``.
 """
@@ -112,13 +115,15 @@ def _solve_walk(seeds, expand, what: str) -> list:
     ``seeds`` lists ``(key, mass)`` starting configurations.  ``expand(key)``
     yields ``("node", p, key)`` for a move to another configuration and
     ``("exit", p, payload)`` for a move that leaves the walk.  Configurations
-    are interned breadth first, only ancestors of an exit are kept (which
-    keeps endless loops out of the solve), and the mass arriving at each is
-    resolved by one exact solve.  Returns ``(mass, payload)`` per exit move.
+    are interned breadth first, each move is recorded as ``(pred, p)`` in
+    the list of the configuration it enters, only ancestors of an exit are
+    kept (which keeps endless loops out of the solve), and the mass arriving
+    at each is resolved by one exact solve over those lists.  Returns
+    ``(mass, payload)`` per exit move.
     """
     nodes: dict = {}
     order: list = []
-    trans: list = []       # per node: list of (succ, p)
+    preds: list = []       # per node: list of (pred, p) moves into it
     exits: list = []       # per node: list of (p, payload)
     b: list = []
 
@@ -129,7 +134,7 @@ def _solve_walk(seeds, expand, what: str) -> list:
                 raise ClosureViolation(f"{what} walk exceeded the node budget")
             i = nodes[key] = len(order)
             order.append(key)
-            trans.append([])
+            preds.append([])
             exits.append([])
             b.append(_ZERO)
         return i
@@ -142,20 +147,16 @@ def _solve_walk(seeds, expand, what: str) -> list:
             if kind == "exit":
                 exits[pos].append((p, payload))
             else:
-                trans[pos].append((intern(payload), p))
+                preds[intern(payload)].append((pos, p))
         pos += 1
 
-    kept, rows = prune(trans, [i for i, ex in enumerate(exits) if ex])
+    # The mass arriving at a node is its seed mass plus what each move into
+    # it carries, so the predecessor lists are the rows of the solve.
+    kept, rows = prune(preds, [i for i, ex in enumerate(exits) if ex])
     if not kept:
         return []
-    # The walk records where mass goes; the solve wants, per node, where
-    # its mass comes from.
-    incoming = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, p in row:
-            incoming[j].append((i, p))
     try:
-        x = solve_affine(incoming, [b[i] for i in kept])
+        x = solve_affine(rows, [b[i] for i in kept])
     except ArithmeticError as exc:
         raise ClosureViolation(f"{what} mass does not converge: {exc}") from exc
     return [(x[s] * p, payload)

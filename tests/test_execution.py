@@ -4,10 +4,11 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import count
+import re
 
 import pytest
 
-from graphings import compiler, linsolve, words
+from graphings import compiler, execution, linsolve, words
 from graphings.automata import accept_probability, trace_enumerate
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
@@ -19,7 +20,7 @@ from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
                                 format_graphing, is_deterministic)
-from graphings.measurement import make_test
+from graphings.measurement import make_test, membership
 from graphings.realizer import Realizer
 from graphings.space import (Atom, Interval, Region, box_get, refine_regions,
                              region_of)
@@ -602,3 +603,25 @@ def test_negative_stack_budget_is_rejected():
     with pytest.raises(ValidationError, match="stack depth"):
         ExecOptions(stack_depth=-1)
     assert ExecOptions(stack_depth=0).stack_depth == 0
+
+
+def test_solve_walk_prunes_a_loop_that_never_exits():
+    # the seed splits into a probability-one loop with no exit and an exit;
+    # the walk's own predecessor lists prune the loop before the solve
+    moves = {"seed": [("node", F(1, 2), "loop"), ("exit", F(1, 2), "out")],
+             "loop": [("node", F(1), "loop")]}
+    got = execution._solve_walk([("seed", F(1))], lambda key: moves[key], "test")
+    assert got == [(F(1, 2), "out")]
+
+
+@pytest.mark.parametrize("word", ["*", "2", "1*"])
+def test_both_routes_refuse_a_word_not_over_01(word):
+    a = by_name("even-ones")
+    refused = pytest.raises(ValidationError,
+                            match=re.escape(f"word must be over 0/1, got {word!r}"))
+    with refused:
+        accept_probability(a, word)
+    with refused:
+        trace_enumerate(a, word)
+    with refused:
+        membership(compile_automaton(a), word, make_test("neg"))
