@@ -8,10 +8,17 @@ vector, the control state, and the most recently popped stack symbol
 precedence).  Exactly one head moves per step.  Steps into accept/reject
 are only legal when every head reads the marker, leave the heads and the
 stack alone, and count only if the stack is exactly the bottom marker.
+
+The oracle walks the configurations in ints: each machine builds, once,
+after validation, a private table of its rows with every probability as an
+int over the lcm of its instruction denominators.  The walk records those
+weights, the solve runs over that one denominator, and each answer is one
+``Fraction``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import linsolve
@@ -54,6 +61,28 @@ class Automaton:
         problems = _violations(self)
         if problems:
             raise ValidationError("; ".join(problems))
+        den, steps = _step_table(self)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_steps", steps)
+
+
+def _step_table(a: Automaton) -> tuple:
+    """The oracle's integer table, ``(den, steps)``: ``den`` is the lcm of
+    the instruction denominators, and ``steps[(read, state, last)]`` lists
+    ``(instruction, prob * den)`` for every last-popped symbol, a wildcard
+    row copied under each symbol it stands for.  It is kept beside the
+    fields, outside equality, repr and the text format."""
+    den = lcm(*(t.prob.denominator for ts in a.delta.values() for t in ts))
+    steps = {}
+    for (read, state, last), instrs in a.delta.items():
+        row = tuple((t, t.prob.numerator * (den // t.prob.denominator))
+                    for t in instrs)
+        if last is not None:
+            steps[(read, state, last)] = row
+        else:  # an exact row, wherever it comes, takes precedence
+            for u in "*01":
+                steps.setdefault((read, state, u), row)
+    return den, steps
 
 
 def lookup(a: Automaton, read: str, state: str, last: str):
@@ -141,26 +170,27 @@ def _start_config(a: Automaton):
 def _expand(a: Automaton, word: str, config, depth: int):
     """Successors of a live configuration.
 
-    Yields ``(instruction, kind, payload)`` with kind one of ``"step"``
-    (payload a config), ``"halt"`` (payload ``accept``/``reject``/``None``
-    for a halt with leftover stack or a pop from an empty one), or ``"drop"``
-    (stack budget exceeded).
+    Yields ``(instruction, weight, kind, payload)``: the weight is the
+    instruction's probability times the machine's table denominator, and
+    kind is one of ``"step"`` (payload a config), ``"halt"`` (payload
+    ``accept``/``reject``/``None`` for a halt with leftover stack or a pop
+    from an empty one), or ``"drop"`` (stack budget exceeded).
     """
     state, positions, stack, last, just = config
     n = len(word) + 1
     read = read_vector(word, positions)
-    for t in lookup(a, read, state, last):
+    for t, w in a._steps.get((read, state, last), ()):
         if just and t.stack_op != "push_*":
             raise ValidationError(
                 f"{a.name or 'machine'}: popped the bottom marker and then "
                 f"failed to push it back (state {state}, read {read})")
         if t.next_state in (ACCEPT, REJECT):
             outcome = t.next_state if stack == ("*",) else None
-            yield t, "halt", outcome
+            yield t, w, "halt", outcome
             continue
         if t.stack_op == "pop":
             if not stack:
-                yield t, "halt", None
+                yield t, w, "halt", None
                 continue
             popped, new_stack = stack[0], stack[1:]
             new_last, new_just = popped, popped == "*"
@@ -168,13 +198,13 @@ def _expand(a: Automaton, word: str, config, depth: int):
             new_stack, new_last, new_just = stack, last, False
         else:
             if len(stack) >= depth:
-                yield t, "drop", None
+                yield t, w, "drop", None
                 continue
             new_stack = (t.stack_op[-1],) + stack
             new_last, new_just = last, False
         moved = list(positions)
         moved[t.head - 1] = (moved[t.head - 1] + (1 if t.direction == "o" else -1)) % n
-        yield t, "step", (t.next_state, tuple(moved), new_stack, new_last, new_just)
+        yield t, w, "step", (t.next_state, tuple(moved), new_stack, new_last, new_just)
 
 
 def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
@@ -185,7 +215,8 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     branch loses its mass, so the returned value is a lower bound and the
     flag reports whether any branch was actually cut.  At most
     ``linsolve.MAX_NODES`` configurations are interned; one more raises
-    ``ClosureViolation``.
+    ``ClosureViolation``.  The walk records every weight as an int over the
+    machine's table denominator, and the answer is its one ``Fraction``.
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
@@ -205,20 +236,20 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
             i = index[config] = len(order)
             order.append(config)
             preds.append([])
-            contrib.append(_ZERO)
+            contrib.append(0)
         return i
 
     intern(_start_config(a))
     pos = 0
     while pos < len(order):
-        for t, kind, payload in _expand(a, word, order[pos], stack_depth):
+        for _, w, kind, payload in _expand(a, word, order[pos], stack_depth):
             if kind == "halt":
                 if payload == outcome:
-                    contrib[pos] += t.prob
+                    contrib[pos] += w
             elif kind == "drop":
                 truncated = True
             else:
-                preds[intern(payload)].append((pos, t.prob))
+                preds[intern(payload)].append((pos, w))
         pos += 1
 
     # Each move is recorded in the predecessor list of the configuration it
@@ -226,13 +257,24 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     # contribution are kept; dropping the rest keeps probability-one loops
     # out of the linear system.  The solve gives the expected number of
     # visits to each kept configuration from the start, and the answer sums
-    # the halting contribution of every visit.
-    kept, rows = prune(preds, [i for i, c in enumerate(contrib) if c > 0])
+    # the halting contribution of every visit.  Weights are over ``den``,
+    # so the start's one visit is ``den`` over ``den``, and the sum of
+    # visits times contributions is summed as ``num / d`` before its one
+    # division by ``den``.
+    kept, rows = prune(preds, [i for i, c in enumerate(contrib) if c])
     if not kept or kept[0] != 0:
         return _ZERO, not truncated
-    visits = solve_affine(rows, [_ONE] + [_ZERO] * (len(kept) - 1))
-    return sum((v * contrib[i] for v, i in zip(visits, kept) if contrib[i]),
-               _ZERO), not truncated
+    den = a._den
+    nums, dens = solve_affine(rows, [den] + [0] * (len(kept) - 1), den)
+    num, d = 0, 1
+    for s, i in enumerate(kept):
+        c = contrib[i]
+        if c:
+            xd = dens[s]
+            g = gcd(d, xd)
+            num = num * (xd // g) + c * nums[s] * (d // g)
+            d = d // g * xd
+    return Fraction(num, d * den), not truncated
 
 
 def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
@@ -251,7 +293,7 @@ def trace_enumerate(a: Automaton, word: str, max_len: int = 20):
         state, positions, _, last, _ = config
         key = (read_vector(word, positions), state, last)
         # a run of max_len steps never holds max_len + 2 symbols, so no drops
-        for t, kind, payload in _expand(a, word, config, max_len + 2):
+        for t, _, kind, payload in _expand(a, word, config, max_len + 2):
             if kind == "halt" and t.next_state not in (ACCEPT, REJECT):
                 continue  # popped an empty stack: the run ends unrecorded
             entry = steps + ((key, t),)

@@ -31,7 +31,12 @@ breadth first under the node budget and records each move once, in the
 predecessor list of the configuration it enters.  Those lists are the rows
 of the mass-arriving system: ``linsolve.prune`` walks them back from the
 exits to keep the ancestors of an exit, and one exact linear solve resolves
-cyclic mass rather than iteration.
+cyclic mass rather than iteration.  Each caller declares the walk's
+denominator, which every move weight divides (``GraphingRep.weight_den``:
+the product of both sides' for the path sum, whose moves are a machine edge
+and an answer, and their lcm for ``plug``, whose moves are one edge), so
+the kernel records each weight as an int and solves in ints; only the
+nodes with exits become ``Fraction``s.
 Each caller supplies only its own moves and reads its own exits.  Stack
 actions compose and cancel through ``theta``, as in ``Realizer``.
 """
@@ -109,17 +114,20 @@ class PathSum:
         return sorted(self.total.items())
 
 
-def _solve_walk(seeds, expand, what: str) -> list:
+def _solve_walk(seeds, expand, what: str, den: int) -> list:
     """Exact mass leaving a walk through each of its exits.
 
     ``seeds`` lists ``(key, mass)`` starting configurations.  ``expand(key)``
     yields ``("node", p, key)`` for a move to another configuration and
-    ``("exit", p, payload)`` for a move that leaves the walk.  Configurations
-    are interned breadth first, each move is recorded as ``(pred, p)`` in
-    the list of the configuration it enters, only ancestors of an exit are
-    kept (which keeps endless loops out of the solve), and the mass arriving
-    at each is resolved by one exact solve over those lists.  Returns
-    ``(mass, payload)`` per exit move.
+    ``("exit", p, payload)`` for a move that leaves the walk.  ``den`` is
+    the walk's declared denominator: every seed mass and node move ``p`` is
+    a multiple of ``1 / den``.  Configurations are interned breadth first,
+    each move is recorded as ``(pred, p * den)`` in the list of the
+    configuration it enters, only ancestors of an exit are kept (which keeps
+    endless loops out of the solve), and the mass arriving at each is
+    resolved by one exact solve in ints over those lists.  Returns
+    ``(mass, payload)`` per exit move; only the nodes with exits become
+    ``Fraction``s.
     """
     nodes: dict = {}
     order: list = []
@@ -136,18 +144,25 @@ def _solve_walk(seeds, expand, what: str) -> list:
             order.append(key)
             preds.append([])
             exits.append([])
-            b.append(_ZERO)
+            b.append(0)
         return i
 
+    def scaled(p: Fraction) -> int:
+        q, r = divmod(den, p.denominator)
+        if r:
+            raise ClosureViolation(f"{what} weight {p} is not over the walk's "
+                                   f"denominator {den}")
+        return p.numerator * q
+
     for key, mass in seeds:
-        b[intern(key)] += mass
+        b[intern(key)] += scaled(mass)
     pos = 0
     while pos < len(order):
         for kind, p, payload in expand(order[pos]):
             if kind == "exit":
                 exits[pos].append((p, payload))
             else:
-                preds[intern(payload)].append((pos, p))
+                preds[intern(payload)].append((pos, scaled(p)))
         pos += 1
 
     # The mass arriving at a node is its seed mass plus what each move into
@@ -156,10 +171,10 @@ def _solve_walk(seeds, expand, what: str) -> list:
     if not kept:
         return []
     try:
-        x = solve_affine(rows, [b[i] for i in kept])
+        nums, dens = solve_affine(rows, [b[i] for i in kept], den)
     except ArithmeticError as exc:
         raise ClosureViolation(f"{what} mass does not converge: {exc}") from exc
-    return [(x[s] * p, payload)
+    return [(Fraction(nums[s] * p.numerator, dens[s] * p.denominator), payload)
             for s, i in enumerate(kept) for p, payload in exits[i]]
 
 
@@ -234,9 +249,11 @@ def accept_path_sum(machine, word, accept_region: Region,
                 pushes, pops = cancel_on(new_stack, new_origin)
                 yield "exit", e.weight.p, pushes + "c" * pops
 
+    # every node move is one machine edge and one answer
     seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in probes]
     totals: dict = {}
-    for mass, bucket in _solve_walk(seeds, expand, "dialogue"):
+    for mass, bucket in _solve_walk(seeds, expand, "dialogue",
+                                    m.weight_den * w.weight_den):
         totals[bucket] = totals.get(bucket, _ZERO) + mass
     dropped = totals.pop(None, _ZERO)
     return PathSum({k: v for k, v in sorted(totals.items()) if v != 0},
@@ -401,8 +418,10 @@ def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
 
     cur0 = _with((None, None), side0, in0)
     seed = (side0, origin, cur0, cur0, Realizer(), origin.cyl, 0)
+    # every move is one edge of one side
+    den = lcm(sides[0].weight_den, sides[1].weight_den)
     for mass, (_, part, first, cur, comp, ocyl, flag) in _solve_walk(
-            [(seed, _ONE)], expand, "plug"):
+            [(seed, _ONE)], expand, "plug", den):
         if mass == 0:
             continue
         piece = comp.preimage_atom(_atom(origin.sym, origin.box, ocyl, 0), part)

@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
@@ -151,6 +152,12 @@ class GraphingRep:
                 index.setdefault((e.in_state, a.sym), []).append((a, e))
                 reach = max(reach, e.realizer.pops, len(a.cyl))
         return {}, index, reach
+
+    @cached_property
+    def weight_den(self) -> int:
+        """The lcm of the edge weights' denominators, so that any product of
+        ``k`` weights is a multiple of ``1 / weight_den ** k``."""
+        return lcm(*(e.weight.p.denominator for e in self.edges))
 
     @cached_property
     def stack_free(self) -> bool:

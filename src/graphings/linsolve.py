@@ -1,17 +1,20 @@
-"""Exact solver for the affine fixpoint ``x = b + T x`` over the rationals.
+"""Exact solver for the affine fixpoint ``x = (b + T x) / den`` in integers.
 
 Path sums around cycles are geometric series; with finitely many nodes they
-are the unique solution of a sparse affine system.  The solver decomposes the
-dependency graph into strongly connected components (iterative Tarjan over
-the rows themselves, safe for deep graphs) and walks them so that every
+are the unique solution of a sparse affine system.  Every caller states its
+system over one denominator: the entries of ``T`` and ``b`` are ints, and
+``den`` is a common denominator of every weight the walk recorded, so no
+row takes an lcm and no entry carries a denominator of its own.  The solver decomposes
+the dependency graph into strongly connected components (iterative Tarjan
+over the rows themselves, safe for deep graphs) and walks them so that every
 dependency is solved first.  A component of one node is solved in closed
-form.  A larger one is scaled to integers row by row and eliminated
-fraction-free over sparse dict rows, in the style of Bareiss (*Math. Comp.*
-22, 1968) but dividing each updated row by its gcd.  A column index lists the
-rows holding each column, so elimination visits only the rows it clears, and
-back-substitution solves each value on its own denominator: the work follows
-the entries of the system, not its square.  No ``Fraction`` is built until
-the exact, normalised values come out.
+form.  A larger one is eliminated fraction-free over sparse dict rows, in
+the style of Bareiss (*Math. Comp.* 22, 1968) but dividing each updated row
+by its gcd.  A column index lists the rows holding each column, so
+elimination visits only the rows it clears, and back-substitution solves
+each value on its own denominator: the work follows the entries of the
+system, not its square.  Every value comes out as a ``(num, den)`` pair of
+ints in lowest terms; the callers build the ``Fraction``s they answer with.
 
 ``prune`` is the reachability cut every caller applies first.  It takes the
 rows as predecessor lists, the moves into each node, and walks them back
@@ -23,8 +26,7 @@ callers translate into their own domain errors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 # configurations a walk may intern before its solve: the one budget of the
 # oracle, the path sum and plug, read when each walk runs
@@ -110,61 +112,52 @@ def prune(preds, targets):
     return kept, [[(live[j], p) for j, p in preds[i]] for i in kept]
 
 
-def _solve_component(rows, b, x, comp) -> list[Fraction]:
+def _solve_component(rows, b, den, nums, dens, comp) -> None:
     """Solve one strongly connected component of two or more nodes exactly.
 
-    Each row of ``I - T`` and its right-hand side (``b`` plus the already
-    solved dependencies) is scaled to integers by the lcm of its denominators.
-    ``cols[c]`` lists the rows that hold an entry in column ``c``; a row is
-    added when elimination fills that column in.  Column by column the
-    diagonal row is the pivot, or, when it is zero or already used, another
-    row of that column.  Only the other rows of the column are cleared,
-    fraction-free, ``row = p * row - f * pivot_row`` with ``p`` and ``f``
-    divided by their gcd, and each cleared row is divided by the gcd of its
-    entries and right-hand side, so the integers stay small.  Any pivot order
-    gives the same exact values.  Back-substitution, last column first, makes
-    each value a ``Fraction`` in lowest terms and reads it back as its own
-    ``num / den``; nothing is rescaled to a common denominator.
+    Row ``k`` of ``den * I - T`` is ``{k: den, j: -c}`` over the component's
+    own entries, and its right-hand side is ``b`` plus the already solved
+    dependencies, summed as ``num / d``; a row with ``d > 1`` is scaled by
+    ``d``, so every row is integral with no lcm taken.  ``cols[c]`` lists
+    the rows that hold an entry in column ``c``; a row is added when
+    elimination fills that column in.  Column by column the diagonal row is
+    the pivot, or, when it is zero or already used, another row of that
+    column.  Only the other rows of the column are cleared, fraction-free,
+    ``row = p * row - f * pivot_row`` with ``p`` and ``f`` divided by their
+    gcd, and each cleared row is divided by the gcd of its entries and
+    right-hand side, so the integers stay small.  Any pivot order gives the
+    same exact values.  Back-substitution, last column first, writes each
+    value into ``nums`` and ``dens`` in lowest terms, on its own
+    denominator; nothing is rescaled to a common one.
     """
     order = {node: k for k, node in enumerate(comp)}
     m = len(comp)
     system, rhs = [], []
     cols: list[list[int]] = [[k] for k in range(m)]
     for k, node in enumerate(comp):
-        # b plus the solved dependencies as num / den; the entries inside
-        # the component as integer numerators over their own denominators
-        b_k = b[node]
-        num, den = b_k.numerator, b_k.denominator
-        inner = []
-        scale = 1
+        num, d = b[node], 1
+        row = {k: den}
         for j, c in rows[node]:
             local = order.get(j)
             if local is None:
-                v = x[j]
-                d = c.denominator * v.denominator
-                g = gcd(den, d)
-                num = num * (d // g) + c.numerator * v.numerator * (den // g)
-                den = den // g * d
-            else:
-                d = c.denominator
-                inner.append((local, c.numerator, d))
-                if scale % d:
-                    scale = lcm(scale, d)
-        if scale % den:
-            scale = lcm(scale, den)
-        row = {k: scale}  # the coefficients of x - T x, times scale
-        for local, n, d in inner:
-            v = n * (scale // d)
+                xd = dens[j]
+                g = gcd(d, xd)
+                num = num * (xd // g) + c * nums[j] * (d // g)
+                d = d // g * xd
+                continue
             w = row.get(local)
             if w is None:
-                row[local] = -v
+                row[local] = -c
                 cols[local].append(k)
-            elif w != v:
-                row[local] = w - v
+            elif w != c:
+                row[local] = w - c
             else:
                 del row[local]
+        if d != 1:
+            for c in row:
+                row[c] *= d
         system.append(row)
-        rhs.append(num * (scale // den))
+        rhs.append(num)
     used = [False] * m
     pivot_rows = []
     for col in range(m):
@@ -209,58 +202,60 @@ def _solve_component(rows, b, x, comp) -> list[Fraction]:
                     row[c] //= g
                 s //= g
             rhs[i] = s
-    y: list = [None] * m
     for col in range(m - 1, -1, -1):
-        r = pivot_rows[col]
-        s, d = rhs[r], 1
-        for c, v in system[r].items():
+        row = system[pivot_rows[col]]
+        s, d = rhs[pivot_rows[col]], 1
+        for c, v in row.items():
             if c != col:
-                e = y[c].denominator
-                g = gcd(d, e)
-                s = s * (e // g) - v * y[c].numerator * (d // g)
-                d = d // g * e
-        y[col] = Fraction(s, d * system[r][col])
-    return y
+                j = comp[c]
+                xd = dens[j]
+                g = gcd(d, xd)
+                s = s * (xd // g) - v * nums[j] * (d // g)
+                d = d // g * xd
+        d *= row[col]
+        if d < 0:
+            s, d = -s, -d
+        g = gcd(s, d)
+        node = comp[col]
+        nums[node], dens[node] = s // g, d // g
 
 
-def solve_affine(rows, b) -> list[Fraction]:
-    """Solve ``x[i] = b[i] + sum(coeff * x[j] for (j, coeff) in rows[i])``.
+def solve_affine(rows, b, den: int) -> tuple[list[int], list[int]]:
+    """Solve ``x[i] = (b[i] + sum(c * x[j] for (j, c) in rows[i])) / den``.
 
-    ``rows`` may contain repeated ``j`` entries; coefficients add up.  A node
-    that is its own component is solved in closed form,
-    ``x = (b + sum(c * x_j)) / (1 - loop)`` with ``loop`` its self-entries;
-    with an empty row it is ``b`` itself.
+    Every coefficient ``c`` and right-hand side ``b[i]`` is an int, and
+    ``den`` is the one positive denominator they share.  Returns
+    ``(nums, dens)``: ``x[i] = nums[i] / dens[i]`` in lowest terms, with
+    ``dens[i] > 0``.  ``rows`` may contain repeated ``j`` entries;
+    coefficients add up.  A node that is its own component is solved in
+    closed form, ``x = (b + sum(c * x_j)) / (den - loop)`` with ``loop``
+    its self-entries; with an empty row it is ``b / den``.
     """
+    if den < 1:
+        raise ValueError(f"the denominator must be positive, got {den}")
     n = len(rows)
-    x: list[Fraction | None] = [None] * n
+    nums, dens = [0] * n, [1] * n
     for comp in strongly_connected(n, rows):
         if len(comp) > 1:
-            for node, value in zip(comp, _solve_component(rows, b, x, comp)):
-                x[node] = value
+            _solve_component(rows, b, den, nums, dens, comp)
             continue
         node = comp[0]
-        row = rows[node]
-        if not row:
-            v = b[node]
-            x[node] = v if type(v) is Fraction else Fraction(v)
-            continue
-        # b plus the solved dependencies, summed exactly as num / den over
-        # the lcm of their denominators; the self-entries add up to loop
-        b_i = b[node]
-        num, den, loop = b_i.numerator, b_i.denominator, 0
-        for j, c in row:
+        # b plus the solved dependencies, summed exactly as num / d over the
+        # lcm of their denominators; the self-entries come off den
+        num, d, q = b[node], 1, den
+        for j, c in rows[node]:
             if j == node:
-                loop += c
+                q -= c
                 continue
-            v = x[j]
-            d = c.denominator * v.denominator
-            g = gcd(den, d)
-            num = num * (d // g) + c.numerator * v.numerator * (den // g)
-            den = den // g * d
-        acc = Fraction(num, den)
-        if loop:
-            if loop == 1:
-                raise ArithmeticError("singular linear system")
-            acc /= 1 - loop
-        x[node] = acc
-    return x
+            xd = dens[j]
+            g = gcd(d, xd)
+            num = num * (xd // g) + c * nums[j] * (d // g)
+            d = d // g * xd
+        if not q:
+            raise ArithmeticError("singular linear system")
+        if q < 0:
+            num, q = -num, -q
+        d *= q
+        g = gcd(num, d)
+        nums[node], dens[node] = num // g, d // g
+    return nums, dens

@@ -1,17 +1,24 @@
 """Configuration-level probability oracle for multihead machines."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
+import hashlib
+from itertools import product
+from math import lcm
+import re
 
 import pytest
 
 from graphings import automata
 from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
-                                accept_probability, format_automaton,
+                                accept_probability, format_automaton, lookup,
                                 parse_automaton, read_vector, trace_enumerate)
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, coin_half, corpus
 from graphings.errors import FormatError, ValidationError
+from graphings.linsolve import prune
+from test_compiler import POP_MARKER
+from test_linsolve import reference_solve
 
 
 def p(name, word, depth=16):
@@ -243,3 +250,153 @@ def test_format_roundtrip_preserves_behaviour():
         assert b.name == a.name and b.heads == a.heads and b.stack == a.stack
         for w in ("", "01", "110"):
             assert accept_probability(a, w, 12) == accept_probability(b, w, 12)
+
+
+# --- the oracle before its integer table, as a reference -----------------------
+
+
+def _reference_expand(a, word, config, depth):
+    """Successors of a configuration, read through ``lookup`` with
+    ``Fraction`` probabilities: ``(instruction, kind, payload)``."""
+    state, positions, stack, last, just = config
+    n = len(word) + 1
+    read = read_vector(word, positions)
+    for t in lookup(a, read, state, last):
+        if just and t.stack_op != "push_*":
+            raise ValidationError(
+                f"{a.name or 'machine'}: popped the bottom marker and then "
+                f"failed to push it back (state {state}, read {read})")
+        if t.next_state in (ACCEPT, REJECT):
+            yield t, "halt", t.next_state if stack == ("*",) else None
+            continue
+        if t.stack_op == "pop":
+            if not stack:
+                yield t, "halt", None
+                continue
+            popped, new_stack = stack[0], stack[1:]
+            new_last, new_just = popped, popped == "*"
+        elif t.stack_op == "id":
+            new_stack, new_last, new_just = stack, last, False
+        else:
+            if len(stack) >= depth:
+                yield t, "drop", None
+                continue
+            new_stack = (t.stack_op[-1],) + stack
+            new_last, new_just = last, False
+        moved = list(positions)
+        moved[t.head - 1] = (moved[t.head - 1] + (1 if t.direction == "o" else -1)) % n
+        yield t, "step", (t.next_state, tuple(moved), new_stack, new_last, new_just)
+
+
+def reference_probability(a, word, stack_depth=16, outcome=ACCEPT):
+    """The oracle walk in ``Fraction``s, solved by the reference solver."""
+    index, order, preds, contrib = {}, [], [], []
+    truncated = False
+
+    def intern(config):
+        if config not in index:
+            index[config] = len(order)
+            order.append(config)
+            preds.append([])
+            contrib.append(F(0))
+        return index[config]
+
+    intern(("init", (0,) * a.heads, ("*",), "*", False))
+    pos = 0
+    while pos < len(order):
+        for t, kind, payload in _reference_expand(a, word, order[pos], stack_depth):
+            if kind == "halt":
+                if payload == outcome:
+                    contrib[pos] += t.prob
+            elif kind == "drop":
+                truncated = True
+            else:
+                preds[intern(payload)].append((pos, t.prob))
+        pos += 1
+    kept, rows = prune(preds, [i for i, c in enumerate(contrib) if c > 0])
+    if not kept or kept[0] != 0:
+        return F(0), not truncated
+    visits = reference_solve(rows, [F(1)] + [F(0)] * (len(kept) - 1))
+    return sum((v * contrib[i] for v, i in zip(visits, kept)), F(0)), not truncated
+
+
+WORDS_UP_TO_4 = ["".join(w) for n in range(5) for w in product("01", repeat=n)]
+
+
+def _agrees_with_the_reference(a, word, depth):
+    for outcome in (ACCEPT, REJECT):
+        got = accept_probability(a, word, depth, outcome)
+        assert type(got[0]) is F and type(got[1]) is bool
+        assert got == reference_probability(a, word, depth, outcome)
+
+
+@pytest.mark.parametrize("a", corpus(), ids=lambda a: a.name)
+def test_integer_oracle_matches_the_fraction_oracle(a):
+    for word in WORDS_UP_TO_4:
+        _agrees_with_the_reference(a, word, 16)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])  # 16 is the corpus test above
+def test_integer_oracle_matches_on_pushdown_machines_at_each_depth(depth):
+    machines = [a for a in corpus() if a.stack]
+    assert len(machines) == 9
+    for a in machines:
+        for word in WORDS_UP_TO_4:
+            _agrees_with_the_reference(a, word, depth)
+
+
+@pytest.mark.parametrize("word, read", [("", "*"), ("0", "0"), ("01", "0")])
+def test_both_oracles_refuse_a_lost_bottom_marker_alike(word, read):
+    a = parse_automaton(POP_MARKER)
+    message = ("pop-marker: popped the bottom marker and then failed to push "
+               f"it back (state q, read {read})")
+    for oracle in (accept_probability, reference_probability):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            oracle(a, word)
+
+
+# SHA-256 over the text and repr of every corpus machine, as they were before
+# the oracle's table: the table stays out of both
+CORPUS_TEXT_SHA256 = "530b8e1c5b2c2d25a381b42c96232b32a64299bd6746d23310c156a6870752de"
+
+
+def test_the_oracle_table_stays_private():
+    assert [f.name for f in fields(Automaton)] == ["name", "heads", "states",
+                                                   "delta", "stack"]
+    digest = hashlib.sha256()
+    for a in corpus():
+        digest.update(format_automaton(a).encode())
+        digest.update(repr(a).encode())
+        assert a == parse_automaton(format_automaton(a)) == replace(a)
+        assert "_steps" not in repr(a) and "_den" not in repr(a)
+    assert digest.hexdigest() == CORPUS_TEXT_SHA256
+
+
+def test_oracle_table_reads_as_lookup_over_one_denominator():
+    # each table row in its own order too: an exact row precedes or follows
+    # its wildcard row, and wins either way
+    machines = corpus() + [parse_automaton(POP_MARKER)]
+    for a in machines + [replace(a, delta=dict(reversed(a.delta.items())))
+                         for a in machines]:
+        assert a._den == lcm(*(t.prob.denominator
+                               for ts in a.delta.values() for t in ts))
+        for read, state in {key[:2] for key in a.delta}:
+            for last in "*01":
+                row = a._steps.get((read, state, last), ())
+                assert [(t, F(w, a._den)) for t, w in row] == \
+                    [(t, t.prob) for t in lookup(a, read, state, last)]
+
+
+def test_replace_gives_a_machine_its_own_table():
+    key = ("*", "init", None)
+    a = Automaton("coin", 1, ("init", ACCEPT, REJECT), {key: (
+        Instruction(1, "o", "id", ACCEPT, F(1, 2)),
+        Instruction(1, "o", "id", REJECT, F(1, 2)))})
+    renamed = replace(a, name="renamed")
+    assert renamed._steps is not a._steps and renamed._steps == a._steps
+    b = replace(a, delta={key: (Instruction(1, "o", "id", ACCEPT, F(1, 3)),
+                                Instruction(1, "o", "id", REJECT, F(2, 3)))})
+    assert (a._den, b._den) == (2, 3)
+    assert accept_probability(a, "") == (F(1, 2), True)
+    assert accept_probability(b, "") == (F(1, 3), True)
+    assert accept_probability(b, "", outcome=REJECT) == (F(2, 3), True)

@@ -66,6 +66,19 @@ def test_determinism_transfers():
     assert is_subprobabilistic(prob.graphing)
 
 
+@pytest.mark.parametrize("a", corpus(), ids=lambda a: a.name)
+def test_every_corpus_machine_compiles_into_its_microcosm(a):
+    # the paper's correspondences: a k-head machine lands in m_k, or in n_k
+    # with a stack; it is deterministic exactly when every row is one
+    # instruction of probability one, and it is sub-probabilistic
+    g = compile_automaton(a).graphing
+    kind = "n" if a.stack else "m"
+    assert all(in_microcosm(e.realizer, kind, index=a.heads) for e in g.edges)
+    assert is_deterministic(g) == all(len(row) == 1 and row[0].prob == 1
+                                      for row in a.delta.values())
+    assert is_subprobabilistic(g)
+
+
 def test_provenance_points_back_at_instructions():
     m = compile_automaton(by_name("even-ones"))
     assert m.provenance

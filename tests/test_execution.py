@@ -3,7 +3,8 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import count
+from itertools import count, product
+from math import lcm
 import re
 
 import pytest
@@ -610,8 +611,56 @@ def test_solve_walk_prunes_a_loop_that_never_exits():
     # the walk's own predecessor lists prune the loop before the solve
     moves = {"seed": [("node", F(1, 2), "loop"), ("exit", F(1, 2), "out")],
              "loop": [("node", F(1), "loop")]}
-    got = execution._solve_walk([("seed", F(1))], lambda key: moves[key], "test")
+    got = execution._solve_walk([("seed", F(1))], lambda key: moves[key],
+                                "test", 2)
     assert got == [(F(1, 2), "out")]
+
+
+def test_solve_walk_refuses_a_weight_off_its_denominator():
+    moves = {"seed": [("node", F(1, 3), "next")], "next": [("exit", F(1), "out")]}
+    with pytest.raises(ClosureViolation,
+                       match="weight 1/3 is not over the walk's denominator 2"):
+        execution._solve_walk([("seed", F(1))], lambda key: moves[key],
+                              "test", 2)
+
+
+def _watch_walks(monkeypatch):
+    """Record ``(p, den)`` for every move of every walk: the move's weight
+    and the denominator its walk declared."""
+    real, seen = execution._solve_walk, []
+
+    def spy(seeds, expand, what, den):
+        def watched(key):
+            for move in expand(key):
+                seen.append((move[1], den))
+                yield move
+        return real(seeds, watched, what, den)
+
+    monkeypatch.setattr(execution, "_solve_walk", spy)
+    return seen
+
+
+def test_every_move_is_over_the_denominator_its_walk_declared(monkeypatch):
+    seen = _watch_walks(monkeypatch)
+    words_up_to_3 = ["".join(w) for n in range(4) for w in product("01", repeat=n)]
+    walked = 0
+    for a in corpus():
+        m = compile_automaton(a)
+        for word in words_up_to_3:
+            rep = canonical_representation(word)
+            seen.clear()
+            accept_path_sum(m, rep, ACCEPT_REGION)
+            walked += bool(seen)  # reject-now never moves from accept
+            assert {den for _, den in seen} <= {
+                m.reachable.weight_den * rep.graphing.weight_den}
+            assert all(den % p.denominator == 0 for p, den in seen)
+    assert walked == 45 * len(words_up_to_3)
+    for seed in range(4):
+        f, g, cut = random_subprob_pair(seed)
+        seen.clear()
+        plug(f, g, cut)
+        assert {den for _, den in seen} == {lcm(f.weight_den, g.weight_den)}
+        assert all(den % p.denominator == 0 for p, den in seen)
 
 
 @pytest.mark.parametrize("word", ["*", "2", "1*"])

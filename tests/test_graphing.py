@@ -1,16 +1,21 @@
 """Graph-shaped dynamics: edges, weights, comparison predicates."""
 
+from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import reduce
+from math import gcd
 
 import pytest
 
 from graphings.errors import ValidationError
+from graphings.generators import random_subprob_pair
 from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 format_graphing, is_deterministic,
                                 is_refinement, is_subprobabilistic,
                                 parse_graphing)
 from graphings.realizer import Realizer
 from graphings.space import Atom, Interval, Region, region_of
+from graphings.words import canonical_representation
 
 
 def test_weight_bounds():
@@ -119,3 +124,38 @@ def test_graphing_roundtrip_with_states_and_stack():
         Edge(region_of(left), 0, 2, Realizer(pops=1, pushes="0"), Weight(F(1, 3), 1)),
         Edge(region_of(right), 2, 0, _hop(right, left)),))
     assert parse_graphing(format_graphing(g)) == g
+
+
+def _weighted_graphings():
+    yield GraphingRep(region_of(Atom("a")))  # no edges: weight_den is 1
+    for seed in range(6):
+        yield from random_subprob_pair(seed)[:2]
+    for word in ("", "0110"):
+        yield canonical_representation(word).graphing
+    a1, a2 = _two_cells()
+    yield GraphingRep(Region((a1, a2)), (0,), (
+        Edge(region_of(a1), 0, 0, weight=Weight(F(1, 6))),
+        Edge(region_of(a1), 0, 0, weight=Weight(F(3, 4), 1)),
+        Edge(region_of(a2), 0, 0, weight=Weight(F(2, 9)))))
+
+
+def test_weight_den_is_the_lcm_of_the_edge_denominators():
+    for g in _weighted_graphings():
+        want = reduce(lambda x, y: x * y // gcd(x, y),
+                      (e.weight.p.denominator for e in g.edges), 1)
+        assert g.weight_den == want
+        assert all((e.weight.p * want).denominator == 1 for e in g.edges)
+    assert g.weight_den == 36
+
+
+def test_weight_den_stays_out_of_equality_hash_and_text():
+    assert [f.name for f in fields(GraphingRep)] == ["support", "dialect", "edges"]
+    for g in map(replace, _weighted_graphings()):  # copies with no cache
+        fresh = replace(g)
+        text, key, shown = format_graphing(g), hash(g), repr(g)
+        assert "weight_den" not in vars(g)
+        g.weight_den
+        assert "weight_den" in vars(g) and "weight_den" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh) == key
+        assert format_graphing(g) == format_graphing(fresh) == text
+        assert repr(g) == shown and "weight_den" not in shown

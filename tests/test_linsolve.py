@@ -9,6 +9,26 @@ from hypothesis import given, strategies as st
 from graphings.linsolve import prune, solve_affine, strongly_connected
 
 
+def over_one_den(rows, b):
+    """A rational system ``x = b + T x`` as ints over the lcm of its
+    denominators: the arguments ``solve_affine`` takes."""
+    den = lcm(*(F(c).denominator for row in rows for _, c in row),
+              *(F(v).denominator for v in b))
+    return ([[(j, int(c * den)) for j, c in row] for row in rows],
+            [int(v * den) for v in b], den)
+
+
+def solve(rows, b):
+    """``solve_affine`` on a rational system, its pairs read back as
+    ``Fraction``s once each is checked to be ints in lowest terms over a
+    positive denominator."""
+    nums, dens = solve_affine(*over_one_den(rows, b))
+    assert len(nums) == len(dens) == len(rows)
+    assert all(type(v) is int for v in nums + dens)
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(nums, dens))
+    return [F(n, d) for n, d in zip(nums, dens)]
+
+
 def test_scc_ordering_is_dependencies_first():
     # 0 depends on 1, 1 and 2 form a cycle
     comps = strongly_connected(3, [[(1, F(1))], [(2, F(1))], [(1, F(1))]])
@@ -18,32 +38,35 @@ def test_scc_ordering_is_dependencies_first():
 
 
 def test_single_geometric_loop():
-    # x = 1/2 + (1/2) x  =>  x = 1
-    [x] = solve_affine([[(0, F(1, 2))]], [F(1, 2)])
-    assert x == 1
+    # x = (1 + x) / 2  =>  x = 1, as the pair 1 / 1
+    assert solve_affine([[(0, 1)]], [1], 2) == ([1], [1])
 
 
 def test_chain_with_cycle():
-    # x0 = x1, x1 = 1/3 + (1/3) x0  =>  x1 = 1/2
-    x = solve_affine([[(1, F(1))], [(0, F(1, 3))]], [F(0), F(1, 3)])
-    assert x == [F(1, 2), F(1, 2)]
+    # x0 = 3 x1 / 3, x1 = (1 + x0) / 3  =>  x1 = 1/2
+    assert solve_affine([[(1, 3)], [(0, 1)]], [0, 1], 3) == ([1, 1], [2, 2])
 
 
 def test_repeated_entries_accumulate():
-    # x = 1/4 + (1/4 + 1/4) x => x = 1/2
-    [x] = solve_affine([[(0, F(1, 4)), (0, F(1, 4))]], [F(1, 4)])
-    assert x == F(1, 2)
+    # x = (1 + x + x) / 4 => x = 1/2
+    assert solve_affine([[(0, 1), (0, 1)]], [1], 4) == ([1], [2])
 
 
 def test_singular_system_raises():
     with pytest.raises(ArithmeticError):
-        solve_affine([[(0, F(1))]], [F(1)])  # x = 1 + x
+        solve_affine([[(0, 1)]], [1], 1)  # x = 1 + x
 
 
 def test_singular_component_raises():
     # x0 = x1, x1 = x0: a two-node loop of mass one has no unique solution
     with pytest.raises(ArithmeticError):
-        solve_affine([[(1, F(1))], [(0, F(1))]], [F(1), F(0)])
+        solve_affine([[(1, 1)], [(0, 1)]], [1, 0], 1)
+
+
+@pytest.mark.parametrize("den", [0, -2])
+def test_denominator_must_be_positive(den):
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        solve_affine([[]], [1], den)
 
 
 @pytest.mark.parametrize("rows, b", [
@@ -56,7 +79,7 @@ def test_singular_component_raises():
 ])
 def test_zero_pivot_is_swapped(rows, b):
     assert len(strongly_connected(len(rows), rows)) == 1
-    x = solve_affine(rows, b)
+    x = solve(rows, b)
     for i, row in enumerate(rows):
         assert x[i] == b[i] + sum((c * x[j] for j, c in row), F(0))
 
@@ -64,20 +87,21 @@ def test_zero_pivot_is_swapped(rows, b):
 def test_prune_drops_a_loop_that_never_exits():
     # 0 -> 1 and 0 -> 2 by halves; 1 loops on itself with mass one, 2 exits.
     # preds[i] lists the moves into i, so the rows give the mass arriving
-    # at each node from a seed of one at 0.
-    preds = [[], [(0, F(1, 2)), (1, F(1))], [(0, F(1, 2))]]
+    # at each node from a seed of one at 0, all over the denominator 2.
+    preds = [[], [(0, 1), (1, 2)], [(0, 1)]]
     with pytest.raises(ArithmeticError):
-        solve_affine(preds, [F(1), F(0), F(0)])
+        solve_affine(preds, [2, 0, 0], 2)
     kept, rows = prune(preds, [2])
     assert kept == [0, 2]
-    assert rows == [[], [(0, F(1, 2))]]
-    assert solve_affine(rows, [F(1), F(0)]) == [F(1), F(1, 2)]
+    assert rows == [[], [(0, 1)]]
+    assert solve_affine(rows, [2, 0], 2) == ([1, 1], [1, 2])
 
 
 def test_mutual_recursion_solved_exactly():
     rows = [[(1, F(1, 2))], [(0, F(2, 3))]]
     b = [F(1, 2), F(1, 3)]
-    x = solve_affine(rows, b)
+    assert over_one_den(rows, b) == ([[(1, 3)], [(0, 4)]], [3, 2], 6)
+    x = solve(rows, b)
     assert x[0] == b[0] + F(1, 2) * x[1]
     assert x[1] == b[1] + F(2, 3) * x[0]
 
@@ -90,7 +114,7 @@ def test_solution_satisfies_the_system(rows):
     rows = [[(j % 5, c) for j, c in row] for row in rows]
     b = [F(1, k + 2) for k in range(5)]
     try:
-        x = solve_affine(rows, b)
+        x = solve(rows, b)
     except ArithmeticError:
         return
     for i, row in enumerate(rows):
@@ -119,7 +143,7 @@ def ring_systems(draw):
 def test_large_component_satisfies_the_system(system):
     rows, b = system
     assert len(strongly_connected(len(rows), rows)) == 1
-    x = solve_affine(rows, b)
+    x = solve(rows, b)
     for i, row in enumerate(rows):
         assert x[i] == b[i] + sum((c * x[j] for j, c in row), F(0))
 
@@ -171,17 +195,15 @@ def test_solve_matches_a_dense_reference(system):
     want = dense_reference(rows, b)
     if want is None:
         with pytest.raises(ArithmeticError):
-            solve_affine(rows, b)
+            solve(rows, b)
         return
-    got = solve_affine(rows, b)
-    assert got == want
-    assert all(type(v) is F for v in got)
+    assert solve(rows, b) == want
 
 
 def test_repeated_self_entries_summing_to_one_raise():
-    # x = 1/4 + (1/7 + 2/7 + 4/7) x: the self-loop has mass exactly one
+    # x = 1/4 + (1/7 + 2/7 + 4/7) x, over 28: the self-loop has mass one
     with pytest.raises(ArithmeticError):
-        solve_affine([[(0, F(1, 7)), (0, F(2, 7)), (0, F(4, 7))]], [F(1, 4)])
+        solve_affine([[(0, 4), (0, 8), (0, 16)]], [7], 28)
 
 
 def test_forty_node_ring_with_chords_matches_the_reference():
@@ -190,9 +212,7 @@ def test_forty_node_ring_with_chords_matches_the_reference():
              ((3 * i + 5) % n, F(3, 13)), (i, F(-1, 13))] for i in range(n)]
     b = [F(i % 5, 11) for i in range(n)]
     assert len(strongly_connected(n, rows)) == 1
-    x = solve_affine(rows, b)
-    assert x == dense_reference(rows, b)
-    assert all(type(v) is F and gcd(v.numerator, v.denominator) == 1 for v in x)
+    assert solve(rows, b) == dense_reference(rows, b)
 
 
 # --- the solver before column indexing, as a reference ---------------------------
@@ -341,11 +361,47 @@ def test_solve_matches_the_solver_before_column_indexing(system):
         want = reference_solve(rows, b)
     except ArithmeticError:
         with pytest.raises(ArithmeticError):
-            solve_affine(rows, b)
+            solve(rows, b)
         return
-    got = solve_affine(rows, b)
-    assert got == want
-    assert all(type(v) is F for v in got)
+    assert solve(rows, b) == want
+
+
+# numerators of either sign over denominators drawn entry by entry, so the
+# one denominator of a system is the lcm of several unrelated ones
+_RATIONALS = st.builds(F, st.integers(-5, 5), st.integers(1, 30))
+
+
+@st.composite
+def rational_systems(draw, singular=False):
+    """Sparse systems over unrelated denominators; with ``singular``, one
+    drawn node reads ``x = b + x``, a zero row of ``I - T``."""
+    n = draw(st.integers(1, 12))
+    rows = [draw(st.lists(st.tuples(st.integers(0, n - 1), _RATIONALS),
+                          max_size=4)) for _ in range(n)]
+    b = draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+    if singular:
+        k = draw(st.integers(0, n - 1))
+        rows[k] = [(k, F(1))]
+    return rows, b
+
+
+@given(st.one_of(rational_systems(), rational_systems(singular=True),
+                 pure_rings(), birth_death_chains()))
+def test_int_solve_matches_the_fraction_reference(system):
+    rows, b = system
+    singular = any(row == [(i, F(1))] for i, row in enumerate(rows))
+    args = over_one_den(rows, b)
+    try:
+        want = reference_solve(rows, b)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            solve_affine(*args)
+        return
+    assert not singular
+    nums, dens = solve_affine(*args)
+    assert all(type(v) is int for v in nums + dens)
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(nums, dens))
+    assert [F(n, d) for n, d in zip(nums, dens)] == want
 
 
 @pytest.mark.parametrize("n", [46, 2000])
@@ -366,7 +422,7 @@ def test_gamblers_ruin_has_its_closed_form(n, reverse):
     b = [F(0)] * (n - 1)
     b[top] = F(1, 5)
     want = [F(4 ** k - 1, 4 ** n - 1) for k in range(1, n)]
-    x = solve_affine(succ, b)
+    x = solve(succ, b)
     assert [x[node(k)] for k in range(1, n)] == want
     # the same walk as mass arriving from a start at k: its rows are the
     # moves into each state, and the mass leaving through n is 1/5 of the
@@ -378,4 +434,4 @@ def test_gamblers_ruin_has_its_closed_form(n, reverse):
             preds[j].append((i, p))
     seed = [F(0)] * (n - 1)
     seed[node(k)] = F(1)
-    assert solve_affine(preds, seed)[top] * F(1, 5) == want[k - 1]
+    assert solve(preds, seed)[top] * F(1, 5) == want[k - 1]
