@@ -17,7 +17,7 @@ from .automata import (ACCEPT, REJECT, accept_probability, parse_automaton,
                        format_automaton)
 from .compiler import compile_automaton, format_compiled
 from .corpus import by_name
-from .errors import GraphingError
+from .errors import FormatError, GraphingError
 from .execution import ExecOptions, accept_path_sum, plug
 from .generators import random_det_pair, random_subprob_pair, split_sources
 from .graphing import (format_graphing, is_deterministic, is_subprobabilistic,
@@ -28,10 +28,18 @@ from .theta import format_theta, reduce, reduce_random
 from .words import bang_representation
 
 
+def _read(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a format error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_machine(spec: str):
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_automaton(fh.read())
+        return parse_automaton(_read(spec))
     try:
         return by_name(spec)
     except KeyError:
@@ -131,10 +139,8 @@ def cmd_membership(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    with open(args.left) as fh:
-        f = parse_graphing(fh.read())
-    with open(args.right) as fh:
-        g = parse_graphing(fh.read())
+    f = parse_graphing(_read(args.left))
+    g = parse_graphing(_read(args.right))
     # equivalence is only meaningful between valid graphings
     same = f.validate().equivalent(g.validate())
     _println("equivalent:", "yes" if same else "no")

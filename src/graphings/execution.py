@@ -1,13 +1,16 @@
 """Execution of graphings: plugging and dialogue path sums.
 
 Plugging two graphings along a cut region sums the weights of alternating
-paths through the cut, exactly.  A walk starts from each rest atom and reads
-both sides' moves from ``GraphingRep.moves``, as the path sum does: every
-move narrows the family to the part of the edge source it meets, splits the
-image against the cut (a turn of the other side) and the rests (an exit),
-and deepens the tracked cylinder of the origin as pops and narrower targets
-demand.  Each exit is pulled back onto its origin through the running
-composite realizer; no partition is built up front.
+paths through the cut, exactly, on the product dialect.  One walk per plug
+is seeded at every rest atom at every dialect pair, on the turn of the side
+that owns the atom, and reads both sides' moves from ``GraphingRep.moves``,
+as the path sum does: every move narrows the family to the part of the edge
+source it meets, splits the image against the cut (a turn of the other
+side) and the rests (an exit), and deepens the tracked cylinder of the
+origin as pops and narrower targets demand.  Each exit is pulled back onto
+its origin through the running composite realizer; no partition is built
+up front.  The node budget ``linsolve.MAX_NODES`` counts all of one plug's
+configurations, its seeds included.
 
 The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
@@ -26,12 +29,13 @@ Every walk, ``enumerate_paths`` too, reads both sides' moves from
 ``GraphingRep.moves``, which computes each once per graphing and keeps it
 across walks; the walk rebuilds each image's cylinder from the move.
 
-Both walks run on one kernel, ``_solve_walk``: it interns configurations
-breadth first under the node budget and records each move once, in the
-predecessor list of the configuration it enters.  Those lists are the rows
-of the mass-arriving system: ``linsolve.prune`` walks them back from the
-exits to keep the ancestors of an exit, and one exact linear solve resolves
-cyclic mass rather than iteration.  Each caller declares the walk's
+Both walks run on one kernel, ``_solve_walk``: it seeds each starting
+configuration with mass one, interns configurations breadth first under the
+node budget and records each move once, in the predecessor list of the
+configuration it enters.  Those lists are the rows of the mass-arriving
+system: ``linsolve.prune`` walks them back from the exits to keep the
+ancestors of an exit, and one exact linear solve resolves cyclic mass
+rather than iteration.  Each caller declares the walk's
 denominator, which every move weight divides (``GraphingRep.weight_den``:
 the product of both sides' for the path sum, whose moves are a machine edge
 and an answer, and their lcm for ``plug``, whose moves are one edge), so
@@ -106,10 +110,6 @@ class PathSum:
     def lower_bound(self) -> Fraction:
         return self.total.get("", _ZERO)
 
-    @property
-    def mass(self) -> Fraction:
-        return sum(self.total.values(), _ZERO)
-
     def classes(self):
         return sorted(self.total.items())
 
@@ -117,14 +117,14 @@ class PathSum:
 def _solve_walk(seeds, expand, what: str, den: int) -> list:
     """Exact mass leaving a walk through each of its exits.
 
-    ``seeds`` lists ``(key, mass)`` starting configurations.  ``expand(key)``
-    yields ``("node", p, key)`` for a move to another configuration and
-    ``("exit", p, payload)`` for a move that leaves the walk.  ``den`` is
-    the walk's declared denominator: every seed mass and node move ``p`` is
-    a multiple of ``1 / den``.  Configurations are interned breadth first,
-    each move is recorded as ``(pred, p * den)`` in the list of the
-    configuration it enters, only ancestors of an exit are kept (which keeps
-    endless loops out of the solve), and the mass arriving at each is
+    ``seeds`` lists the keys of the starting configurations, each seeded
+    with mass one.  ``expand(key)`` yields ``("node", p, key)`` for a move
+    to another configuration and ``("exit", p, payload)`` for a move that
+    leaves the walk.  ``den`` is the walk's declared denominator: every node
+    move ``p`` is a multiple of ``1 / den``.  Configurations are interned
+    breadth first, each move is recorded as ``(pred, p * den)`` in the list
+    of the configuration it enters, only ancestors of an exit are kept (which
+    keeps endless loops out of the solve), and the mass arriving at each is
     resolved by one exact solve in ints over those lists.  Returns
     ``(mass, payload)`` per exit move; only the nodes with exits become
     ``Fraction``s.
@@ -154,8 +154,8 @@ def _solve_walk(seeds, expand, what: str, den: int) -> list:
                                    f"denominator {den}")
         return p.numerator * q
 
-    for key, mass in seeds:
-        b[intern(key)] += scaled(mass)
+    for key in seeds:
+        b[intern(key)] += den
     pos = 0
     while pos < len(order):
         for kind, p, payload in expand(order[pos]):
@@ -250,7 +250,7 @@ def accept_path_sum(machine, word, accept_region: Region,
                 yield "exit", e.weight.p, pushes + "c" * pops
 
     # every node move is one machine edge and one answer
-    seeds = [((a0, start, ("", 0), a0.cyl), _ONE) for a0 in probes]
+    seeds = [(a0, start, ("", 0), a0.cyl) for a0 in probes]
     totals: dict = {}
     for mass, bucket in _solve_walk(seeds, expand, "dialogue",
                                     m.weight_den * w.weight_den):
@@ -307,13 +307,16 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     """Execute two graphings against each other along a cut.
 
     The result lives on the two rests with the product dialect (pairs in
-    sorted order).  A walk starts from every rest atom at every state of the
-    side it belongs to, and each maximal alternating path family through the
-    cut contributes its source piece, pulled back from where it exits,
-    weighted by the product of the probabilities along it, with cyclic mass
-    summed exactly.  Families ending on the same dialect pairs, composite and
-    flag are refined together, so pieces that overlap add their weights; a
-    family of one piece is kept as it is.
+    sorted order).  One walk is seeded at every rest atom at every dialect
+    pair, on the turn of the side the atom belongs to, and each maximal
+    alternating path family through the cut contributes its source piece,
+    pulled back from where it exits, weighted by the product of the
+    probabilities along it, with cyclic mass summed exactly.  A side that
+    never speaks keeps its state, so it passes through diagonally.  Families
+    ending on the same dialect pairs, composite and flag are refined
+    together, so pieces that overlap add their weights; a family of one
+    piece is kept as it is.  The node budget counts every configuration of
+    the walk, seeds included.
     """
     whole_f = Region(tuple(cut.left_rest.atoms) + tuple(cut.cut.atoms))
     whole_g = Region(tuple(cut.cut.atoms) + tuple(cut.right_rest.atoms))
@@ -325,15 +328,55 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         raise ValidationError("the two rests overlap")
     _spatial(whole_f.atoms + cut.right_rest.atoms, "the cut and the rests")
 
-    pair_index = {pr: i for i, pr in enumerate(plug_dialect_pairs(f, g))}
+    sides = (f, g)
+    pairs = plug_dialect_pairs(f, g)
+    pair_index = {pr: i for i, pr in enumerate(pairs)}
+    zones: dict = {}  # symbol -> [(kind, atom)]: only these can meet an image
+    for kind, atoms in (("node", cut.cut.atoms),
+                        ("exit", cut.left_rest.atoms + cut.right_rest.atoms)):
+        for a in atoms:
+            zones.setdefault(a.sym, []).append((kind, a))
+
+    # key: (origin, in pair, turn, atom, cur, comp, ocyl, flag).  ``origin``
+    # is the rest atom the family started from and ``in pair`` the index of
+    # its dialect pair, ``atom`` is where the family stands, ``cur`` holds
+    # both sides' current dialect states, and ``ocyl`` is the cylinder of the
+    # part of the origin that the family carries.
+    def expand(key):
+        origin, in_i, turn, atom, cur, comp, ocyl, flag = key
+        side, cyl = sides[turn], atom.cyl
+        for e, grow, sym, box in side.moves(cur[turn], atom.sym, atom.box, cyl):
+            r = e.realizer
+            nxt = comp.compose(r)
+            if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
+                if opts.strict:
+                    raise TruncationError("composite stack action outgrew the budget")
+                continue
+            new_cur = (e.out_state, cur[1]) if turn == 0 else (cur[0], e.out_state)
+            img = _atom(sym, box, r.pushes + (cyl + grow)[r.pops:], 0)
+            deeper = ocyl + grow
+            for kind, target in zones.get(sym, ()):
+                part = img.intersect(target)
+                if part is not None:
+                    new_ocyl = deeper + part.cyl[len(img.cyl):]
+                    yield kind, e.weight.p, (origin, in_i, 1 - turn, part, new_cur,
+                                             nxt.normalized_on(new_ocyl), new_ocyl,
+                                             flag | e.weight.flag)
+
+    seeds = [(a, in_i, side, a, pr, Realizer(), a.cyl, 0)
+             for side, rest in enumerate((cut.left_rest, cut.right_rest))
+             for a in rest.atoms for in_i, pr in enumerate(pairs)]
     families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]
-    for side0, rest in ((0, cut.left_rest), (1, cut.right_rest)):
-        for origin in rest.atoms:
-            for in0 in (f, g)[side0].dialect:
-                for piece, in_pair, out_pair, comp, flag, mass in _walk_origin(
-                        (f, g), cut, side0, origin, in0, opts):
-                    families.setdefault((pair_index[in_pair], pair_index[out_pair],
-                                         comp, flag), []).append((piece, mass))
+    # every move is one edge of one side
+    for mass, (origin, in_i, _, part, cur, comp, ocyl, flag) in _solve_walk(
+            seeds, expand, "plug", lcm(f.weight_den, g.weight_den)):
+        if mass == 0:
+            continue
+        piece = comp.preimage_atom(_atom(origin.sym, origin.box, ocyl, 0), part)
+        if piece is None:
+            raise ClosureViolation("exit family lost its source piece")
+        families.setdefault((in_i, pair_index[cur], comp, flag),
+                            []).append((piece, mass))
 
     rows = []  # (cell, in pair, out pair, composite, flag, mass)
     for (in_i, out_i, comp, flag), found in families.items():
@@ -358,7 +401,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     rows.sort(key=lambda row: (row[0].sort_key_over(den), *row[1:5]))
     edges = tuple(_cell_edge(*row) for row in rows)
     support = Region(tuple(cut.left_rest.atoms) + tuple(cut.right_rest.atoms))
-    return GraphingRep(support, tuple(range(len(pair_index))), edges)
+    return GraphingRep(support, tuple(range(len(pairs))), edges)
 
 
 def _cell_edge(cell: Atom, in_i: int, out_i: int, comp: Realizer, flag: int,
@@ -371,66 +414,3 @@ def _cell_edge(cell: Atom, in_i: int, out_i: int, comp: Realizer, flag: int,
     _set(weight, "flag", flag)
     return _edge(source, in_i, out_i, comp, weight)
 
-
-def _with(pair: tuple, side: int, value) -> tuple:
-    return (value, pair[1]) if side == 0 else (pair[0], value)
-
-
-def _walk_origin(sides, cut: CutSpec, side0: int, origin: Atom, in0: int,
-                 opts: ExecOptions):
-    """Exit families of the walk from one rest atom at one state of its side.
-
-    Yields ``(piece, in pair, out pair, composite, flag, mass)``, the piece
-    being the part of ``origin`` that the family carries to its exit.
-    """
-    zones: dict = {}  # symbol -> [(kind, atom)]: only these can meet an image
-    for kind, atoms in (("node", cut.cut.atoms),
-                        ("exit", cut.left_rest.atoms + cut.right_rest.atoms)):
-        for a in atoms:
-            zones.setdefault(a.sym, []).append((kind, a))
-
-    # key: (turn, atom, first, cur, comp, ocyl, flag).  ``atom`` is where the
-    # family stands, ``first`` and ``cur`` hold each side's first and current
-    # dialect state (None until it speaks), and ``ocyl`` is the cylinder of
-    # the part of ``origin`` that the family carries.
-    def expand(key):
-        turn, atom, first, cur, comp, ocyl, flag = key
-        side, cyl = sides[turn], atom.cyl
-        for s in side.dialect if cur[turn] is None else (cur[turn],):
-            new_first = first if cur[turn] is not None else _with(first, turn, s)
-            for e, grow, sym, box in side.moves(s, atom.sym, atom.box, cyl):
-                r = e.realizer
-                nxt = comp.compose(r)
-                if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
-                    if opts.strict:
-                        raise TruncationError("composite stack action outgrew the budget")
-                    continue
-                new_cur = _with(cur, turn, e.out_state)
-                img = _atom(sym, box, r.pushes + (cyl + grow)[r.pops:], 0)
-                deeper = ocyl + grow
-                for kind, target in zones.get(sym, ()):
-                    part = img.intersect(target)
-                    if part is not None:
-                        new_ocyl = deeper + part.cyl[len(img.cyl):]
-                        yield kind, e.weight.p, (1 - turn, part, new_first, new_cur,
-                                                 nxt.normalized_on(new_ocyl), new_ocyl,
-                                                 flag | e.weight.flag)
-
-    cur0 = _with((None, None), side0, in0)
-    seed = (side0, origin, cur0, cur0, Realizer(), origin.cyl, 0)
-    # every move is one edge of one side
-    den = lcm(sides[0].weight_den, sides[1].weight_den)
-    for mass, (_, part, first, cur, comp, ocyl, flag) in _solve_walk(
-            [(seed, _ONE)], expand, "plug", den):
-        if mass == 0:
-            continue
-        piece = comp.preimage_atom(_atom(origin.sym, origin.box, ocyl, 0), part)
-        if piece is None:
-            raise ClosureViolation("exit family lost its source piece")
-        if cur[1 - side0] is None:
-            # The other side never spoke: it passes through diagonally.
-            for d in sides[1 - side0].dialect:
-                yield (piece, _with(first, 1 - side0, d), _with(cur, 1 - side0, d),
-                       comp, flag, mass)
-        else:
-            yield piece, first, cur, comp, flag, mass

@@ -110,6 +110,10 @@ class GraphingRep:
                     f"edge states ({e.in_state},{e.out_state}) outside dialect")
             if not subset_ae(e.source, self.support):
                 raise ValidationError("edge source leaves the support")
+            # the three child pieces of a popped symbol share one image
+            if any(e.realizer.pops > len(a.cyl) for a in e.source.atoms):
+                raise ValidationError(f"edge pops {e.realizer.pops} symbols past "
+                                      "its source cylinder")
             if not subset_ae(e.image(), self.support):
                 raise ValidationError("edge image leaves the support")
         return self

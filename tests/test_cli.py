@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output shape, byte stability."""
 
 from functools import partial
+import random
 import re
 import subprocess
 import sys
@@ -126,6 +127,8 @@ def test_equiv_compares_graphing_files(tmp_path, capsys):
     ("a|[0,1/2]|-|0", "a|[1/2,1]|-|0 @ 0 @ 0 @ id @ 1"),
     # the image leaves the unit interval
     ("a|-|-|0", "a|[0,1]|-|0 @ 0 @ 0 @ b1:1/2 @ 1"),
+    # the edge pops 30 symbols its source cylinder does not fix
+    ("a|-|-|0", "a|-|-|0 @ 0 @ 0 @ t" + "c" * 30 + " @ 1"),
 ])
 def test_equiv_refuses_an_invalid_graphing(tmp_path, capsys, support, edge):
     path = tmp_path / "bad.graphing"
@@ -137,6 +140,19 @@ def test_equiv_refuses_an_invalid_graphing(tmp_path, capsys, support, edge):
 def test_equiv_missing_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "equiv", str(tmp_path / "nope"), str(tmp_path / "nope"))
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [("equiv", "{path}", "{path}"),
+                                     ("accept", "{path}", "01")])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    data = random.Random(0).randbytes(200)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "bin.dat"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in command))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "not UTF-8" in err
 
 
 def test_dump_rule_table_round_trips(capsys):

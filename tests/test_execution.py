@@ -611,7 +611,7 @@ def test_solve_walk_prunes_a_loop_that_never_exits():
     # the walk's own predecessor lists prune the loop before the solve
     moves = {"seed": [("node", F(1, 2), "loop"), ("exit", F(1, 2), "out")],
              "loop": [("node", F(1), "loop")]}
-    got = execution._solve_walk([("seed", F(1))], lambda key: moves[key],
+    got = execution._solve_walk(["seed"], lambda key: moves[key],
                                 "test", 2)
     assert got == [(F(1, 2), "out")]
 
@@ -620,7 +620,7 @@ def test_solve_walk_refuses_a_weight_off_its_denominator():
     moves = {"seed": [("node", F(1, 3), "next")], "next": [("exit", F(1), "out")]}
     with pytest.raises(ClosureViolation,
                        match="weight 1/3 is not over the walk's denominator 2"):
-        execution._solve_walk([("seed", F(1))], lambda key: moves[key],
+        execution._solve_walk(["seed"], lambda key: moves[key],
                               "test", 2)
 
 
@@ -638,6 +638,24 @@ def _watch_walks(monkeypatch):
 
     monkeypatch.setattr(execution, "_solve_walk", spy)
     return seen
+
+
+def test_plug_runs_one_walk_seeded_at_every_rest_atom_and_pair(monkeypatch):
+    real, walks = execution._solve_walk, []
+
+    def counting(seeds, expand, what, den):
+        walks.append((what, len(seeds)))
+        return real(seeds, expand, what, den)
+
+    monkeypatch.setattr(execution, "_solve_walk", counting)
+    m = compile_automaton(by_name("even-ones"))
+    rep = canonical_representation("01")
+    for f, g, cut in ((m.graphing, rep.graphing, cut_between(m.graphing, rep.graphing)),
+                      random_subprob_pair(0)):
+        walks.clear()
+        plug(f, g, cut)
+        rest_atoms = len(cut.left_rest.atoms) + len(cut.right_rest.atoms)
+        assert walks == [("plug", rest_atoms * len(plug_dialect_pairs(f, g)))]
 
 
 def test_every_move_is_over_the_denominator_its_walk_declared(monkeypatch):
