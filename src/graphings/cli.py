@@ -74,10 +74,10 @@ def _println(*parts):
 def cmd_compile(args) -> int:
     a = _load_machine(args.machine)
     m = compile_automaton(a)
-    g = m.graphing
     if args.out:  # written before any output, so a bad path prints nothing
         with open(args.out, "w") as fh:
             fh.write(format_compiled(m))
+    g = m.graphing  # after the text, whose one pass builds it too
     _println("machine:", a.name)
     _println("heads:", a.heads)
     _println("stack:", "yes" if a.stack else "no")

@@ -1,5 +1,6 @@
 """Compilation of machines into graph-shaped dynamics."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
 from math import factorial
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from graphings import compiler, graphing
+from graphings import cli, compiler, graphing
 from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
                                 parse_automaton)
 from graphings.compiler import compile_automaton, format_compiled, prune_reachable
@@ -16,6 +17,7 @@ from graphings.errors import ValidationError
 from graphings.execution import accept_path_sum
 from graphings.graphing import (MAX_DIALECT_RANGE, is_deterministic,
                                 is_subprobabilistic, parse_graphing)
+from graphings.measurement import make_test, membership
 from graphings.realizer import in_microcosm
 from graphings.space import Atom, Region
 from graphings.words import canonical_representation
@@ -251,3 +253,96 @@ def test_compiled_machines_are_pinned(name):
                      format_compiled(m), repr(m.reachable.edges)):
             digest.update(part.encode())
     assert digest.hexdigest() == COMPILED_SHA256[name]
+
+
+def _whole_emissions(monkeypatch) -> list:
+    """Record the machine of every pass that emits a whole graphing."""
+    whole = []
+    emit = compiler._emit_edges
+
+    def counting(a, dialect, provenance=None, reachable=False):
+        if not reachable:
+            whole.append(a.name)
+        return emit(a, dialect, provenance, reachable)
+
+    monkeypatch.setattr(compiler, "_emit_edges", counting)
+    return whole
+
+
+@pytest.mark.parametrize("a", [*corpus(), *map(parse_automaton, HAND_BUILT.values())],
+                         ids=lambda a: a.name)
+def test_reachable_compile_is_the_pruned_whole_graphing(a):
+    # emitted from the start state, the reachable graphing is the whole
+    # one pruned, edge for edge and in the same order
+    m = compile_automaton(a)
+    full = compile_automaton(a)
+    lean = prune_reachable(full)
+    assert "graphing" not in vars(m)
+    assert m.reachable == lean.graphing
+    assert repr(m.reachable.edges) == repr(lean.graphing.edges)
+    assert m.reachable.dialect == lean.graphing.dialect
+    assert m.start_state == full.start_state == lean.start_state
+
+
+def test_walks_never_build_the_whole_graphing():
+    a = by_name("two-head-palindrome")
+    m = compile_automaton(a)
+    accept_path_sum(m, canonical_representation("010"), ACCEPT_REGION)
+    for family in ("neg", "pos", "prob"):
+        membership(m, "01", make_test(family, heads=a.heads,
+                                      epsilon=F(1, 2) if family == "prob" else None))
+    assert "graphing" not in vars(m) and "provenance" not in vars(m)
+
+
+@pytest.mark.parametrize("argv", [["accept", "two-head-palindrome", "010"],
+                                  ["membership", "two-head-palindrome", "0", "01"],
+                                  ["dump", "biased-stack-walk", "--word", "01"]])
+def test_cli_walks_never_build_the_whole_graphing(argv, monkeypatch, capsys):
+    whole = _whole_emissions(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert whole == []
+
+
+@pytest.mark.parametrize("argv", [["dump", "zeros-then-ones", "--graphing"],
+                                  ["compile", "zeros-then-ones", "--out", "x.graphing"]])
+def test_compiled_text_emits_the_whole_machine_once(argv, tmp_path, monkeypatch,
+                                                     capsys):
+    # one recording pass builds both the whole graphing and its provenance
+    monkeypatch.chdir(tmp_path)
+    whole = _whole_emissions(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert whole == ["zeros-then-ones"]
+    m = compile_automaton(by_name("zeros-then-ones"))
+    text = format_compiled(m)
+    assert whole == ["zeros-then-ones"] * 2
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        COMPILED_TEXT_SHA256["zeros-then-ones"]
+    assert set(m.provenance) == set(m.graphing.edges)
+    assert len(whole) == 2  # reading both afterwards emits nothing more
+
+
+def test_a_compile_and_a_path_sum_emit_only_the_reachable_edges(monkeypatch):
+    # rotation-parity has 17,606 edges, of which its start state reaches
+    # 1,930; counts repeat exactly where times do not
+    made = []
+    edge = compiler._edge
+    monkeypatch.setattr(compiler, "_edge", lambda *args: made.append(1) or edge(*args))
+    m = compile_automaton(by_name("rotation-parity"))
+    accept_path_sum(m, canonical_representation("0110"), ACCEPT_REGION)
+    assert len(made) == len(m.reachable.edges) == 1_930
+    assert len(m.graphing.edges) == 17_606
+
+
+def test_a_replaced_machine_walks_a_table_that_starts_empty():
+    m = compile_automaton(by_name("two-head-palindrome"))
+    rep = canonical_representation("010")
+    first = accept_path_sum(m, rep, ACCEPT_REGION)
+    assert m.reachable._move_parts[0]
+    fresh = replace(m)
+    assert fresh.reachable == m.reachable and fresh.reachable is not m.reachable
+    assert "_move_parts" not in vars(fresh.reachable)
+    assert fresh.start_state == m.start_state
+    assert accept_path_sum(fresh, rep, ACCEPT_REGION) == first
+    assert "graphing" not in vars(fresh)
