@@ -35,7 +35,7 @@ from math import factorial
 from .automata import ACCEPT, INIT, REJECT, Automaton, _format_instr, lookup
 from .errors import ValidationError
 from .graphing import (MAX_DIALECT_RANGE, Edge, GraphingRep, Weight, _edge,
-                       format_edge, format_header)
+                       format_edges, format_header)
 from .realizer import Realizer, perm_apply, swap
 from .space import Atom, Region, full_symbol_region, sym_index, sym_of
 from .theta import encode_stack_op, split_normal
@@ -319,9 +319,10 @@ def format_compiled(m: CompiledMachine) -> str:
     provenance = m.provenance
     lines = [f"# compiled from {m.automaton.name or 'unnamed machine'}"]
     lines.extend(format_header(m.graphing))
-    for e in m.graphing.sorted_edges():
+    edges = m.graphing.sorted_edges()
+    for e, text in zip(edges, format_edges(edges)):
         for (read, state, last), instr in provenance.get(e, ()):
             lines.append(f"# rule {read} | {state} | {last or '-'} -> "
                          f"{_format_instr(instr)}")
-        lines.append(format_edge(e))
+        lines.append(text)
     return "\n".join(lines) + "\n"

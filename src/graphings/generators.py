@@ -3,6 +3,12 @@
 Everything generated here is stack-free and grid-aligned: sources are
 whole cells of a coordinate-one grid, and realizers only shift symbols and
 translate between cells, so every plug walk narrows to whole cells.
+
+Every pair draws its parts from eight symbols, grids 2-4 and a dozen
+weights, so each part is built and checked once per distinct value: every
+cell's one-atom source region (checked as an edge source), every hop
+between cells and every weight is kept in one module table, which that
+alphabet bounds, and the edges share them.
 """
 
 from fractions import Fraction
@@ -10,30 +16,47 @@ import random
 
 from .errors import ValidationError
 from .execution import CutSpec
-from .graphing import Edge, GraphingRep, Weight
+from .graphing import GraphingRep, Weight, _check_source, _edge
 from .realizer import Realizer
-from .space import Atom, Interval, Region, sym_index
+from .space import Atom, Interval, Region, format_atom, sym_index
 
 _CUT_CHOICES = (("0i",), ("0o",), ("1i",), ("0i", "1o"), ("0o", "1i"))
 
+# (maker, *arguments) -> the part it made; generated parts are immutable
+_PARTS: dict = {}
 
-def _cell(sym: str, i: int, grid: int) -> Atom:
-    return Atom(sym, (Interval(Fraction(i, grid), Fraction(i + 1, grid)),))
+
+def _part(make, *args):
+    """``make(*args)``, built once."""
+    value = _PARTS.get((make, *args))
+    if value is None:
+        value = _PARTS[make, *args] = make(*args)
+    return value
 
 
-def _hop(src: Atom, dst: Atom, grid: int) -> Realizer:
-    shift = sym_index(dst.sym) - sym_index(src.sym)
-    delta = dst.box[0].lo - src.box[0].lo
-    box_shift = ((1, delta),) if delta else ()
-    return Realizer(shift=shift, box_shift=box_shift)
+def _cell(sym: str, i: int, grid: int, cyl: str) -> Region:
+    """Cell ``i`` of ``grid`` on coordinate 1 of ``sym`` under the cylinder
+    ``cyl``, as a checked one-atom edge source."""
+    interval = Interval(Fraction(i, grid), Fraction(i + 1, grid))
+    return _check_source(Region((Atom(sym, (interval,), cyl),)))
+
+
+def _hop(shift: int, moved: int, grid: int) -> Realizer:
+    """Shift ``shift`` symbols and move ``moved`` cells of ``grid``."""
+    return Realizer(shift=shift,
+                    box_shift=((1, Fraction(moved, grid)),) if moved else ())
+
+
+def _weight(num: int, den: int, flag: int) -> Weight:
+    return Weight(Fraction(num, den), flag)
 
 
 def _layout(rng: random.Random):
     grid = rng.choice((2, 3, 4))
     cut_syms = rng.choice(_CUT_CHOICES)
-    v_cells = [_cell("a", i, grid) for i in range(grid)]
-    c_cells = [_cell(s, i, grid) for s in cut_syms for i in range(grid)]
-    w_cells = [_cell("r", i, grid) for i in range(grid)]
+    v_cells = [("a", i) for i in range(grid)]
+    c_cells = [(s, i) for s in cut_syms for i in range(grid)]
+    w_cells = [("r", i) for i in range(grid)]
     cut = CutSpec(Region(tuple(Atom(s) for s in cut_syms)),
                   Region((Atom("a"),)), Region((Atom("r"),)))
     return grid, v_cells, c_cells, w_cells, cut
@@ -42,22 +65,23 @@ def _layout(rng: random.Random):
 def _wire(rng: random.Random, grid: int, sources, targets, dialect,
           weights_for) -> list:
     edges = []
-    for src in sources:
+    for sym, i in sources:
+        source, k = _part(_cell, sym, i, grid, ""), sym_index(sym)
         for in_state in dialect:
-            for p, flag in weights_for(rng):
-                dst = rng.choice(targets)
-                edges.append(Edge(Region((src,)), in_state,
-                                  rng.choice(dialect), _hop(src, dst, grid),
-                                  Weight(p, flag)))
+            for weight in weights_for(rng):
+                dst, j = rng.choice(targets)
+                edges.append(_edge(source, in_state, rng.choice(dialect),
+                                   _part(_hop, sym_index(dst) - k, j - i, grid),
+                                   _part(_weight, *weight)))
     return edges
 
 
+# weights are drawn as (numerator, denominator, flag), in lowest terms
 def _det_weights(rng: random.Random):
-    return [(Fraction(1), 0)] if rng.random() < 0.85 else []
+    return [(1, 1, 0)] if rng.random() < 0.85 else []
 
 
-_SUBPROB_MASSES = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
-                   Fraction(1, 4), Fraction(3, 4))
+_SUBPROB_MASSES = ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4))
 
 
 def _subprob_weights(rng: random.Random):
@@ -65,10 +89,10 @@ def _subprob_weights(rng: random.Random):
     if roll < 0.2:
         return []
     if roll < 0.65:
-        return [(rng.choice(_SUBPROB_MASSES), rng.choice((0, 0, 1)))]
-    a = Fraction(1, rng.choice((2, 3, 4)))
-    b = Fraction(1, rng.choice((4, 6, 8)))
-    return [(a, 0), (b, rng.choice((0, 1)))]
+        return [(*rng.choice(_SUBPROB_MASSES), rng.choice((0, 0, 1)))]
+    a = rng.choice((2, 3, 4))
+    b = rng.choice((4, 6, 8))
+    return [(1, a, 0), (1, b, rng.choice((0, 1)))]
 
 
 def _pair(seed: int, weights_for):
@@ -103,28 +127,37 @@ def random_subprob_pair(seed: int):
 
 
 def split_sources(g: GraphingRep, seed: int) -> GraphingRep:
-    """Refine a graphing by cutting some edge sources into smaller pieces.
+    """Refine a generated graphing by cutting some edge sources into pieces.
 
     Each chosen edge is replaced by copies over a partition of its source
-    (box halves or the three cylinder children); the realizer and weight
-    are untouched, so the result represents the same graphing.
+    cell (its two halves, which are cells of the grid twice as fine, or its
+    three cylinder children); the realizer and weight are untouched, so the
+    result represents the same graphing.  The pieces come from the same
+    table as the generated cells.
     """
     rng = random.Random(seed)
     out = []
     for e in g.sorted_edges():
-        atoms = list(e.source.atoms)
+        atoms = e.source.atoms
         if rng.random() < 0.4 or len(atoms) > 1:
             out.append(e)
             continue
         a = atoms[0]
+        i, grid = _cell_index(a)
         if rng.random() < 0.5 and a.box:
-            iv = a.box[0]
-            mid = (iv.lo + iv.hi) / 2
-            halves = [Atom(a.sym, (Interval(iv.lo, mid),) + a.box[1:], a.cyl),
-                      Atom(a.sym, (Interval(mid, iv.hi),) + a.box[1:], a.cyl)]
+            pieces = [_part(_cell, a.sym, 2 * i + h, 2 * grid, a.cyl) for h in (0, 1)]
         else:
-            halves = [Atom(a.sym, a.box, a.cyl + c) for c in "*01"]
-        for piece in halves:
-            out.append(Edge(Region((piece,)), e.in_state, e.out_state,
-                            e.realizer, e.weight))
+            pieces = [_part(_cell, a.sym, i, grid, a.cyl + c) for c in "*01"]
+        out.extend(_edge(piece, e.in_state, e.out_state, e.realizer, e.weight)
+                   for piece in pieces)
     return GraphingRep(g.support, g.dialect, tuple(out))
+
+
+def _cell_index(a: Atom) -> tuple:
+    """``(i, grid)`` of a source atom that is cell ``i`` of ``grid``."""
+    if not a.box:
+        return 0, 1
+    (lo, hi, den), *rest = a.box  # in lowest terms: a cell is (i, i + 1, grid)
+    if rest or hi != lo + 1:
+        raise ValidationError(f"split_sources cuts grid cells, not {format_atom(a)}")
+    return lo, den

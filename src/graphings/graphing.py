@@ -57,19 +57,21 @@ class Edge:
     weight: Weight = WEIGHT_ONE
 
     def __post_init__(self):
-        for a in self.source.atoms:
-            if a.state != 0:
-                raise ValidationError("edge sources are spatial; state lives in in_state")
-            if any(lo == hi for lo, hi, _ in a.box):
-                raise ValidationError("edge source atom has measure zero")
+        _check_source(self.source)
 
     def image(self) -> Region:
         return self.realizer.apply(self.source)
 
-    def key(self):
-        return (self.in_state, self.out_state,
-                sorted(a.sort_key() for a in self.source.atoms),
-                self.realizer, self.weight)
+
+def _check_source(source: Region) -> Region:
+    """Raise unless ``source`` may be an edge source: spatial and with no
+    null atom.  Returns it, so a source shared by many edges is checked once."""
+    for a in source.atoms:
+        if a.state != 0:
+            raise ValidationError("edge sources are spatial; state lives in in_state")
+        if any(lo == hi for lo, hi, _ in a.box):
+            raise ValidationError("edge source atom has measure zero")
+    return source
 
 
 def _edge(source: Region, in_state: int, out_state: int, realizer: Realizer,
@@ -99,27 +101,53 @@ class GraphingRep:
         object.__setattr__(self, "edges", tuple(self.edges))
 
     def validate(self) -> "GraphingRep":
-        """Check the measure-theoretic side conditions; returns self."""
+        """Check the measure-theoretic side conditions; returns self.
+
+        Each check runs once per distinct part object: source-in-support
+        once per source, the pop and image checks once per (source,
+        realizer) pair.  Edges sharing their parts, as parsed, compiled and
+        generated ones do, cost little, and the edge that fails is the one
+        that fails when every edge is checked in full.
+        """
         states = set(self.dialect)
         for a in self.support.atoms:
             if a.state != 0:
                 raise ValidationError("support is spatial; dialect is listed separately")
+        # by id: every part stays alive in self.edges meanwhile
+        inside, maps_inside = set(), set()
         for e in self.edges:
             if e.in_state not in states or e.out_state not in states:
                 raise ValidationError(
                     f"edge states ({e.in_state},{e.out_state}) outside dialect")
-            if not subset_ae(e.source, self.support):
-                raise ValidationError("edge source leaves the support")
+            if id(e.source) not in inside:
+                if not subset_ae(e.source, self.support):
+                    raise ValidationError("edge source leaves the support")
+                inside.add(id(e.source))
+            pair = (id(e.source), id(e.realizer))
+            if pair in maps_inside:
+                continue
             # the three child pieces of a popped symbol share one image
             if any(e.realizer.pops > len(a.cyl) for a in e.source.atoms):
                 raise ValidationError(f"edge pops {e.realizer.pops} symbols past "
                                       "its source cylinder")
             if not subset_ae(e.image(), self.support):
                 raise ValidationError("edge image leaves the support")
+            maps_inside.add(pair)
         return self
 
     def sorted_edges(self) -> tuple:
-        return tuple(sorted(self.edges, key=Edge.key))
+        """The edges ordered by states, source atoms, realizer and weight;
+        each distinct source object's sort key is worked out once."""
+        source_keys: dict = {}
+
+        def key(e: Edge):
+            got = source_keys.get(id(e.source))
+            if got is None:
+                got = source_keys[id(e.source)] = sorted(
+                    a.sort_key() for a in e.source.atoms)
+            return e.in_state, e.out_state, got, e.realizer, e.weight
+
+        return tuple(sorted(self.edges, key=key))
 
     def moves(self, state: int, sym: str, box: tuple, cyl: str) -> tuple:
         """Every move out of an atom at a dialect state, computed once.
@@ -418,7 +446,10 @@ def parse_realizer(text: str) -> Realizer:
                 raise ValueError(f"unknown token {tok!r}")
         except (ValueError, ZeroDivisionError, ValidationError) as exc:
             raise FormatError(f"bad realizer {text!r}: {exc}") from None
-    return Realizer(shift, perm, tuple(box_shift), pops, pushes)
+    try:
+        return Realizer(shift, perm, tuple(box_shift), pops, pushes)
+    except ValidationError as exc:
+        raise FormatError(f"bad realizer {text!r}: {exc}") from None
 
 
 def _format_ints(values) -> str:
@@ -457,9 +488,20 @@ def _parse_ints(text: str):
     return out
 
 
-def format_edge(e: Edge) -> str:
-    return (f"edge: {format_region(e.source)} @ {e.in_state} @ {e.out_state}"
-            f" @ {format_realizer(e.realizer)} @ {format_weight(e.weight)}")
+def format_edges(edges) -> list:
+    """The ``edge:`` line of each edge, in order.  Each distinct source,
+    realizer and weight object is formatted once."""
+    texts: dict = {}  # by id: every part stays alive in ``edges`` meanwhile
+
+    def text(part, fmt) -> str:
+        got = texts.get(id(part))
+        if got is None:
+            got = texts[id(part)] = fmt(part)
+        return got
+
+    return [f"edge: {text(e.source, format_region)} @ {e.in_state} @ {e.out_state}"
+            f" @ {text(e.realizer, format_realizer)} @ {text(e.weight, format_weight)}"
+            for e in edges]
 
 
 def format_header(g: GraphingRep) -> list:
@@ -470,12 +512,32 @@ def format_header(g: GraphingRep) -> list:
 
 def format_graphing(g: GraphingRep) -> str:
     lines = format_header(g)
-    lines.extend(format_edge(e) for e in g.sorted_edges())
+    lines.extend(format_edges(g.sorted_edges()))
     return "\n".join(lines) + "\n"
 
 
+def _shared(table: dict, token: str, parse):
+    """``parse(token)``, parsed once per distinct token of one file."""
+    got = table.get(token)
+    if got is None:
+        got = table[token] = parse(token)
+    return got
+
+
+def _parse_source(text: str) -> Region:
+    return _check_source(parse_region(text))
+
+
 def parse_graphing(text: str) -> GraphingRep:
+    """Read a graphing file.
+
+    Within one call each distinct source-region, realizer and weight token
+    is parsed, and each source checked as an edge source, once: at its
+    first line, so a bad token fails there, and every error names its
+    line.  Every edge carrying a token shares its one object.
+    """
     dialect, support, edges = None, None, []
+    sources, realizers, weights = {}, {}, {}  # token -> its one object
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -493,12 +555,14 @@ def parse_graphing(text: str) -> GraphingRep:
                 fields = [f.strip() for f in value.split("@")]
                 if len(fields) != 5:
                     raise FormatError("edge needs 5 fields separated by '@'")
-                edges.append(Edge(parse_region(fields[0]), int(fields[1]),
-                                  int(fields[2]), parse_realizer(fields[3]),
-                                  parse_weight(fields[4])))
+                source = _shared(sources, fields[0], _parse_source)
+                realizer = _shared(realizers, fields[3], parse_realizer)
+                weight = _shared(weights, fields[4], parse_weight)
+                edges.append(_edge(source, int(fields[1]), int(fields[2]),
+                                   realizer, weight))
             else:
                 raise FormatError(f"unknown key {key!r}")
-        except (ValueError, ValidationError) as exc:
+        except (ValueError, ValidationError, FormatError) as exc:
             raise FormatError(f"line {ln}: {exc}") from None
     if dialect is None or support is None:
         raise FormatError("graphing needs 'dialect:' and 'support:' lines")

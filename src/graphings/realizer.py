@@ -81,6 +81,11 @@ class Realizer:
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
+        coords = [c for c, _ in self.box_shift]
+        if any(c < 1 for c in coords):
+            raise ValidationError("coordinates are numbered from 1")
+        if len(set(coords)) != len(coords):
+            raise ValidationError(f"box shift names a coordinate twice: {coords}")
         shifts = tuple(sorted((c, Fraction(a)) for c, a in self.box_shift if a != 0))
         object.__setattr__(self, "box_shift", shifts)
         if self.pops < 0 or any(ch not in "*01" for ch in self.pushes):

@@ -193,14 +193,14 @@ COMPILED_TEXT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(COMPILED_TEXT_SHA256))
 def test_compiled_text_formats_each_edge_once(name, monkeypatch):
     formatted = []
-    real = graphing.format_edge
+    real = graphing.format_edges
 
-    def counting(e):
-        formatted.append(e)
-        return real(e)
+    def counting(edges):
+        formatted.extend(edges)
+        return real(edges)
 
-    monkeypatch.setattr(graphing, "format_edge", counting)
-    monkeypatch.setattr(compiler, "format_edge", counting)
+    monkeypatch.setattr(graphing, "format_edges", counting)
+    monkeypatch.setattr(compiler, "format_edges", counting)
     m = compile_automaton(by_name(name))
     text = format_compiled(m)
     assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_TEXT_SHA256[name]

@@ -19,7 +19,7 @@ from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
                                  plug_dialect_pairs)
 from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
-from graphings.graphing import (Edge, GraphingRep, Weight, format_edge,
+from graphings.graphing import (Edge, GraphingRep, Weight, format_edges,
                                 format_graphing, is_deterministic)
 from graphings.measurement import make_test, membership
 from graphings.realizer import Realizer
@@ -134,7 +134,7 @@ def test_plug_tiles_an_image_straddling_cells():
                  (Edge(region_of(low), 0, 0, _C1_TO_B),
                   Edge(region_of(high), 0, 0, _C1_TO_C2)))
     out = plug(f, g, cut_between(f, g))
-    assert [format_edge(e) for e in out.edges] == [
+    assert format_edges(out.edges) == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
 
 
@@ -156,7 +156,7 @@ def test_plug_keeps_one_piece_families_as_they_are():
                   Edge(region_of(high), 0, 0,
                        Realizer(shift=5, box_shift=((1, F(-1, 2)),)))))
     out = plug(f, g, cut_between(f, g))
-    assert [format_edge(e) for e in out.sorted_edges()] == [
+    assert format_edges(out.sorted_edges()) == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1",
         "edge: a|[1/4,1/2]|-|0 @ 0 @ 0 @ s1 b1:-1/4 @ 1"]
     assert format_graphing(_refined(out)) == format_graphing(out)
@@ -178,7 +178,7 @@ def test_plug_adds_the_masses_of_overlapping_pieces_per_cell():
                   Edge(region_of(Atom("0i", (Interval(F(0), F(1, 2)),))), 0, 0,
                        _C1_TO_B, Weight(F(1, 2)))))
     out = plug(f, g, cut_between(f, g))
-    assert [format_edge(e) for e in out.sorted_edges()] == [
+    assert format_edges(out.sorted_edges()) == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 @ 1",
         "edge: a|[1/4,1/2]|-|0 @ 0 @ 0 @ s1 @ 1/2"]
 

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from graphings import graphing
 from graphings.errors import ValidationError
 from graphings.generators import random_subprob_pair
 from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
@@ -53,6 +54,46 @@ def test_validate_catches_stray_states_and_supports():
                      (Edge(region_of(left), 0, 0, _hop(left, right)),))
     with pytest.raises(ValidationError):
         g2.validate()  # image escapes the support
+
+
+def _shared_edges():
+    """The two cell sources, and a thousand edges sharing them and two
+    realizer objects, as parsed, compiled and generated edges do."""
+    left, right = _two_cells()
+    sources = region_of(left), region_of(right)
+    hops = _hop(left, right), _hop(right, left)
+    return sources, tuple(Edge(sources[i % 2], 0, 0, hops[i % 2])
+                          for i in range(1000))
+
+
+def test_validate_checks_each_distinct_part_once(monkeypatch):
+    left, right = _two_cells()
+    _, edges = _shared_edges()
+    g = GraphingRep(region_of(left, right), (0,),
+                    edges + (Edge(region_of(left), 0, 0),))
+    calls = []
+    real = graphing.subset_ae
+    monkeypatch.setattr(graphing, "subset_ae",
+                        lambda r1, r2: calls.append(r1) or real(r1, r2))
+    assert g.validate() is g
+    # three source objects in the support, and the images of three
+    # (source, realizer) pairs: the two shared ones and the last edge's
+    assert len(calls) == 3 + 3
+
+
+@pytest.mark.parametrize("late", ["image", "source", "pops"])
+def test_validate_fails_on_a_late_edge_with_new_parts(late):
+    left, right = _two_cells()
+    sources, edges = _shared_edges()
+    late_edge = {
+        # a shared source, with a realizer no earlier edge pairs it with
+        "image": Edge(sources[0], 0, 0, Realizer(shift=1)),
+        "source": Edge(region_of(Atom("r", (Interval(F(0), F(1, 2)),))), 0, 0),
+        "pops": Edge(sources[1], 0, 0, Realizer(pops=1)),
+    }[late]
+    g = GraphingRep(region_of(left, right), (0,), edges + (late_edge,))
+    with pytest.raises(ValidationError, match=late):
+        g.validate()
 
 
 def test_equivalence_is_blind_to_source_splitting():

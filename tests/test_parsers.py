@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from graphings import graphing
 from graphings.automata import format_automaton, parse_automaton
 from graphings.compiler import compile_automaton
-from graphings.corpus import LOW_BRANCHING, by_name, corpus
+from graphings.corpus import by_name, corpus
 from graphings.errors import FormatError
 from graphings.execution import plug
 from graphings.generators import random_det_pair, random_subprob_pair, split_sources
@@ -187,9 +188,86 @@ def test_formatted_values_parse_back(kind, data):
     assert fmt(back) == text
 
 
-@pytest.mark.parametrize("name", LOW_BRANCHING)
+def _edge_tokens(text: str) -> list:
+    """The source, realizer and weight token of each edge line, in order."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith("edge:"):
+            source, _, _, realizer, weight = (f.strip() for f in line[5:].split("@"))
+            out.append((("source", source), ("realizer", realizer),
+                        ("weight", weight)))
+    return out
+
+
+def _assert_one_object_per_token(g: GraphingRep, text: str):
+    objects: dict = {}
+    tokens = _edge_tokens(text)
+    assert len(tokens) == len(g.edges)
+    for e, (source, realizer, weight) in zip(g.edges, tokens):
+        for token, part in ((source, e.source), (realizer, e.realizer),
+                            (weight, e.weight)):
+            assert objects.setdefault(token, part) is part, token
+
+
+@pytest.mark.parametrize("name", [a.name for a in corpus()])
 def test_compiled_graphings_parse_back(name):
-    g = compile_automaton(by_name(name)).graphing
-    text = format_graphing(g)
-    assert parse_graphing(text) == _sorted_graphing(g)
-    assert format_graphing(parse_graphing(text)) == text
+    m = compile_automaton(by_name(name))
+    for g in (m.graphing, m.reachable):
+        text = format_graphing(g)
+        back = parse_graphing(text)
+        assert back == _sorted_graphing(g)
+        assert format_graphing(back) == text
+        _assert_one_object_per_token(back, text)
+
+
+def test_format_graphing_formats_each_distinct_part_once(monkeypatch):
+    g = compile_automaton(by_name("zeros-then-ones")).graphing
+    want = format_graphing(g)
+    calls = {"format_region": [], "format_realizer": [], "format_weight": []}
+    for name, seen in calls.items():
+        def counting(part, real=getattr(graphing, name), seen=seen):
+            seen.append(part)
+            return real(part)
+        monkeypatch.setattr(graphing, name, counting)
+    assert format_graphing(g) == want
+    for name, attr in (("format_region", "source"), ("format_realizer", "realizer"),
+                       ("format_weight", "weight")):
+        parts = {id(getattr(e, attr)) for e in g.edges}
+        if name == "format_region":
+            parts.add(id(g.support))
+        assert sorted(map(id, calls[name])) == sorted(parts), name
+
+
+# A long file whose edges repeat a few tokens; each case's bad token first
+# appears on the last line, so it is parsed and checked only there.
+_LATE = {"zero-measure source": ("a|[1/2,1/2]|-|0", "id", "1"),
+         "source at a dialect state": ("a|-|-|1", "id", "1"),
+         "box shift on coordinate 0": ("a|-|-|0", "b0:1/2", "1"),
+         "repeated box shift": ("a|-|-|0", "b1:1/2,1:1/4", "1"),
+         "weight above one": ("a|-|-|0", "id", "3/2")}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE))
+def test_a_bad_token_first_met_late_fails_on_its_line(case):
+    good = ["edge: 0i|[0,1/2]|-|0 @ 0 @ 1 @ s1 @ 1/2",
+            "edge: 0i|[1/2,1]|-|0 @ 1 @ 0 @ s-1 @ 1/2!"]
+    lines = ["dialect: 0-1", "support: " + ";".join(f"{s}|-|-|0" for s in SYMBOLS)]
+    lines += good * 1000
+    source, realizer, weight = _LATE[case]
+    lines.append(f"edge: {source} @ 0 @ 0 @ {realizer} @ {weight}")
+    with pytest.raises(FormatError, match=f"^line {len(lines)}: "):
+        parse_graphing("\n".join(lines) + "\n")
+    # the same lines without the last one parse, sharing the repeated tokens
+    text = "\n".join(lines[:-1]) + "\n"
+    g = parse_graphing(text)
+    _assert_one_object_per_token(g, text)
+    assert len({id(e.source) for e in g.edges}) == 2
+
+
+@pytest.mark.parametrize("text", ["b0:1/2", "b-1:1/2", "b1:1/2,1:1/4",
+                                  "s1 b1:1/2 b1:1/4", "b2:1/4,1:1/8,2:0"])
+def test_box_shift_coordinates_must_be_positive_and_distinct(text):
+    # ``apply_atom`` would drop a coordinate-0 translation unseen, and apply
+    # only one of a repeated coordinate's translations
+    with pytest.raises(FormatError, match="bad realizer"):
+        parse_realizer(text)

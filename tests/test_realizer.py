@@ -48,6 +48,23 @@ def test_box_shift_out_of_unit_raises():
         r.apply_atom(Atom("a", (Interval(F(1, 2), F(1)),)))
 
 
+@pytest.mark.parametrize("box_shift", [((0, F(1, 2)),), ((-1, F(1, 2)),),
+                                       ((0, F(0)),)])
+def test_box_shift_coordinates_are_numbered_from_one(box_shift):
+    # no coordinate 0 exists, so its translation would be dropped unseen
+    with pytest.raises(ValidationError, match="numbered from 1"):
+        Realizer(box_shift=box_shift)
+
+
+@pytest.mark.parametrize("box_shift", [((1, F(1, 2)), (1, F(1, 4))),
+                                       ((2, F(1, 4)), (1, F(1, 8)), (2, F(0)))])
+def test_box_shift_names_each_coordinate_once(box_shift):
+    # applying only one of two translations of a coordinate would move
+    # [0,1/4] to [1/2,3/4] where their sum moves it to [3/4,1]
+    with pytest.raises(ValidationError, match="twice"):
+        Realizer(box_shift=box_shift)
+
+
 def test_perm_moves_coordinates():
     r = Realizer(perm=swap(1, 2))
     a = Atom("a", (Interval(F(0), F(1, 3)),))  # coord 1 constrained
