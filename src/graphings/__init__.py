@@ -16,7 +16,7 @@ from .compiler import (CompiledMachine, DialectState, compile_automaton,
 from .errors import (ClosureViolation, FormatError, GraphingError,
                      TruncationError, ValidationError)
 from .execution import (CutSpec, ExecOptions, PathSum, accept_path_sum,
-                        cut_between, enumerate_paths, plug, plug_dialect_pairs)
+                        enumerate_paths, plug)
 from .graphing import (Edge, GraphingRep, Weight, WEIGHT_ONE, equivalent,
                        format_graphing, format_realizer, format_weight,
                        is_deterministic, is_refinement, is_subprobabilistic,
@@ -24,15 +24,14 @@ from .graphing import (Edge, GraphingRep, Weight, WEIGHT_ONE, equivalent,
 from .measurement import (MemberReport, Test, TestMember, TestReport,
                           check_uniformity, make_test, membership,
                           orthogonal_to_test)
-from .realizer import Realizer, in_microcosm, perm_compose, perm_inverse, perm_of, swap
+from .realizer import Realizer, in_microcosm, perm_compose, perm_of, swap
 from .space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom, Interval,
-                    Region, ae_equal, box_measure, cyl_measure, difference,
-                    disjoint_ae, format_atom, format_region, full_symbol_region,
-                    parse_atom, parse_region, refine_regions, region_of,
-                    subset_ae, sym_index, sym_of, sym_shift)
-from .theta import (format_theta, from_ops, is_normal, is_stack_accepting,
-                    parse_theta, reduce, reduce_random, split_normal, theta_mul)
+                    Region, ae_equal, disjoint_ae, format_atom, format_region,
+                    full_symbol_region, parse_atom, parse_region,
+                    refine_regions, subset_ae, sym_index, sym_of, sym_shift)
+from .theta import (format_theta, parse_theta, reduce, reduce_random,
+                    split_normal)
 from .words import (WordRepresentation, bang_representation,
-                    canonical_representation, rep_family)
+                    canonical_representation)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -346,6 +346,7 @@ def format_automaton(a: Automaton) -> str:
 def parse_automaton(text: str) -> Automaton:
     name, heads, stack, states = "", None, False, None
     delta = {}
+    headers = set()  # header kinds read so far: each may appear once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -353,6 +354,10 @@ def parse_automaton(text: str) -> Automaton:
         front, _, rest = line.partition(":")
         front, rest = front.strip(), rest.strip()
         try:
+            if front in ("name", "heads", "stack", "states"):
+                if front in headers:
+                    raise FormatError(f"duplicate '{front}:' line")
+                headers.add(front)
             if front == "name":
                 name = rest
             elif front == "heads":

@@ -143,11 +143,6 @@ class CompiledMachine:
             self.graphing = self._whole(edges)
         return {e: recorded[e] for e in self.graphing.edges}
 
-    @cached_property
-    def dialect_states(self) -> tuple:
-        """Every dialect state, indexed by its number."""
-        return tuple(map(self._dialect.label, range(self._dialect.size)))
-
     def label(self, index: int) -> DialectState:
         return self._dialect.label(index)
 

@@ -56,7 +56,7 @@ from .graphing import GraphingRep, Weight, _edge
 from .linsolve import prune, solve_affine
 from .realizer import Realizer
 from .space import (Atom, Region, RESULT_SYMBOLS, _atom, _new_object, _set,
-                    ae_equal, difference, disjoint_ae, refine_regions)
+                    ae_equal, disjoint_ae, refine_regions)
 from .theta import cancel_on, pair_mul
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -78,16 +78,6 @@ class CutSpec:
     cut: Region
     left_rest: Region
     right_rest: Region
-
-
-def cut_between(f: GraphingRep, g: GraphingRep) -> CutSpec:
-    """The overlap of two supports as a cut, with the leftovers as rests."""
-    shared = f.support.intersect(g.support)
-    left = difference(f.support, shared)
-    right = difference(g.support, shared)
-    if not disjoint_ae(left, right):
-        raise ValidationError("supports overlap outside the shared cut")
-    return CutSpec(shared.sorted(), left.sorted(), right.sorted())
 
 
 # --- dialogue path sums ---------------------------------------------------------
@@ -298,10 +288,6 @@ def enumerate_paths(machine, word, max_edges: int = 40,
 # --- plugging -------------------------------------------------------------------
 
 
-def plug_dialect_pairs(f: GraphingRep, g: GraphingRep) -> list:
-    return sorted(product(f.dialect, g.dialect))
-
-
 def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
          opts: ExecOptions = ExecOptions()) -> GraphingRep:
     """Execute two graphings against each other along a cut.
@@ -329,7 +315,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     _spatial(whole_f.atoms + cut.right_rest.atoms, "the cut and the rests")
 
     sides = (f, g)
-    pairs = plug_dialect_pairs(f, g)
+    pairs = sorted(product(f.dialect, g.dialect))
     pair_index = {pr: i for i, pr in enumerate(pairs)}
     zones: dict = {}  # symbol -> [(kind, atom)]: only these can meet an image
     for kind, atoms in (("node", cut.cut.atoms),

@@ -538,6 +538,7 @@ def parse_graphing(text: str) -> GraphingRep:
     """
     dialect, support, edges = None, None, []
     sources, realizers, weights = {}, {}, {}  # token -> its one object
+    headers = set()  # header keys read so far: each may appear once
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -547,6 +548,10 @@ def parse_graphing(text: str) -> GraphingRep:
         key, value = line.split(":", 1)
         key, value = key.strip(), value.strip()
         try:
+            if key in ("dialect", "support"):
+                if key in headers:
+                    raise FormatError(f"duplicate '{key}:' line")
+                headers.add(key)
             if key == "dialect":
                 dialect = tuple(_parse_ints(value))
             elif key == "support":

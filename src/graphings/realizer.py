@@ -57,10 +57,6 @@ def perm_apply(perm: tuple, coord: int) -> int:
     return coord
 
 
-def perm_inverse(perm: tuple) -> tuple:
-    return tuple(sorted((j, i) for i, j in perm))
-
-
 def perm_compose(first: tuple, then: tuple) -> tuple:
     """Permutation applying ``first`` and afterwards ``then``."""
     support = {i for i, _ in first} | {i for i, _ in then}

@@ -122,11 +122,6 @@ class Interval(tuple):
             return None
         return _interval(lo, hi, d)
 
-    def contains(self, other: "Interval") -> bool:
-        a1, b1, d1 = self
-        a2, b2, d2 = other
-        return a1 * d2 <= a2 * d1 and b2 * d1 <= b1 * d2
-
     def translate(self, amount: Fraction) -> "Interval":
         a, b, d = self
         d2 = lcm(d, amount.denominator)
@@ -161,11 +156,6 @@ def _canon_box(box) -> tuple:
     return box[:n]
 
 
-def box_measure(box, den: int = 1) -> Fraction:
-    """Measure of a box, divided by ``den``: one ``Fraction`` at the end."""
-    return Fraction(*_box_parts(box, den))
-
-
 def _box_parts(box, den: int = 1) -> tuple:
     """Measure of a box, divided by ``den``, as ``(numerator, denominator)``
     ints, not reduced."""
@@ -190,10 +180,6 @@ def box_intersect(b1, b2):
             return None
         out.append(iv)
     return _canon_box(out)
-
-
-def cyl_measure(prefix: str) -> Fraction:
-    return Fraction(1, 3 ** len(prefix))
 
 
 def cyl_intersect(u: str, v: str) -> str | None:
@@ -227,7 +213,7 @@ class Atom:
 
     @property
     def measure(self) -> Fraction:
-        return box_measure(self.box, 3 ** len(self.cyl))
+        return Fraction(*_box_parts(self.box, 3 ** len(self.cyl)))
 
     def intersect(self, other: "Atom") -> "Atom | None":
         """The common part, or None when it is null; never a null atom."""
@@ -251,13 +237,6 @@ class Atom:
         if box is other.box and cyl is other.cyl:
             return other
         return _atom(self.sym, box, cyl, self.state)
-
-    def contains_ae(self, other: "Atom") -> bool:
-        got = self.intersect(other)
-        return got is not None and got.measure == other.measure
-
-    def with_state(self, state: int) -> "Atom":
-        return Atom(self.sym, self.box, self.cyl, state)
 
     def sort_key(self):
         return (sym_index(self.sym), self.state, self.cyl,
@@ -309,24 +288,8 @@ class Region:
             num, den = num * (common // den) + n * (common // d), common
         return Fraction(num, den)
 
-    def intersect(self, other: "Region") -> "Region":
-        out = []
-        for a in self.atoms:
-            for b in other.atoms:
-                got = a.intersect(b)
-                if got is not None:
-                    out.append(got)
-        return Region(tuple(out))
-
-    def union(self, other: "Region") -> "Region":
-        return Region(self.atoms + other.atoms)
-
     def sorted(self) -> "Region":
         return Region(tuple(sorted(self.atoms, key=Atom.sort_key)))
-
-
-def region_of(*atoms) -> Region:
-    return Region(tuple(atoms))
 
 
 # --- common refinement -------------------------------------------------------
@@ -417,12 +380,6 @@ def subset_ae(r1: Region, r2: Region) -> bool:
         if num * d != n * den:
             return False
     return True
-
-
-def difference(r1: Region, r2: Region) -> Region:
-    """Atoms of ``r1`` not covered by ``r2`` (an a.e. set difference)."""
-    elementary, (c1, c2) = refine_regions([r1, r2])
-    return Region(tuple(elementary[i] for i in sorted(c1 - c2)))
 
 
 def disjoint_ae(r1: Region, r2: Region) -> bool:

@@ -9,7 +9,7 @@ exactly the words with no ``c`` followed by a push letter: all pops trail at
 the end, ``<pushes>c^k``.
 
 A path that performs stack operation ``s1`` and then ``s2`` has weight
-``theta_mul(encode_stack_op(s2), encode_stack_op(s1))``: later operations
+``reduce(encode_stack_op(s2) + encode_stack_op(s1))``: later operations
 multiply on the left, matching function composition.
 """
 
@@ -46,10 +46,6 @@ def reduce(word: str) -> str:
     return "".join(out)
 
 
-def is_normal(word: str) -> bool:
-    return reduce(word) == word
-
-
 def reduce_random(word: str, rng) -> str:
     """Normal form computed by firing rewrites in a random order.
 
@@ -66,19 +62,6 @@ def reduce_random(word: str, rng) -> str:
         del letters[i:i + 2]
 
 
-def theta_mul(u: str, v: str) -> str:
-    """Monoid product, ``u`` acting after ``v`` when read as operations."""
-    return reduce(u + v)
-
-
-def from_ops(ops) -> str:
-    """Theta weight of an operation sequence performed left to right."""
-    w = ""
-    for op in ops:
-        w = theta_mul(encode_stack_op(op), w)
-    return w
-
-
 def split_normal(word: str) -> tuple[str, int]:
     """Normal form as ``(pushes, pops)``: the word is ``pushes + 'c'*pops``."""
     word = reduce(word)
@@ -90,7 +73,8 @@ def split_normal(word: str) -> tuple[str, int]:
 
 
 def pair_mul(u: tuple[str, int], v: tuple[str, int]) -> tuple[str, int]:
-    """``theta_mul`` on normal forms given as ``(pushes, pops)`` pairs.
+    """The monoid product ``reduce(u + v)`` on normal forms given as
+    ``(pushes, pops)`` pairs.
 
     The pops of ``u`` erase pushes of ``v`` from the top down; whatever pops
     are left over pass through onto ``v``'s own pops.
@@ -113,12 +97,6 @@ def cancel_on(pair: tuple[str, int], prefix: str) -> tuple[str, int]:
         pops -= 1
         pushes = pushes[:-1]
     return pushes, pops
-
-
-def is_stack_accepting(word: str) -> bool:
-    """Net effect is ``c^i`` for some ``i >= 0``: pops only, nothing left behind."""
-    pushes, _ = split_normal(word)
-    return pushes == ""
 
 
 def format_theta(word: str) -> str:

@@ -10,7 +10,6 @@ interval translations.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import ValidationError
 from .graphing import Edge, GraphingRep, WEIGHT_ONE
@@ -68,16 +67,6 @@ def bang_representation(word: str, injection, cells: int | None = None) -> WordR
                               realizer, WEIGHT_ONE))
     rep = GraphingRep(full_symbol_region(EXT_SYMBOLS), (0,), tuple(edges))
     return WordRepresentation(rep, word, injection, cells)
-
-
-def rep_family(word: str, cells_minus_one: int) -> list[WordRepresentation]:
-    """Every representation of ``word`` into cells 0..``cells_minus_one``."""
-    positions = len(word) + 1
-    if cells_minus_one + 1 < positions:
-        raise ValidationError(
-            f"word of length {len(word)} needs at least {positions} cells")
-    return [bang_representation(word, injection, cells_minus_one + 1)
-            for injection in permutations(range(cells_minus_one + 1), positions)]
 
 
 # The most words ``canonical_representation`` keeps; past it the word asked

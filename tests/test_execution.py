@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import count, product
 from math import lcm
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,19 +16,35 @@ from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
 from graphings.errors import ClosureViolation, TruncationError, ValidationError
 from graphings.execution import (CutSpec, ExecOptions, accept_path_sum,
-                                 cut_between, enumerate_paths, plug,
-                                 plug_dialect_pairs)
+                                 enumerate_paths, plug)
 from graphings.generators import (random_det_pair, random_subprob_pair,
                                   split_sources)
 from graphings.graphing import (Edge, GraphingRep, Weight, format_edges,
                                 format_graphing, is_deterministic)
 from graphings.measurement import make_test, membership
 from graphings.realizer import Realizer
-from graphings.space import (Atom, Interval, Region, box_get, refine_regions,
-                             region_of)
+from graphings.space import (Atom, Interval, Region, box_get, disjoint_ae,
+                             refine_regions)
 from graphings.words import bang_representation, canonical_representation
 
 ACCEPT_REGION = Region((Atom("a"),))
+
+
+def _difference(r1: Region, r2: Region) -> Region:
+    """Atoms of ``r1`` not covered by ``r2`` (an a.e. set difference)."""
+    elementary, (c1, c2) = refine_regions([r1, r2])
+    return Region(tuple(elementary[i] for i in sorted(c1 - c2)))
+
+
+def cut_between(f: GraphingRep, g: GraphingRep) -> CutSpec:
+    """The overlap of two supports as a cut, with the leftovers as rests."""
+    shared = Region(tuple(got for a in f.support.atoms for b in g.support.atoms
+                          if (got := a.intersect(b)) is not None))
+    left = _difference(f.support, shared)
+    right = _difference(g.support, shared)
+    if not disjoint_ae(left, right):
+        raise ValidationError("supports overlap outside the shared cut")
+    return CutSpec(shared.sorted(), left.sorted(), right.sorted())
 
 # a tiny hand-built arena: one accept cell on the left, two dialogue
 # symbols as the cut, one reject cell on the right
@@ -43,8 +60,8 @@ _C1_TO_B = Realizer(shift=5)         # 0i -> r
 
 
 def _pair(f_edges, g_edges, g_dialect=(0,)):
-    f = GraphingRep(region_of(A, C1, C2), (0,), tuple(f_edges))
-    g = GraphingRep(region_of(C1, C2, B), g_dialect, tuple(g_edges))
+    f = GraphingRep(Region((A, C1, C2)), (0,), tuple(f_edges))
+    g = GraphingRep(Region((C1, C2, B)), g_dialect, tuple(g_edges))
     return f, g
 
 
@@ -58,16 +75,16 @@ def test_cut_between_splits_supports():
 
 def test_plug_rejects_overlapping_rests():
     # a hand-built cut whose two rests share the accept cell
-    f = GraphingRep(region_of(A, C1), (0,), ())
-    g = GraphingRep(region_of(C1, A), (0,), ())
-    spec = CutSpec(region_of(C1), region_of(A), region_of(A))
+    f = GraphingRep(Region((A, C1)), (0,), ())
+    g = GraphingRep(Region((C1, A)), (0,), ())
+    spec = CutSpec(Region((C1,)), Region((A,)), Region((A,)))
     with pytest.raises(ValidationError):
         plug(f, g, spec)
 
 
 def test_plug_composes_a_two_step_corridor():
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
-                 (Edge(region_of(C1), 0, 0, _C1_TO_B),))
+    f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),),
+                 (Edge(Region((C1,)), 0, 0, _C1_TO_B),))
     out = plug(f, g, cut_between(f, g))
     assert out.dialect == (0,)
     assert len(out.edges) == 1
@@ -81,10 +98,10 @@ def test_plug_composes_a_two_step_corridor():
 def test_plug_sums_cycles_through_the_cut():
     # g loops back through the cut with probability 1/2 or exits with 1/2;
     # the family masses form a geometric series adding to one
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),
-                  Edge(region_of(C2), 0, 0, _C2_TO_C1)),
-                 (Edge(region_of(C1), 0, 0, _C1_TO_C2, Weight(F(1, 2))),
-                  Edge(region_of(C1), 0, 0, _C1_TO_B, Weight(F(1, 2)))))
+    f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),
+                  Edge(Region((C2,)), 0, 0, _C2_TO_C1)),
+                 (Edge(Region((C1,)), 0, 0, _C1_TO_C2, Weight(F(1, 2))),
+                  Edge(Region((C1,)), 0, 0, _C1_TO_B, Weight(F(1, 2)))))
     out = plug(f, g, cut_between(f, g))
     assert len(out.edges) == 1
     e = out.edges[0]
@@ -93,10 +110,10 @@ def test_plug_sums_cycles_through_the_cut():
 
 
 def test_plug_raises_when_family_mass_exceeds_one():
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),
-                  Edge(region_of(C2), 0, 0, _C2_TO_C1)),
-                 (Edge(region_of(C1), 0, 0, _C1_TO_C2, Weight(F(2, 3))),
-                  Edge(region_of(C1), 0, 0, _C1_TO_B, Weight(F(2, 3)))))
+    f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),
+                  Edge(Region((C2,)), 0, 0, _C2_TO_C1)),
+                 (Edge(Region((C1,)), 0, 0, _C1_TO_C2, Weight(F(2, 3))),
+                  Edge(Region((C1,)), 0, 0, _C1_TO_B, Weight(F(2, 3)))))
     with pytest.raises(ClosureViolation):
         plug(f, g, cut_between(f, g))
 
@@ -105,11 +122,11 @@ def _popping_pair():
     # every trip around the cycle pops one more tracked symbol, so the
     # composite stack action grows without bound; g either loops the probe
     # back (1/2) or lets it exit (1/2)
-    return _pair((Edge(region_of(A), 0, 0, _TO_C1),
-                  Edge(region_of(C2), 0, 0,
+    return _pair((Edge(Region((A,)), 0, 0, _TO_C1),
+                  Edge(Region((C2,)), 0, 0,
                        Realizer(shift=-1, pops=1)),),
-                 (Edge(region_of(C1), 0, 0, _C1_TO_C2, Weight(F(1, 2))),
-                  Edge(region_of(C1), 0, 0, _C1_TO_B, Weight(F(1, 2)))))
+                 (Edge(Region((C1,)), 0, 0, _C1_TO_C2, Weight(F(1, 2))),
+                  Edge(Region((C1,)), 0, 0, _C1_TO_B, Weight(F(1, 2)))))
 
 
 def test_plug_stack_budget():
@@ -129,10 +146,10 @@ def test_plug_tiles_an_image_straddling_cells():
     # g sends on to r and to 0o; only the quarter that reaches r exits
     low = Atom("0i", (Interval(F(0), F(1, 2)),))
     high = Atom("0i", (Interval(F(1, 2), F(1)),))
-    f, g = _pair((Edge(region_of(A), 0, 0,
+    f, g = _pair((Edge(Region((A,)), 0, 0,
                        Realizer(shift=-4, box_shift=((1, F(1, 4)),))),),
-                 (Edge(region_of(low), 0, 0, _C1_TO_B),
-                  Edge(region_of(high), 0, 0, _C1_TO_C2)))
+                 (Edge(Region((low,)), 0, 0, _C1_TO_B),
+                  Edge(Region((high,)), 0, 0, _C1_TO_C2)))
     out = plug(f, g, cut_between(f, g))
     assert format_edges(out.edges) == [
         "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
@@ -150,10 +167,10 @@ def test_plug_keeps_one_piece_families_as_they_are():
     # so each family holds one piece, emitted as it is
     low = Atom("0i", (Interval(F(0), F(1, 2)),))
     high = Atom("0i", (Interval(F(1, 2), F(1)),))
-    f, g = _pair((Edge(region_of(A), 0, 0,
+    f, g = _pair((Edge(Region((A,)), 0, 0,
                        Realizer(shift=-4, box_shift=((1, F(1, 4)),))),),
-                 (Edge(region_of(low), 0, 0, _C1_TO_B),
-                  Edge(region_of(high), 0, 0,
+                 (Edge(Region((low,)), 0, 0, _C1_TO_B),
+                  Edge(Region((high,)), 0, 0,
                        Realizer(shift=5, box_shift=((1, F(-1, 2)),)))))
     out = plug(f, g, cut_between(f, g))
     assert format_edges(out.sorted_edges()) == [
@@ -172,10 +189,10 @@ def test_plugged_sources_are_their_own_refinement(make):
 def test_plug_adds_the_masses_of_overlapping_pieces_per_cell():
     # two overlapping sources of g send the probe on to r along the same
     # composite: one family of two pieces, a|[0,1/4] and a|[0,1/2]
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
-                 (Edge(region_of(Atom("0i", (Interval(F(0), F(1, 4)),))), 0, 0,
+    f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),),
+                 (Edge(Region((Atom("0i", (Interval(F(0), F(1, 4)),)),)), 0, 0,
                        _C1_TO_B, Weight(F(1, 2))),
-                  Edge(region_of(Atom("0i", (Interval(F(0), F(1, 2)),))), 0, 0,
+                  Edge(Region((Atom("0i", (Interval(F(0), F(1, 2)),)),)), 0, 0,
                        _C1_TO_B, Weight(F(1, 2)))))
     out = plug(f, g, cut_between(f, g))
     assert format_edges(out.sorted_edges()) == [
@@ -239,7 +256,6 @@ def test_plug_of_split_subprobabilistic_sources_is_equivalent():
 
 def test_plug_dialect_is_the_sorted_product():
     f, g = _pair((), (), g_dialect=(0, 1))
-    assert plug_dialect_pairs(f, g) == [(0, 0), (0, 1)]
     out = plug(f, g, cut_between(f, g))
     assert out.dialect == (0, 1)
 
@@ -247,7 +263,7 @@ def test_plug_dialect_is_the_sorted_product():
 def test_plug_keeps_unengaged_side_diagonal():
     # f exits without ever consulting g, so the result carries one copy of
     # the exit per g dialect state
-    f, g = _pair((Edge(region_of(A), 0, 0,
+    f, g = _pair((Edge(Region((A,)), 0, 0,
                        Realizer(shift=1, box_shift=((1, F(1, 2)),))),),
                  (), g_dialect=(0, 1))
     out = plug(f, g, cut_between(f, g))
@@ -311,12 +327,13 @@ def _plugged_accept_mass(m, word: str, opts: ExecOptions) -> F:
     marker = Interval(F(0), F(1, rep.cells))  # canonically in the first cell
     out = plug(m.graphing, rep.graphing, cut_between(m.graphing, rep.graphing),
                opts)
-    start = plug_dialect_pairs(m.graphing, rep.graphing).index((m.start_state, 0))
+    pairs = sorted(product(m.graphing.dialect, rep.graphing.dialect))
+    start = pairs.index((m.start_state, 0))
     total = F(0)
     for e in out.edges:
         (src,) = e.source.atoms
         if (e.in_state == start and src.sym == "a" and set(src.cyl) <= {"*"}
-                and all(box_get(src.box, c).contains(marker)
+                and all(box_get(src.box, c).intersect(marker) == marker
                         for c in range(1, m.heads + 1))
                 and e.realizer.shift == 0 and not e.realizer.pushes):
             total += e.weight.p
@@ -355,8 +372,8 @@ def test_node_budget_raises_in_both_walks(monkeypatch):
     m = compile_automaton(by_name("even-ones"))
     with pytest.raises(ClosureViolation, match="dialogue walk exceeded"):
         accept_path_sum(m, canonical_representation("01"), ACCEPT_REGION)
-    f, g = _pair((Edge(region_of(A), 0, 0, _TO_C1),),
-                 (Edge(region_of(C1), 0, 0, _C1_TO_B),))
+    f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),),
+                 (Edge(Region((C1,)), 0, 0, _C1_TO_B),))
     with pytest.raises(ClosureViolation, match="plug walk exceeded"):
         plug(f, g, cut_between(f, g))
 
@@ -430,8 +447,8 @@ def test_walks_refuse_a_start_atom_off_the_space():
         accept_path_sum(m, rep, probe)
     with pytest.raises(ValidationError, match="must be spatial"):
         enumerate_paths(m, rep, accept_region=probe)
-    f = GraphingRep(region_of(A.with_state(1), C1), (0,), ())
-    g = GraphingRep(region_of(C1, B), (0,), ())
+    f = GraphingRep(Region((replace(A, state=1), C1)), (0,), ())
+    g = GraphingRep(Region((C1, B)), (0,), ())
     with pytest.raises(ValidationError, match="must be spatial"):
         plug(f, g, cut_between(f, g))
 
@@ -553,11 +570,12 @@ def test_move_table_answers_match_a_fresh_machine(monkeypatch):
         # the warmed machine has run every query, the later ones first
         for w, region in reversed(queries):
             accept_path_sum(warm, canonical_representation(w), region)
-        compiled = compile_automaton(a)
+        r = compile_automaton(a).reachable
         for w, region in queries:
-            # each copy of the compiled machine walks a reachable graphing
-            # of its own, so its move table starts empty
-            fresh = replace(compiled)
+            # a new representative over the same edges has a move table of
+            # its own, so each query starts from an empty one
+            fresh = SimpleNamespace(reachable=GraphingRep(r.support, r.dialect, r.edges),
+                                    start_state=warm.start_state)
             rep = canonical_representation(w)
             assert (accept_path_sum(warm, rep, region)
                     == accept_path_sum(fresh, rep, region)), (a.name, w, region)
@@ -655,7 +673,7 @@ def test_plug_runs_one_walk_seeded_at_every_rest_atom_and_pair(monkeypatch):
         walks.clear()
         plug(f, g, cut)
         rest_atoms = len(cut.left_rest.atoms) + len(cut.right_rest.atoms)
-        assert walks == [("plug", rest_atoms * len(plug_dialect_pairs(f, g)))]
+        assert walks == [("plug", rest_atoms * len(f.dialect) * len(g.dialect))]
 
 
 def test_every_move_is_over_the_denominator_its_walk_declared(monkeypatch):

@@ -192,18 +192,30 @@ def _names_referenced(path):
             yield node.value  # names looked up with getattr, as the tracer does
 
 
+# Package definitions that only tests read, each kept for a stated reason.
+_READ_ONLY_BY_TESTS = {
+    "trace_enumerate": "criterion 2 matches the oracle's traces to the engine's paths",
+    "enumerate_paths": "criterion 2 matches the engine's paths to the oracle's traces",
+    "in_microcosm": "the paper's m_k/n_k membership, checked on every compiled machine",
+}
+
+
 def test_every_package_definition_is_referenced():
+    # only the program and the harness count as readers: a definition that
+    # only tests read belongs in the test that reads it; __init__'s
+    # re-exports read nothing
     repo = Path(__file__).resolve().parents[1]
-    referenced = {name for top in ("src", "tests", "perfbench")
-                  for path in (repo / top).rglob("*.py")
-                  for name in _names_referenced(path)}
+    readers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    readers += (repo / "perfbench").rglob("*.py")
+    referenced = {name for path in readers for name in _names_referenced(path)}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")
-                    and node.name not in referenced):
+                    and node.name not in referenced
+                    and node.name not in _READ_ONLY_BY_TESTS):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == [], f"defined but never referenced: {unused}"
 

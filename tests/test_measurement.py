@@ -14,7 +14,7 @@ from graphings.graphing import Edge, GraphingRep, Weight
 from graphings.measurement import (_judge, check_uniformity, make_test,
                                    membership, orthogonal_to_test)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, region_of
+from graphings.space import Atom, Interval, Region
 from graphings.words import canonical_representation
 
 
@@ -24,7 +24,7 @@ from graphings.words import canonical_representation
 def test_neg_family_shape():
     t = make_test("neg")
     assert t.kind == "neg"
-    assert [m.region for m in t.members] == [region_of(Atom("r"))]
+    assert [m.region for m in t.members] == [Region((Atom("r"),))]
 
 
 def test_pos_family_shape():
@@ -112,7 +112,7 @@ def test_shrinking_cubes_catch_mass_hiding_from_the_origin():
     # satisfies the first cube but not the second: the family is what makes
     # positivity mean "positive everywhere", not "positive somewhere"
     box = (Interval(F(0), F(1)), Interval(F(2, 3), F(1)))
-    reg = region_of(Atom("a", box))
+    reg = Region((Atom("a", box),))
     g = GraphingRep(reg, (0,), (Edge(reg, 0, 0, Realizer(), Weight(F(1), 0)),))
     machine = SimpleNamespace(graphing=g, start_state=0)
     word = canonical_representation("")

@@ -125,6 +125,25 @@ def test_widest_dialect_range_still_parses():
     assert g.dialect == tuple(range(MAX_DIALECT_RANGE))
 
 
+@pytest.mark.parametrize("line", ["dialect: 0-3", "support: r|-|-|0"])
+def test_a_repeated_graphing_header_names_its_line(line):
+    # a second header would silently replace the first
+    text = "dialect: 0\nsupport: a|-|-|0\n# comment\n" + line + "\n"
+    kind = line.split(":")[0]
+    with pytest.raises(FormatError, match=f"^line 4: duplicate '{kind}:' line"):
+        parse_graphing(text)
+
+
+@pytest.mark.parametrize("line", ["name: other", "heads: 2", "stack: yes",
+                                  "states: init accept reject"])
+def test_a_repeated_automaton_header_names_its_line(line):
+    lines = format_automaton(by_name("accept-now")).splitlines() + [line]
+    kind = line.split(":")[0]
+    with pytest.raises(FormatError,
+                       match=f"^line {len(lines)}: duplicate '{kind}:' line"):
+        parse_automaton("\n".join(lines) + "\n")
+
+
 # --- round trips: valid values survive format then parse ---------------------
 
 _UNIT = st.integers(1, 12).flatmap(lambda d: st.integers(0, d).map(lambda n: F(n, d)))

@@ -7,6 +7,7 @@ each verdict off the per-cell tables.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
 import random
@@ -34,7 +35,7 @@ def _reference_tables(graphings):
                 for piece, _ in e.realizer.apply_atom(atom):
                     payload = (e.out_state, e.realizer.normalized_on(piece.cyl),
                                e.weight)
-                    items.append((gi, Region((piece.with_state(e.in_state),)),
+                    items.append((gi, Region((replace(piece, state=e.in_state),)),
                                   payload))
     _, covers = refine_regions([r for _, r, _ in items])
     tables = [defaultdict(list) for _ in graphings]

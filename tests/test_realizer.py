@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from graphings.errors import ValidationError
 from graphings.realizer import (Realizer, in_microcosm, perm_apply,
-                                perm_compose, perm_inverse, perm_of, swap)
+                                perm_compose, perm_of, swap)
 from graphings.space import (Atom, Interval, Region, ae_equal, box_get,
-                             box_intersect)
+                             box_intersect, subset_ae)
 
 
 def test_perm_representation_drops_fixed_points():
@@ -23,7 +23,7 @@ def test_perm_representation_drops_fixed_points():
 def test_perm_compose_and_inverse():
     rot = perm_of({1: 2, 2: 3, 3: 1})
     assert perm_apply(rot, 1) == 2
-    assert perm_compose(rot, perm_inverse(rot)) == ()
+    assert perm_compose(rot, perm_of({2: 1, 3: 2, 1: 3})) == ()
     assert perm_apply(perm_compose(swap(1, 2), swap(2, 3)), 1) == 3
 
 
@@ -123,7 +123,7 @@ def test_preimage_inverts_apply():
         # narrowing the image narrows the piece
         sub = Atom(img.sym, img.box, img.cyl + "0", img.state)
         back = r.preimage_atom(piece, sub)
-        assert back is not None and piece.contains_ae(back)
+        assert back is not None and subset_ae(Region((back,)), Region((piece,)))
 
 
 def test_preimage_onto_a_piece_that_the_shift_carries_out_of_the_box():

@@ -7,10 +7,14 @@ from hypothesis import given, strategies as st
 import pytest
 
 from graphings.errors import ValidationError
-from graphings.theta import (cancel_on, encode_stack_op, format_theta, from_ops,
-                             is_normal, is_stack_accepting, pair_mul,
-                             parse_theta, reduce, reduce_random, split_normal,
-                             theta_mul)
+from graphings.theta import (cancel_on, encode_stack_op, format_theta, pair_mul,
+                             parse_theta, reduce, reduce_random, split_normal)
+
+
+def theta_mul(u: str, v: str) -> str:
+    """Monoid product, ``u`` acting after ``v`` when read as operations:
+    the reference that ``pair_mul`` is checked against."""
+    return reduce(u + v)
 
 
 def test_reduce_cancels_pop_after_push():
@@ -23,9 +27,9 @@ def test_reduce_cancels_pop_after_push():
 
 
 def test_normal_form_is_pushes_then_pops():
-    assert is_normal("01*")
-    assert is_normal("0cc")
-    assert not is_normal("c0")
+    assert reduce("01*") == "01*"
+    assert reduce("0cc") == "0cc"
+    assert reduce("c0") != "c0"
     assert split_normal("01cc") == ("01", 2)
 
 
@@ -51,16 +55,9 @@ def test_from_ops_and_encode():
     assert encode_stack_op("id") == ""
     with pytest.raises(ValidationError):
         encode_stack_op("push_x")
-    # ops arrive in execution order; the word is built right to left
-    assert from_ops(["push_0", "pop"]) == ""
-    assert from_ops(["pop", "push_1"]) == "1c"
-
-
-def test_stack_accepting_means_nothing_pushed():
-    assert is_stack_accepting("")
-    assert is_stack_accepting("cc")  # pops only
-    assert not is_stack_accepting("0")
-    assert not is_stack_accepting("0c")
+    # ops arrive in execution order; later ones multiply on the left
+    assert theta_mul(encode_stack_op("pop"), encode_stack_op("push_0")) == ""
+    assert theta_mul(encode_stack_op("push_1"), encode_stack_op("pop")) == "1c"
 
 
 def test_format_roundtrip():

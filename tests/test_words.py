@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 import hashlib
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,8 +10,18 @@ from graphings import words
 from graphings.errors import ValidationError
 from graphings.graphing import is_deterministic
 from graphings.space import Interval
-from graphings.words import (bang_representation, canonical_representation,
-                             rep_family)
+from graphings.words import bang_representation, canonical_representation
+
+
+def rep_family(word: str, cells_minus_one: int) -> list:
+    """Every representation of ``word`` into cells 0..``cells_minus_one``."""
+    positions = len(word) + 1
+    if cells_minus_one + 1 < positions:
+        raise ValidationError(
+            f"word of length {len(word)} needs at least {positions} cells")
+    return [bang_representation(word, injection, cells_minus_one + 1)
+            for injection in permutations(range(cells_minus_one + 1), positions)]
+
 
 # SHA-256 of the representations below, pinned so that however they are
 # built they stay the same bytes
