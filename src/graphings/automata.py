@@ -18,7 +18,7 @@ weights, the solve runs over that one denominator, and each answer is one
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 
 from . import linsolve
@@ -253,28 +253,19 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
         pos += 1
 
     # Each move is recorded in the predecessor list of the configuration it
-    # enters.  Only configurations that can still reach a halting
-    # contribution are kept; dropping the rest keeps probability-one loops
-    # out of the linear system.  The solve gives the expected number of
-    # visits to each kept configuration from the start, and the answer sums
-    # the halting contribution of every visit.  Weights are over ``den``,
-    # so the start's one visit is ``den`` over ``den``, and the sum of
-    # visits times contributions is summed as ``num / d`` before its one
-    # division by ``den``.
-    kept, rows = prune(preds, [i for i, c in enumerate(contrib) if c])
-    if not kept or kept[0] != 0:
+    # enters, and each configuration's halting contribution in the list of
+    # one halt node after them all, which is not interned.  Only
+    # configurations that can still reach the halt are kept; dropping the
+    # rest keeps probability-one loops out of the linear system.  Weights
+    # are over ``den``, so the start is seeded with ``den`` over ``den``, and
+    # the mass the solve gives the halt is the answer.
+    preds.append([(i, c) for i, c in enumerate(contrib) if c])
+    kept, rows = prune(preds, [len(order)])
+    if kept[0] != 0:
         return _ZERO, not truncated
     den = a._den
     nums, dens = solve_affine(rows, [den] + [0] * (len(kept) - 1), den)
-    num, d = 0, 1
-    for s, i in enumerate(kept):
-        c = contrib[i]
-        if c:
-            xd = dens[s]
-            g = gcd(d, xd)
-            num = num * (xd // g) + c * nums[s] * (d // g)
-            d = d // g * xd
-    return Fraction(num, d * den), not truncated
+    return Fraction(nums[-1], dens[-1]), not truncated
 
 
 def trace_enumerate(a: Automaton, word: str, max_len: int = 20):

@@ -27,7 +27,7 @@ path sums, ``membership`` and the CLI's ``accept`` and ``dump --word``
 never do.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
 from math import factorial
@@ -96,14 +96,11 @@ class CompiledMachine:
     emits the ``reachable`` graphing, the edges the start state reaches,
     which is all any walk reads.  The whole ``graphing`` is emitted on
     first read, and so is ``provenance``; reading provenance first fills
-    both from one pass.  ``CompiledMachine(automaton, pruned)`` is a
-    restriction of the whole machine (``prune_reachable``), whose graphing
-    is ``pruned``.  ``dataclasses.replace`` compiles again, so the copy
-    walks a reachable graphing, and a move table, of its own.
+    both from one pass.  ``dataclasses.replace`` compiles again, so the
+    copy walks a reachable graphing, and a move table, of its own.
     """
 
     automaton: Automaton
-    pruned: GraphingRep | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._dialect = _Dialect(self.automaton)
@@ -113,15 +110,9 @@ class CompiledMachine:
         self.reachable = GraphingRep(full_symbol_region(), tuple(sorted(dialect)),
                                      tuple(edges))
 
-    @property
-    def heads(self) -> int:
-        return self.automaton.heads
-
     @cached_property
     def graphing(self) -> GraphingRep:
-        """Every edge of the compiled machine, or the ``pruned`` graphing."""
-        if self.pruned is not None:
-            return self.pruned
+        """Every edge of the compiled machine."""
         return self._whole(_emit_edges(self.automaton, self._dialect)[1])
 
     def _whole(self, edges: list) -> GraphingRep:
@@ -133,18 +124,14 @@ class CompiledMachine:
         """Edge -> list of ``(key, Instruction)``: the table rows behind it.
 
         Made on first read, by emitting the automaton's edges with recording
-        on and keeping those of this machine's graphing, so a pruned machine
-        holds the full machine's, restricted to its edges.  The same pass
-        builds the whole graphing if nothing has read it yet.
+        on; the same pass builds the whole graphing if nothing has read it
+        yet.
         """
         recorded: dict = {}
         _, edges = _emit_edges(self.automaton, self._dialect, recorded)
-        if self.pruned is None and "graphing" not in vars(self):
+        if "graphing" not in vars(self):
             self.graphing = self._whole(edges)
-        return {e: recorded[e] for e in self.graphing.edges}
-
-    def label(self, index: int) -> DialectState:
-        return self._dialect.label(index)
+        return recorded
 
 
 def _source(sym: str, last: str) -> Region:
@@ -170,8 +157,9 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
     """The start state and edge list of the compiled ``a``.
 
     Every edge, or with ``reachable`` those the start state reaches, listed
-    as ``prune_reachable`` keeps them: each state's edges in the order the
-    whole list has them, the states in depth-first order from the start.
+    as a depth-first prune of the whole list keeps them: each state's edges
+    in the order the whole list has them, the states in depth-first order
+    from the start.
     With a ``provenance`` dict, each edge's ``(key, Instruction)`` table
     rows are recorded in it as well.
     """
@@ -286,22 +274,10 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
 
 
 def prune_reachable(m: CompiledMachine) -> CompiledMachine:
-    """Restrict to dialect states reachable from the start state."""
-    outgoing: dict[int, list[Edge]] = {}
-    for e in m.graphing.edges:
-        outgoing.setdefault(e.in_state, []).append(e)
-    seen = {m.start_state}
-    frontier = [m.start_state]
-    kept = []
-    while frontier:
-        s = frontier.pop()
-        for e in outgoing.get(s, ()):
-            kept.append(e)
-            if e.out_state not in seen:
-                seen.add(e.out_state)
-                frontier.append(e.out_state)
-    graphing = GraphingRep(m.graphing.support, tuple(sorted(seen)), tuple(kept))
-    return CompiledMachine(m.automaton, graphing)
+    """A fresh compile of ``m``'s machine whose graphing is its reachable one."""
+    lean = CompiledMachine(m.automaton)
+    lean.graphing = lean.reachable
+    return lean
 
 
 def format_compiled(m: CompiledMachine) -> str:

@@ -22,8 +22,9 @@ must be stack-free, as every word representation is, so its answers to a
 question depend only on the question's symbol and box and leave its
 cylinder alone; they are folded into the machine move.  Every interned
 configuration is thus a machine configuration, and the node budget
-``linsolve.MAX_NODES`` counts exactly those.  A compiled machine is walked
-on its ``reachable`` graphing (the edges reachable from its start state).
+``linsolve.MAX_NODES`` counts exactly those.  A walk reads the machine's
+``start_state`` and its ``reachable`` graphing (the edges reachable from its
+start state) and nothing else.
 
 Every walk, ``enumerate_paths`` too, reads both sides' moves from
 ``GraphingRep.moves``, which computes each once per graphing and keeps it
@@ -168,20 +169,6 @@ def _solve_walk(seeds, expand, what: str, den: int) -> list:
             for s, i in enumerate(kept) for p, payload in exits[i]]
 
 
-def _machine_parts(machine):
-    """The probing side's start state and the graphing its walk reads.
-
-    A compiled machine is walked on its reachable edges only; any other
-    machine on its whole graphing.
-    """
-    start = getattr(machine, "start_state", None)
-    if start is None:
-        raise ValidationError("no start dialect state: pass a compiled machine "
-                              "or set start_state")
-    g = getattr(machine, "reachable", None)
-    return start, g if g is not None else getattr(machine, "graphing", machine)
-
-
 def _word_parts(w):
     """The answering side's graphing and its one dialect state."""
     g = getattr(w, "graphing", w)
@@ -210,7 +197,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     Branches whose tracked cylinder would outgrow the stack budget are
     dropped and flagged, making the class totals exact lower bounds.
     """
-    start, m = _machine_parts(machine)
+    start, m = machine.start_state, machine.reachable
     w, w_state = _word_parts(word)
     probes = _spatial(accept_region.atoms, "the probed region")
     depth = opts.stack_depth
@@ -259,7 +246,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
     only bound the length.  No stack budget applies: the length bound
     already bounds the stack.
     """
-    start, m = _machine_parts(machine)
+    start, m = machine.start_state, machine.reachable
     w, w_state = _word_parts(word)
     if accept_region is None:
         accept_region = Region((Atom("a"),))

@@ -240,12 +240,15 @@ def _cell_items(graphings):
 
 
 def _source_groups(g: GraphingRep) -> list:
-    """Per ``(in_state, symbol)``: the ``(source atom, probability)`` pairs."""
-    groups: dict = defaultdict(list)
+    """Per ``(in_state, symbol)``: each source atom object, with the total
+    probability of the edges on it."""
+    groups: dict = defaultdict(dict)
     for e in g.edges:
         for a in e.source.atoms:
-            groups[(e.in_state, a.sym)].append((a, e.weight.p))
-    return list(groups.values())
+            group = groups[(e.in_state, a.sym)]
+            got = group.get(id(a))
+            group[id(a)] = (a, e.weight.p if got is None else got[1] + e.weight.p)
+    return [list(group.values()) for group in groups.values()]
 
 
 def _meeting(members: list) -> list:
@@ -274,22 +277,24 @@ def equivalent(g1: GraphingRep, g2: GraphingRep) -> bool:
 def is_deterministic(g: GraphingRep) -> bool:
     """At most one edge through every point at every state, with probability 1.
 
-    Sources in different ``(in_state, symbol)`` groups never meet, so it is
-    enough that no two source atoms of one group intersect.
+    With every probability 1, two edges through one point put 2 on it, so
+    this is sub-probability at unit weights.
     """
-    if any(e.weight.p != ONE for e in g.edges):
-        return False
-    return not any(_meeting(members) for members in _source_groups(g))
+    return all(e.weight.p == ONE for e in g.edges) and is_subprobabilistic(g)
 
 
 def is_subprobabilistic(g: GraphingRep) -> bool:
     """Total outgoing probability at most 1 through every point at every state.
 
-    Every probability is at most 1, so only points where sources meet can
-    carry more: per group, the sources that meet another one are refined
-    into cells, unless their probabilities add up to at most 1 anyway.
+    Sources in different ``(in_state, symbol)`` groups never meet.  Within
+    a group the edges on one source atom object add up, and no total may
+    pass 1; only points where distinct sources meet can carry more: those
+    sources are refined into cells, unless their totals add up to at most 1
+    anyway.
     """
     for members in _source_groups(g):
+        if any(p > ONE for _, p in members):
+            return False
         meeting = _meeting(members)
         if sum(p for _, p in meeting) <= ONE:
             continue
@@ -465,8 +470,9 @@ def _format_ints(values) -> str:
     return ",".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
 
 
-# Widest ``a-b`` range a dialect line may name.  The largest compiled corpus
-# dialect has 6,318 states; a range is checked before it is expanded.
+# Most states a dialect line may name, duplicates included.  The largest
+# compiled corpus dialect has 6,318 states; each range is counted before it
+# is expanded.
 MAX_DIALECT_RANGE = 100_000
 
 
@@ -479,12 +485,12 @@ def _parse_ints(text: str):
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise FormatError(f"descending range {part!r}")
-            if hi - lo >= MAX_DIALECT_RANGE:
-                raise FormatError(f"range {part!r} is wider than "
-                                  f"{MAX_DIALECT_RANGE} states")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            lo = hi = int(part)
+        if len(out) + hi - lo >= MAX_DIALECT_RANGE:
+            raise FormatError(f"{part!r} takes the dialect past {MAX_DIALECT_RANGE} "
+                              f"states, the widest range a line may name")
+        out.extend(range(lo, hi + 1))
     return out
 
 

@@ -75,7 +75,7 @@ class Interval(tuple):
 
     The three ints ``(a, b, d)`` are in lowest terms, ``gcd(a, b, d) == 1``,
     so equal intervals are equal tuples, and they compare and hash as such.
-    Intervals have no order; ``lo``, ``hi`` and ``measure`` are ``Fraction``s.
+    Intervals have no order; ``lo`` and ``hi`` are ``Fraction``s.
     """
 
     __slots__ = ()
@@ -107,10 +107,6 @@ class Interval(tuple):
     @property
     def hi(self) -> Fraction:
         return Fraction(self[1], self[2])
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(self[1] - self[0], self[2])
 
     def intersect(self, other: "Interval") -> "Interval | None":
         a1, b1, d1 = self

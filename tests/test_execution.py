@@ -334,7 +334,7 @@ def _plugged_accept_mass(m, word: str, opts: ExecOptions) -> F:
         (src,) = e.source.atoms
         if (e.in_state == start and src.sym == "a" and set(src.cyl) <= {"*"}
                 and all(box_get(src.box, c).intersect(marker) == marker
-                        for c in range(1, m.heads + 1))
+                        for c in range(1, m.automaton.heads + 1))
                 and e.realizer.shift == 0 and not e.realizer.pushes):
             total += e.weight.p
     return total

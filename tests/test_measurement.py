@@ -114,7 +114,7 @@ def test_shrinking_cubes_catch_mass_hiding_from_the_origin():
     box = (Interval(F(0), F(1)), Interval(F(2, 3), F(1)))
     reg = Region((Atom("a", box),))
     g = GraphingRep(reg, (0,), (Edge(reg, 0, 0, Realizer(), Weight(F(1), 0)),))
-    machine = SimpleNamespace(graphing=g, start_state=0)
+    machine = SimpleNamespace(reachable=g, start_state=0)
     word = canonical_representation("")
     single = orthogonal_to_test(machine, word, make_test("pos", heads=0))
     family = orthogonal_to_test(machine, word, make_test("pos", heads=1))

@@ -112,10 +112,12 @@ def test_empty_dialect_and_negative_state_are_format_errors():
         parse_atom("a|-|-|-1")
 
 
+# the cap counts every state a line names, duplicates included
 @pytest.mark.parametrize("dialect", ["0,5-3", "1-0", "0-1000000000",
-                                     f"0-{MAX_DIALECT_RANGE}"])
+                                     f"0-{MAX_DIALECT_RANGE}", "0-99999,100000",
+                                     "0-49999,0-49999,7"])
 def test_bad_dialect_ranges_fail_before_expanding(dialect):
-    with pytest.raises(FormatError, match="range"):
+    with pytest.raises(FormatError, match="line 1: .*range"):
         parse_graphing(f"dialect: {dialect}\nsupport: a|-|-|0\n")
 
 
