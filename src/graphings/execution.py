@@ -336,7 +336,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                                              nxt.normalized_on(new_ocyl), new_ocyl,
                                              flag | e.weight.flag)
 
-    seeds = [(a, in_i, side, a, pr, Realizer(), a.cyl, 0)
+    identity = Realizer()
+    seeds = [(a, in_i, side, a, pr, identity, a.cyl, 0)
              for side, rest in enumerate((cut.left_rest, cut.right_rest))
              for a in rest.atoms for in_i, pr in enumerate(pairs)]
     families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]

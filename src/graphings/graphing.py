@@ -241,13 +241,16 @@ def _cell_items(graphings):
 
 def _source_groups(g: GraphingRep) -> list:
     """Per ``(in_state, symbol)``: each source atom object, with the total
-    probability of the edges on it."""
+    probability of the edges on it as an int over ``g.weight_den``."""
+    den = g.weight_den
     groups: dict = defaultdict(dict)
     for e in g.edges:
+        p = e.weight.p
+        units = p.numerator * (den // p.denominator)
         for a in e.source.atoms:
             group = groups[(e.in_state, a.sym)]
             got = group.get(id(a))
-            group[id(a)] = (a, e.weight.p if got is None else got[1] + e.weight.p)
+            group[id(a)] = (a, units if got is None else got[1] + units)
     return [list(group.values()) for group in groups.values()]
 
 
@@ -278,9 +281,11 @@ def is_deterministic(g: GraphingRep) -> bool:
     """At most one edge through every point at every state, with probability 1.
 
     With every probability 1, two edges through one point put 2 on it, so
-    this is sub-probability at unit weights.
+    this is sub-probability at unit weights.  Every weight is 1 when none is
+    0 and their denominators' lcm is 1.
     """
-    return all(e.weight.p == ONE for e in g.edges) and is_subprobabilistic(g)
+    return (g.weight_den == 1 and all(e.weight.p.numerator for e in g.edges)
+            and is_subprobabilistic(g))
 
 
 def is_subprobabilistic(g: GraphingRep) -> bool:
@@ -290,20 +295,21 @@ def is_subprobabilistic(g: GraphingRep) -> bool:
     a group the edges on one source atom object add up, and no total may
     pass 1; only points where distinct sources meet can carry more: those
     sources are refined into cells, unless their totals add up to at most 1
-    anyway.
+    anyway.  Probabilities add up as ints over ``g.weight_den``.
     """
+    one = g.weight_den
     for members in _source_groups(g):
-        if any(p > ONE for _, p in members):
+        if any(p > one for _, p in members):
             return False
         meeting = _meeting(members)
-        if sum(p for _, p in meeting) <= ONE:
+        if sum(p for _, p in meeting) <= one:
             continue
         cells, covers = refine_regions([Region((a,)) for a, _ in meeting])
-        mass = [ZERO] * len(cells)
+        mass = [0] * len(cells)
         for (_, p), cover in zip(meeting, covers):
             for ci in cover:
                 mass[ci] += p
-        if any(m > ONE for m in mass):
+        if any(m > one for m in mass):
             return False
     return True
 
@@ -315,6 +321,10 @@ def _same_map_on(fe: Edge, ge: Edge) -> bool:
     """Do the two realizers agree pointwise a.e. on the source of ``fe``?"""
     if fe.realizer == ge.realizer:
         return True
+    if not (fe.realizer.pops or ge.realizer.pops):
+        # ``normalized_on`` changes nothing without pops; a null source
+        # agrees with anything
+        return not fe.source.atoms
     depth = max(fe.realizer.pops, ge.realizer.pops)
     for atom in fe.source.atoms:
         for cyl in expand_prefix(atom.cyl, depth):
@@ -416,7 +426,8 @@ def format_realizer(r: Realizer) -> str:
     if r.perm:
         parts.append("p" + _perm_cycles(r.perm))
     if r.box_shift:
-        parts.append("b" + ",".join(f"{c}:{a}" for c, a in r.box_shift))
+        parts.append("b" + ",".join(f"{c}:{n}" if d == 1 else f"{c}:{n}/{d}"
+                                    for c, n, d in r.box_shift))
     if r.pops or r.pushes:
         parts.append("t" + theta.format_theta(r.theta_word))
     return " ".join(parts) if parts else "id"

@@ -4,8 +4,9 @@ A realizer combines four independent actions:
 
 * ``shift``: an integer translation moving one symbol interval onto another;
 * ``perm``: a finite-support permutation of the box coordinates;
-* ``box_shift``: a rational translation per coordinate (word representations
-  use it to move a head marker; machines never do);
+* ``box_shift``: a rational translation per coordinate, kept as reduced int
+  ``(coord, num, den)`` triples (word representations use it to move a head
+  marker; machines never do);
 * a stack action on the cylinder factor, kept in the canonical form
   ``pop^pops then prepend pushes``: the word ``pushes`` is written with the
   symbol that ends up on top first.
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd
 
 from .errors import ValidationError
 from .space import (Atom, Region, _atom, _canon_box, _new_object, _set,
@@ -36,13 +39,25 @@ from . import theta
 # Permutations are stored as sorted tuples of (source, image) pairs covering
 # exactly the non-fixed coordinates, so equal maps compare equal.
 
+# The largest box coordinate a permutation or a box translation may name.
+# Applying a realizer builds a box as wide as its largest coordinate; corpus
+# machines use at most a few heads.
+MAX_COORD = 1_000
+
+
+def _check_coords(coords) -> None:
+    if any(c < 1 for c in coords):
+        raise ValidationError("coordinates are numbered from 1")
+    if any(c > MAX_COORD for c in coords):
+        raise ValidationError(f"coordinate {max(coords)} is past {MAX_COORD}, "
+                              "the largest a realizer may name")
+
 
 def perm_of(mapping: dict) -> tuple:
     items = {i: j for i, j in mapping.items() if i != j}
     if sorted(items) != sorted(items.values()):
         raise ValidationError(f"not a permutation: {mapping}")
-    if any(i < 1 for i in items):
-        raise ValidationError("coordinates are numbered from 1")
+    _check_coords(items)
     return tuple(sorted(items.items()))
 
 
@@ -67,25 +82,54 @@ def perm_support(perm: tuple) -> set:
     return {i for i, _ in perm}
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True, repr=False)
 class Realizer:
+    """Built from ``box_shift`` as ``(coord, amount)`` pairs, amounts
+    rational; holds it as sorted ``(coord, num, den)`` triples, each amount a
+    nonzero reduced fraction with ``den > 0``.  Equal maps compare and hash
+    equal through the ints; the order and ``repr`` read each amount as a
+    ``Fraction``, so realizers sort by value and print their amounts as
+    fractions."""
+
     shift: int = 0
     perm: tuple = ()
-    box_shift: tuple = ()  # sorted ((coord, amount), ...), amounts nonzero
+    box_shift: tuple = ()
     pops: int = 0
     pushes: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
+        _check_coords([i for i, _ in self.perm])
         coords = [c for c, _ in self.box_shift]
-        if any(c < 1 for c in coords):
-            raise ValidationError("coordinates are numbered from 1")
+        _check_coords(coords)
         if len(set(coords)) != len(coords):
             raise ValidationError(f"box shift names a coordinate twice: {coords}")
-        shifts = tuple(sorted((c, Fraction(a)) for c, a in self.box_shift if a != 0))
-        object.__setattr__(self, "box_shift", shifts)
+        shifts = []
+        for c, amount in self.box_shift:
+            amount = Fraction(amount)
+            if amount:
+                shifts.append((c, amount.numerator, amount.denominator))
+        object.__setattr__(self, "box_shift", tuple(sorted(shifts)))
         if self.pops < 0 or any(ch not in "*01" for ch in self.pushes):
             raise ValidationError("bad stack action")
+
+    def _amounts(self) -> tuple:
+        """``box_shift`` as ``(coord, Fraction)`` pairs."""
+        return tuple((c, Fraction(n, d)) for c, n, d in self.box_shift)
+
+    def __repr__(self) -> str:
+        return (f"Realizer(shift={self.shift!r}, perm={self.perm!r}, "
+                f"box_shift={self._amounts()!r}, pops={self.pops!r}, "
+                f"pushes={self.pushes!r})")
+
+    def __lt__(self, other):
+        # the fields in order, each translation by its coordinate, then value
+        if other.__class__ is not Realizer:
+            return NotImplemented
+        return ((self.shift, self.perm, self._amounts(), self.pops, self.pushes)
+                < (other.shift, other.perm, other._amounts(), other.pops,
+                   other.pushes))
 
     # -- structure ------------------------------------------------------------
 
@@ -98,11 +142,16 @@ class Realizer:
         perm = perm_compose(self.perm, then.perm) if self.perm or then.perm else ()
         if self.box_shift:
             # ``then`` carries each translation of ``self`` along with its coordinate
-            shifts = dict(then.box_shift)
-            for c, a in self.box_shift:
+            shifts = {c: (n, d) for c, n, d in then.box_shift}
+            for c, n, d in self.box_shift:
                 c = perm_apply(then.perm, c)
-                shifts[c] = shifts[c] + a if c in shifts else a
-            box_shift = tuple(sorted((c, a) for c, a in shifts.items() if a))
+                got = shifts.get(c)
+                if got is not None:
+                    n, d = n * got[1] + got[0] * d, d * got[1]
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                shifts[c] = n, d
+            box_shift = tuple(sorted((c, n, d) for c, (n, d) in shifts.items() if n))
         else:
             box_shift = then.box_shift
         pushes, pops = theta.pair_mul((then.pushes, then.pops),
@@ -130,12 +179,12 @@ class Realizer:
         box = atom.box
         if self.perm or self.box_shift:
             inv = {j: i for i, j in self.perm}
-            shifts = dict(self.box_shift)
+            shifts = {c: (n, d) for c, n, d in self.box_shift}
             image = []
             for c in range(1, max(len(box), *inv, *shifts) + 1):
                 iv = box_get(box, inv.get(c, c))
                 amount = shifts.get(c)
-                image.append(iv.translate(amount) if amount else iv)
+                image.append(iv.translate(*amount) if amount else iv)
             box = _canon_box(image)
         if self.pops > len(atom.cyl):
             raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
@@ -165,24 +214,24 @@ class Realizer:
         come in the order of the forward action, so this raises exactly
         where pushing the pulled-back part forward would.
         """
-        perm, shifts = self.perm, dict(self.box_shift)
+        perm, back = self.perm, {c: (-n, d) for c, n, d in self.box_shift}
         width = max(len(piece.box), len(constraint.box), *(i for i, _ in perm))
         pulled = constraint.box
-        if perm or shifts:
+        if perm or back:
             pulled = []
             for c in range(1, width + 1):
                 j = perm_apply(perm, c)  # where the action puts coordinate c
-                amount = shifts.get(j)
+                amount = back.get(j)
                 iv = box_get(constraint.box, j)
-                pulled.append(iv.translate(-amount) if amount else iv)
+                pulled.append(iv.translate(*amount) if amount else iv)
         box = box_intersect(piece.box, pulled)
         if box is None:
             return None
         sym = sym_shift(piece.sym, self.shift)
-        for c, amount in self.box_shift:
+        for c, n, d in self.box_shift:
             if c > width:  # a full coordinate cannot move inside [0,1]
-                raise ValidationError(f"translating coordinate {c} by {amount} "
-                                      "leaves the unit interval")
+                raise ValidationError(f"translating coordinate {c} by "
+                                      f"{Fraction(n, d)} leaves the unit interval")
         if self.pops > len(piece.cyl):
             raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
                                   f"prefix that long, got {piece.cyl!r}")

@@ -118,14 +118,15 @@ class Interval(tuple):
             return None
         return _interval(lo, hi, d)
 
-    def translate(self, amount: Fraction) -> "Interval":
+    def translate(self, num: int, den: int) -> "Interval":
+        """The interval moved by ``num / den``, for ints with ``den > 0``."""
         a, b, d = self
-        d2 = lcm(d, amount.denominator)
-        s, shift = d2 // d, amount.numerator * (d2 // amount.denominator)
+        d2 = lcm(d, den)
+        s, shift = d2 // d, num * (d2 // den)
         lo, hi = a * s + shift, b * s + shift
         if lo < 0 or hi > d2:
-            raise ValidationError(
-                f"translating [{self.lo},{self.hi}] by {amount} leaves the unit interval")
+            raise ValidationError(f"translating [{self.lo},{self.hi}] by "
+                                  f"{Fraction(num, den)} leaves the unit interval")
         return _interval(lo, hi, d2)
 
 

@@ -6,6 +6,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graphings import graphing
 from graphings.errors import ValidationError
@@ -15,7 +16,7 @@ from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 is_refinement, is_subprobabilistic,
                                 parse_graphing)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, Region
+from graphings.space import Atom, Interval, Region, expand_prefix
 from graphings.words import canonical_representation
 
 
@@ -128,6 +129,11 @@ def test_deterministic_and_subprobabilistic():
     assert is_subprobabilistic(two_ways)
     det = GraphingRep(sup, (0,), (Edge(Region((left,)), 0, 0, _hop(left, right)),))
     assert is_deterministic(det)
+    # weights 0 and 1 share the denominator 1, but 0 is not probability 1
+    idle = GraphingRep(sup, (0,), det.edges + (
+        Edge(Region((right,)), 0, 0, Realizer(), Weight(F(0))),))
+    assert idle.weight_den == 1 and is_subprobabilistic(idle)
+    assert not is_deterministic(idle)
     over = GraphingRep(sup, (0,), (
         Edge(Region((left,)), 0, 0, Realizer(), Weight(F(2, 3))),
         Edge(Region((left,)), 0, 0, _hop(left, right), Weight(F(1, 2)))))
@@ -151,6 +157,45 @@ def test_refinement_requires_matching_maps():
                                    Edge(Region((right,)), 0, 0)))
     coarse = GraphingRep(sup, (0,), (Edge(sup, 0, 0),))
     assert not is_refinement(fine, coarse)
+
+
+def _same_map_per_cylinder(fe: Edge, ge: Edge) -> bool:
+    """``_same_map_on`` with no shortcut: the normal forms on every cylinder
+    of ``fe``'s source, as deep as either realizer pops."""
+    depth = max(fe.realizer.pops, ge.realizer.pops)
+    return all(fe.realizer.normalized_on(cyl) == ge.realizer.normalized_on(cyl)
+               for atom in fe.source.atoms for cyl in expand_prefix(atom.cyl, depth))
+
+
+_stack_realizer = st.builds(
+    lambda shift, half, pops, pushes: Realizer(
+        shift=shift, box_shift=((1, F(1, 2)),) if half else (), pops=pops,
+        pushes=pushes),
+    st.integers(0, 1), st.booleans(), st.integers(0, 2),
+    st.text(alphabet="*01", max_size=2))
+_stack_source = st.sampled_from([
+    Region(()), Region((Atom("a"),)), Region((Atom("a", cyl="*"),)),
+    Region((Atom("a", cyl="0"), Atom("a", cyl="1"))),
+    Region((Atom("a", cyl="*0"), Atom("0i", cyl="1*")))])
+
+
+@given(_stack_realizer, _stack_realizer, _stack_source)
+def test_same_map_on_matches_the_per_cylinder_loop(r1, r2, source):
+    # with and without pops, on null sources and on cylinders a pop and its
+    # push back cancel on
+    fe, ge = Edge(source, 0, 0, r1), Edge(source, 0, 0, r2)
+    assert graphing._same_map_on(fe, ge) == _same_map_per_cylinder(fe, ge)
+
+
+def test_same_map_on_cancels_pops_only_where_they_are_pushed_back():
+    fe = Edge(Region((Atom("a", cyl="*"),)), 0, 0, Realizer(pops=1, pushes="*"))
+    assert graphing._same_map_on(fe, Edge(fe.source, 0, 0))
+    assert not graphing._same_map_on(fe, Edge(fe.source, 0, 0, Realizer(shift=1)))
+    other = Edge(Region((Atom("a", cyl="0"),)), 0, 0, fe.realizer)
+    assert not graphing._same_map_on(other, Edge(other.source, 0, 0))
+    # no pops on either side: different realizers differ as maps
+    assert not graphing._same_map_on(Edge(fe.source, 0, 0, Realizer(pushes="0")),
+                                     Edge(fe.source, 0, 0))
 
 
 def test_dialect_must_match_for_equivalence():

@@ -17,7 +17,7 @@ from graphings.generators import random_det_pair, random_subprob_pair, split_sou
 from graphings.graphing import (MAX_DIALECT_RANGE, GraphingRep, Weight,
                                 format_graphing, format_realizer, format_weight,
                                 parse_graphing, parse_realizer, parse_weight)
-from graphings.realizer import Realizer, perm_of
+from graphings.realizer import MAX_COORD, Realizer, perm_of
 from graphings.space import (SYMBOLS, Atom, Interval, Region, format_atom,
                              format_region, parse_atom, parse_region)
 from graphings.words import bang_representation
@@ -292,3 +292,15 @@ def test_box_shift_coordinates_must_be_positive_and_distinct(text):
     # only one of a repeated coordinate's translations
     with pytest.raises(FormatError, match="bad realizer"):
         parse_realizer(text)
+
+
+@pytest.mark.parametrize("realizer", ["p(1,1000000)", "b1000000:1/2",
+                                      f"s1 p(2,{MAX_COORD + 1})"])
+def test_coordinates_past_the_bound_fail_on_their_line(realizer):
+    # applying the realizer would build a box as wide as the coordinate
+    text = ("dialect: 0\nsupport: a|-|-|0\n"
+            f"edge: a|[0,1/2]|-|0 @ 0 @ 0 @ {realizer} @ 1\n")
+    with pytest.raises(FormatError, match=f"^line 3: bad realizer .*past {MAX_COORD}"):
+        parse_graphing(text)
+    with pytest.raises(FormatError, match=f"past {MAX_COORD}"):
+        parse_realizer(realizer)

@@ -1,15 +1,19 @@
 """Piecewise translations: permutations, box shifts, stack actions."""
 
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphings import theta
 from graphings.errors import ValidationError
-from graphings.realizer import (Realizer, in_microcosm, perm_apply,
+from graphings.realizer import (MAX_COORD, Realizer, in_microcosm, perm_apply,
                                 perm_compose, perm_of, swap)
 from graphings.space import (Atom, Interval, Region, ae_equal, box_get,
-                             box_intersect, subset_ae)
+                             box_intersect, cyl_intersect, expand_prefix,
+                             subset_ae, sym_shift)
 
 
 def test_perm_representation_drops_fixed_points():
@@ -63,6 +67,25 @@ def test_box_shift_names_each_coordinate_once(box_shift):
     # [0,1/4] to [1/2,3/4] where their sum moves it to [3/4,1]
     with pytest.raises(ValidationError, match="twice"):
         Realizer(box_shift=box_shift)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: perm_of({1: MAX_COORD + 1, MAX_COORD + 1: 1}),
+    lambda: Realizer(perm=((1, 1_000_000), (1_000_000, 1))),
+    lambda: Realizer(box_shift=((1_000_000, F(1, 2)),)),
+    lambda: Realizer(box_shift=((MAX_COORD + 1, F(0)),)),
+], ids=["perm_of", "perm", "box-shift", "zero-box-shift"])
+def test_coordinates_past_the_bound_are_refused(make):
+    # applying would build a box as wide as the largest coordinate
+    with pytest.raises(ValidationError, match=f"past {MAX_COORD}"):
+        make()
+
+
+def test_coordinates_up_to_the_bound_are_kept():
+    r = Realizer(perm=swap(1, MAX_COORD), box_shift=((MAX_COORD, F(1, 2)),))
+    [(_, img)] = r.apply_atom(Atom("a", (Interval(F(0), F(1, 2)),)))
+    assert len(img.box) == MAX_COORD
+    assert img.box[-1] == Interval(F(1, 2), F(1))
 
 
 def test_perm_moves_coordinates():
@@ -201,13 +224,13 @@ def _forward_preimage(r, piece, constraint):
     """The pullback by the forward action: pull the box back, push that part
     of the piece forward, intersect its image with the constraint and read
     the source cylinder off the image's."""
-    shifts = dict(r.box_shift)
+    shifts = {c: (n, d) for c, n, d in r.box_shift}
     width = max(len(piece.box), len(constraint.box), *(i for i, _ in r.perm))
     pulled = []
     for c in range(1, width + 1):
         iv = box_get(constraint.box, perm_apply(r.perm, c))
         amount = shifts.get(perm_apply(r.perm, c))
-        pulled.append(iv.translate(-amount) if amount else iv)
+        pulled.append(iv.translate(-amount[0], amount[1]) if amount else iv)
     box = box_intersect(piece.box, pulled)
     if box is None:
         return None
@@ -253,8 +276,9 @@ def test_preimage_matches_the_forward_construction(r, piece, other, data):
 def test_composite_is_canonical_and_applies_in_order(a, b):
     c = a.compose(b)
     # the unchecked composite is what the validated constructor would build
-    assert c == Realizer(c.shift, c.perm, c.box_shift, c.pops, c.pushes)
-    assert all(amount for _, amount in c.box_shift)
+    amounts = tuple((k, F(n, d)) for k, n, d in c.box_shift)
+    assert c == Realizer(c.shift, c.perm, amounts, c.pops, c.pushes)
+    assert all(n and d > 0 and gcd(n, d) == 1 for _, n, d in c.box_shift)
     for region in _SAMPLES:
         try:
             stepwise = b.apply(a.apply(region))
@@ -277,3 +301,136 @@ def test_normalized_on_keeps_the_realizer_when_nothing_cancels():
     assert r.normalized_on("0") is r
     assert r.normalized_on("") is r
     assert r.normalized_on("*0") == Realizer(shift=1, box_shift=((1, F(1, 4)),))
+
+
+# --- the Fraction reference ------------------------------------------------------
+
+
+def _move(iv: Interval, amount: F) -> Interval:
+    """``iv`` translated by ``amount``, in ``Fraction``s."""
+    lo, hi = iv.lo + amount, iv.hi + amount
+    if lo < 0 or hi > 1:
+        raise ValidationError(f"translating [{iv.lo},{iv.hi}] by {amount} "
+                              "leaves the unit interval")
+    return Interval(lo, hi)
+
+
+@dataclass(frozen=True, order=True)
+class FractionRealizer:
+    """The realizer with its box translations as sorted ``(coord,
+    Fraction)`` pairs and every step in ``Fraction`` arithmetic: the
+    reference the int form must match map for map, in its order and in its
+    ``repr`` (after the class name)."""
+
+    shift: int = 0
+    perm: tuple = ()
+    box_shift: tuple = ()
+    pops: int = 0
+    pushes: str = ""
+
+    @classmethod
+    def of(cls, shift, perm, box_shift, pops, pushes) -> "FractionRealizer":
+        return cls(shift, perm, tuple(sorted((c, F(a)) for c, a in box_shift if a)),
+                   pops, pushes)
+
+    def compose(self, then: "FractionRealizer") -> "FractionRealizer":
+        shifts = dict(then.box_shift)
+        for c, a in self.box_shift:
+            c = perm_apply(then.perm, c)
+            shifts[c] = shifts.get(c, F(0)) + a
+        pushes, pops = theta.pair_mul((then.pushes, then.pops),
+                                      (self.pushes, self.pops))
+        return FractionRealizer(self.shift + then.shift,
+                                perm_compose(self.perm, then.perm),
+                                tuple(sorted((c, a) for c, a in shifts.items() if a)),
+                                pops, pushes)
+
+    def normalized_on(self, prefix: str) -> "FractionRealizer":
+        pushes, pops = theta.cancel_on((self.pushes, self.pops), prefix)
+        return replace(self, pops=pops, pushes=pushes)
+
+    def apply_atom(self, atom: Atom) -> list:
+        inv, shifts = {j: i for i, j in self.perm}, dict(self.box_shift)
+        width = max((len(atom.box), *inv, *shifts))
+        box = tuple(_move(box_get(atom.box, inv.get(c, c)), shifts.get(c, F(0)))
+                    for c in range(1, width + 1))
+        out = []
+        for cyl in expand_prefix(atom.cyl, self.pops):
+            if self.pops > len(cyl):
+                raise ValidationError("the piece is too short for the pops")
+            out.append((Atom(atom.sym, atom.box, cyl, atom.state),
+                        Atom(sym_shift(atom.sym, self.shift), box,
+                             self.pushes + cyl[self.pops:], atom.state)))
+        return out
+
+    def preimage_atom(self, piece: Atom, constraint: Atom):
+        shifts = dict(self.box_shift)
+        width = max(len(piece.box), len(constraint.box), *(i for i, _ in self.perm))
+        pulled = [_move(box_get(constraint.box, perm_apply(self.perm, c)),
+                        -shifts.get(perm_apply(self.perm, c), F(0)))
+                  for c in range(1, width + 1)]
+        box = box_intersect(piece.box, pulled)
+        if box is None:
+            return None
+        sym = sym_shift(piece.sym, self.shift)
+        if any(c > width for c in shifts) or self.pops > len(piece.cyl):
+            raise ValidationError("the pulled-back part leaves the space")
+        if sym != constraint.sym or piece.state != constraint.state:
+            return None
+        cyl = cyl_intersect(self.pushes + piece.cyl[self.pops:], constraint.cyl)
+        if cyl is None:
+            return None
+        return Atom(piece.sym, box, piece.cyl[:self.pops] + cyl[len(self.pushes):],
+                    piece.state)
+
+
+def _as_fractions(r: Realizer) -> FractionRealizer:
+    return FractionRealizer(r.shift, r.perm,
+                            tuple((c, F(n, d)) for c, n, d in r.box_shift),
+                            r.pops, r.pushes)
+
+
+# negative amounts, thirds and sixths beside eighths, and zero, which the
+# constructor drops; the perms move the shifted coordinates
+_any_amount = st.sampled_from([F(0), F(1, 8), F(-1, 8), F(1, 4), F(-1, 4),
+                               F(-3, 8), F(1, 2), F(-1, 2), F(1, 3), F(-1, 6)])
+_parts = st.tuples(
+    st.integers(-1, 1),
+    st.sampled_from([(), swap(1, 2), swap(2, 3), perm_of({1: 2, 2: 3, 3: 1})]),
+    st.lists(st.tuples(st.integers(1, 3), _any_amount), max_size=3,
+             unique_by=lambda ca: ca[0]).map(tuple),
+    st.integers(0, 2), st.text(alphabet="*01", max_size=2))
+
+
+def _both(parts):
+    return Realizer(*parts), FractionRealizer.of(*parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parts, _parts, _atom, _atom, st.text(alphabet="*01", max_size=3))
+def test_int_translations_match_the_fraction_reference(p, q, piece, constraint,
+                                                       prefix):
+    (a, ra), (b, rb) = _both(p), _both(q)
+    assert _as_fractions(a) == ra and _as_fractions(b) == rb
+    # equality, hashing, order and repr read the amounts as Fractions
+    assert (a == b) == (ra == rb)
+    assert (a == b) <= (hash(a) == hash(b))
+    assert (a < b, a <= b, a > b, a >= b) == (ra < rb, ra <= rb, ra > rb, ra >= rb)
+    assert repr(a) == repr(ra).replace("FractionRealizer(", "Realizer(", 1)
+    # undoing a's translations in place composes to none
+    undo = tuple((c, -F(n, d)) for c, n, d in a.box_shift)
+    composites = [(a.compose(b), ra.compose(rb)),
+                  (a.compose(Realizer(box_shift=undo)),
+                   ra.compose(FractionRealizer.of(0, (), undo, 0, "")))]
+    assert composites[1][0].box_shift == ()
+    for r, ref in [(a, ra), (b, rb)] + composites:
+        assert _as_fractions(r) == ref
+        assert _as_fractions(r.normalized_on(prefix)) == ref.normalized_on(prefix)
+        assert _outcome(r.apply_atom, piece) == _outcome(ref.apply_atom, piece)
+        assert (_outcome(r.preimage_atom, piece, constraint)
+                == _outcome(ref.preimage_atom, piece, constraint))
+        pairs = _outcome(r.apply_atom, piece)
+        if pairs != "raises":
+            for sub, image in pairs:
+                assert (_outcome(r.preimage_atom, sub, image)
+                        == _outcome(ref.preimage_atom, sub, image))

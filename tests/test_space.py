@@ -50,7 +50,7 @@ def test_interval_stays_in_unit():
     with pytest.raises(ValidationError):
         Interval(F(1, 2), F(1, 4))
     with pytest.raises(ValidationError):
-        Interval(F(1, 2), F(1)).translate(F(1, 4))
+        Interval(F(1, 2), F(1)).translate(1, 4)
 
 
 def test_box_trailing_full_is_implicit():
@@ -202,11 +202,11 @@ def test_interval_arithmetic_matches_fractions(p, q, shift):
         assert (got.lo, got.hi) == (lo, hi)
     lo, hi = p[0] + shift, p[1] + shift
     if 0 <= lo and hi <= 1:
-        moved = a.translate(shift)
+        moved = a.translate(shift.numerator, shift.denominator)
         assert (moved.lo, moved.hi) == (lo, hi)
     else:
         with pytest.raises(ValidationError, match="leaves the unit interval"):
-            a.translate(shift)
+            a.translate(shift.numerator, shift.denominator)
 
 
 @given(_ends, _ends, _shift)
@@ -220,7 +220,8 @@ def test_equal_intervals_compare_and_hash_equal(p, q, shift):
         if q[0] <= p[0] and p[1] <= q[1]:
             ways.append(Interval(*q).intersect(a))
     if 0 <= p[0] + shift and p[1] + shift <= 1:
-        ways.append(a.translate(shift).translate(-shift))
+        n, d = shift.numerator, shift.denominator
+        ways.append(a.translate(n, d).translate(-n, d))
     for b in ways:
         assert b == a and hash(b) == hash(a)
 
