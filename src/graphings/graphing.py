@@ -321,10 +321,6 @@ def _same_map_on(fe: Edge, ge: Edge) -> bool:
     """Do the two realizers agree pointwise a.e. on the source of ``fe``?"""
     if fe.realizer == ge.realizer:
         return True
-    if not (fe.realizer.pops or ge.realizer.pops):
-        # ``normalized_on`` changes nothing without pops; a null source
-        # agrees with anything
-        return not fe.source.atoms
     depth = max(fe.realizer.pops, ge.realizer.pops)
     for atom in fe.source.atoms:
         for cyl in expand_prefix(atom.cyl, depth):

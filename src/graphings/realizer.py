@@ -53,6 +53,21 @@ def _check_coords(coords) -> None:
                               "the largest a realizer may name")
 
 
+def _box_translation(entry) -> tuple:
+    """A ``(coord, amount)`` pair, or a reduced ``(coord, num, den)`` triple
+    with ``den > 0``, as that triple."""
+    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+        c, amount = entry
+        amount = Fraction(amount)
+        return c, amount.numerator, amount.denominator
+    if isinstance(entry, (tuple, list)) and len(entry) == 3:
+        c, n, d = entry
+        if isinstance(n, int) and isinstance(d, int) and d > 0 and gcd(n, d) == 1:
+            return c, n, d
+    raise ValidationError("a box translation is a (coord, amount) pair or a "
+                          f"reduced (coord, num, den) triple, got {entry!r}")
+
+
 def perm_of(mapping: dict) -> tuple:
     items = {i: j for i, j in mapping.items() if i != j}
     if sorted(items) != sorted(items.values()):
@@ -86,10 +101,11 @@ def perm_support(perm: tuple) -> set:
 @dataclass(frozen=True, repr=False)
 class Realizer:
     """Built from ``box_shift`` as ``(coord, amount)`` pairs, amounts
-    rational; holds it as sorted ``(coord, num, den)`` triples, each amount a
-    nonzero reduced fraction with ``den > 0``.  Equal maps compare and hash
-    equal through the ints; the order and ``repr`` read each amount as a
-    ``Fraction``, so realizers sort by value and print their amounts as
+    rational, or as the triples it holds, so ``dataclasses.replace`` keeps a
+    realizer's translations; holds sorted ``(coord, num, den)`` triples, each
+    amount a nonzero reduced fraction with ``den > 0``.  Equal maps compare
+    and hash equal through the ints; the order and ``repr`` read each amount
+    as a ``Fraction``, so realizers sort by value and print their amounts as
     fractions."""
 
     shift: int = 0
@@ -101,16 +117,13 @@ class Realizer:
     def __post_init__(self):
         object.__setattr__(self, "perm", tuple(self.perm))
         _check_coords([i for i, _ in self.perm])
-        coords = [c for c, _ in self.box_shift]
+        shifts = [_box_translation(entry) for entry in self.box_shift]
+        coords = [c for c, _, _ in shifts]
         _check_coords(coords)
         if len(set(coords)) != len(coords):
             raise ValidationError(f"box shift names a coordinate twice: {coords}")
-        shifts = []
-        for c, amount in self.box_shift:
-            amount = Fraction(amount)
-            if amount:
-                shifts.append((c, amount.numerator, amount.denominator))
-        object.__setattr__(self, "box_shift", tuple(sorted(shifts)))
+        object.__setattr__(self, "box_shift",
+                           tuple(sorted(t for t in shifts if t[1])))
         if self.pops < 0 or any(ch not in "*01" for ch in self.pushes):
             raise ValidationError("bad stack action")
 

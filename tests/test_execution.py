@@ -412,7 +412,7 @@ def test_path_sum_interns_exactly_the_oracle_configurations(monkeypatch, name, w
 
 
 @pytest.mark.parametrize("change", [
-    lambda e: replace(e, realizer=e.realizer.compose(Realizer(pushes="0"))),
+    lambda e: replace(e, realizer=replace(e.realizer, pushes="0")),
     lambda e: replace(e, source=Region(tuple(replace(a, cyl="0")
                                              for a in e.source.atoms))),
 ], ids=["pushing-edge", "guarded-source"])

@@ -6,7 +6,6 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
 
 from graphings import graphing
 from graphings.errors import ValidationError
@@ -16,7 +15,7 @@ from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 is_refinement, is_subprobabilistic,
                                 parse_graphing)
 from graphings.realizer import Realizer
-from graphings.space import Atom, Interval, Region, expand_prefix
+from graphings.space import Atom, Interval, Region
 from graphings.words import canonical_representation
 
 
@@ -159,43 +158,19 @@ def test_refinement_requires_matching_maps():
     assert not is_refinement(fine, coarse)
 
 
-def _same_map_per_cylinder(fe: Edge, ge: Edge) -> bool:
-    """``_same_map_on`` with no shortcut: the normal forms on every cylinder
-    of ``fe``'s source, as deep as either realizer pops."""
-    depth = max(fe.realizer.pops, ge.realizer.pops)
-    return all(fe.realizer.normalized_on(cyl) == ge.realizer.normalized_on(cyl)
-               for atom in fe.source.atoms for cyl in expand_prefix(atom.cyl, depth))
-
-
-_stack_realizer = st.builds(
-    lambda shift, half, pops, pushes: Realizer(
-        shift=shift, box_shift=((1, F(1, 2)),) if half else (), pops=pops,
-        pushes=pushes),
-    st.integers(0, 1), st.booleans(), st.integers(0, 2),
-    st.text(alphabet="*01", max_size=2))
-_stack_source = st.sampled_from([
-    Region(()), Region((Atom("a"),)), Region((Atom("a", cyl="*"),)),
-    Region((Atom("a", cyl="0"), Atom("a", cyl="1"))),
-    Region((Atom("a", cyl="*0"), Atom("0i", cyl="1*")))])
-
-
-@given(_stack_realizer, _stack_realizer, _stack_source)
-def test_same_map_on_matches_the_per_cylinder_loop(r1, r2, source):
-    # with and without pops, on null sources and on cylinders a pop and its
-    # push back cancel on
-    fe, ge = Edge(source, 0, 0, r1), Edge(source, 0, 0, r2)
-    assert graphing._same_map_on(fe, ge) == _same_map_per_cylinder(fe, ge)
-
-
-def test_same_map_on_cancels_pops_only_where_they_are_pushed_back():
-    fe = Edge(Region((Atom("a", cyl="*"),)), 0, 0, Realizer(pops=1, pushes="*"))
-    assert graphing._same_map_on(fe, Edge(fe.source, 0, 0))
-    assert not graphing._same_map_on(fe, Edge(fe.source, 0, 0, Realizer(shift=1)))
-    other = Edge(Region((Atom("a", cyl="0"),)), 0, 0, fe.realizer)
-    assert not graphing._same_map_on(other, Edge(other.source, 0, 0))
-    # no pops on either side: different realizers differ as maps
-    assert not graphing._same_map_on(Edge(fe.source, 0, 0, Realizer(pushes="0")),
-                                     Edge(fe.source, 0, 0))
+@pytest.mark.parametrize("cyl, fine_map, coarse_map, fits", [
+    ("*", Realizer(pops=1, pushes="*"), Realizer(), True),
+    ("*", Realizer(pops=1, pushes="*"), Realizer(shift=1), False),
+    ("0", Realizer(pops=1, pushes="*"), Realizer(), False),
+    ("*", Realizer(pushes="0"), Realizer(), False),
+], ids=["pushed-back", "other-map", "other-symbol", "no-pops"])
+def test_refinement_compares_maps_on_the_source_cylinders(cyl, fine_map,
+                                                          coarse_map, fits):
+    # a pop is the identity where it pushes the popped symbol back
+    sup = Region((Atom("a", cyl=cyl),))
+    fine = GraphingRep(sup, (0,), (Edge(sup, 0, 0, fine_map),))
+    coarse = GraphingRep(sup, (0,), (Edge(sup, 0, 0, coarse_map),))
+    assert is_refinement(fine, coarse) == fits
 
 
 def test_dialect_must_match_for_equivalence():

@@ -69,6 +69,26 @@ def test_box_shift_names_each_coordinate_once(box_shift):
         Realizer(box_shift=box_shift)
 
 
+def test_the_held_translations_build_the_same_realizer():
+    r = Realizer(shift=1, perm=swap(1, 2), box_shift=((2, F(-3, 6)), (1, F(1, 4))))
+    assert r.box_shift == ((1, 1, 4), (2, -1, 2))
+    assert Realizer(r.shift, r.perm, r.box_shift, r.pops, r.pushes) == r
+    pushed = replace(r, pushes="0")
+    assert pushed.box_shift == r.box_shift
+    assert pushed == r.compose(Realizer(pushes="0"))
+    assert replace(r, box_shift=((1, 0, 1),)) == Realizer(shift=1, perm=swap(1, 2))
+
+
+@pytest.mark.parametrize("box_shift", [
+    ((1, 2, 4),), ((1, 1, -2),), ((1, 1, 0),), ((1, F(1, 2), 1),), ((1,),),
+    ((1, 1, 2, 0),), (1,)],
+    ids=["unreduced", "negative-den", "zero-den", "fraction-num", "single",
+         "quadruple", "bare-coord"])
+def test_box_translations_of_another_shape_are_refused(box_shift):
+    with pytest.raises(ValidationError, match="pair or a reduced"):
+        Realizer(box_shift=box_shift)
+
+
 @pytest.mark.parametrize("make", [
     lambda: perm_of({1: MAX_COORD + 1, MAX_COORD + 1: 1}),
     lambda: Realizer(perm=((1, 1_000_000), (1_000_000, 1))),
@@ -276,8 +296,7 @@ def test_preimage_matches_the_forward_construction(r, piece, other, data):
 def test_composite_is_canonical_and_applies_in_order(a, b):
     c = a.compose(b)
     # the unchecked composite is what the validated constructor would build
-    amounts = tuple((k, F(n, d)) for k, n, d in c.box_shift)
-    assert c == Realizer(c.shift, c.perm, amounts, c.pops, c.pushes)
+    assert c == Realizer(c.shift, c.perm, c.box_shift, c.pops, c.pushes)
     assert all(n and d > 0 and gcd(n, d) == 1 for _, n, d in c.box_shift)
     for region in _SAMPLES:
         try:
