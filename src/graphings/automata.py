@@ -85,12 +85,11 @@ def _step_table(a: Automaton) -> tuple:
     return den, steps
 
 
-def lookup(a: Automaton, read: str, state: str, last: str):
-    """Transition row for a configuration: exact key first, then wildcard."""
-    row = a.delta.get((read, state, last))
-    if row is None:
-        row = a.delta.get((read, state, None), ())
-    return row
+def firing_key(a: Automaton, read: str, state: str, last: str) -> tuple:
+    """The key of the row that fires in a configuration: the exact key if
+    the table has it, else the wildcard key (which it may not have)."""
+    key = (read, state, last)
+    return key if key in a.delta else (read, state, None)
 
 
 def read_vector(word: str, positions) -> str:

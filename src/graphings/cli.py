@@ -20,8 +20,8 @@ from .corpus import by_name
 from .errors import FormatError, GraphingError
 from .execution import ExecOptions, accept_path_sum, plug
 from .generators import random_det_pair, random_subprob_pair, split_sources
-from .graphing import (format_graphing, is_deterministic, is_subprobabilistic,
-                       parse_graphing)
+from .graphing import (equivalent, format_graphing, is_deterministic,
+                       is_refinement, is_subprobabilistic, parse_graphing)
 from .measurement import check_uniformity, make_test, membership
 from .space import Atom, Region
 from .theta import format_theta, reduce, reduce_random
@@ -102,7 +102,7 @@ def cmd_accept(args) -> int:
     _println("dialogue:", ps.lower_bound,
              "(exact)" if ps.exact else "(lower bound)")
     _println("classes:")
-    for theta, mass in ps.classes():
+    for theta, mass in ps.total.items():
         _println(" ", format_theta(theta), mass)
     if not ps.exact:
         _println("dropped:", ps.dropped)
@@ -142,7 +142,7 @@ def cmd_equiv(args) -> int:
     f = parse_graphing(_read(args.left))
     g = parse_graphing(_read(args.right))
     # equivalence is only meaningful between valid graphings
-    same = f.validate().equivalent(g.validate())
+    same = equivalent(f.validate(), g.validate())
     _println("equivalent:", "yes" if same else "no")
     return 0 if same else 1
 
@@ -187,8 +187,8 @@ def _suite_refinement(args) -> list:
     for seed in _seeds(args):
         f, g, cut = random_det_pair(seed)
         fine = split_sources(f, seed)
-        ok = (fine.is_refinement(f) and fine.equivalent(f)
-              and plug(fine, g, cut).equivalent(plug(f, g, cut)))
+        ok = (is_refinement(fine, f) and equivalent(fine, f)
+              and equivalent(plug(fine, g, cut), plug(f, g, cut)))
         if not ok:
             bad.append((seed, (f, fine)))
     return bad

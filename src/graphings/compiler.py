@@ -32,7 +32,8 @@ from functools import cached_property
 from itertools import permutations, product
 from math import factorial
 
-from .automata import ACCEPT, INIT, REJECT, Automaton, _format_instr, lookup
+from .automata import (ACCEPT, INIT, REJECT, Automaton, _format_instr,
+                       firing_key)
 from .errors import ValidationError
 from .graphing import (MAX_DIALECT_RANGE, Edge, GraphingRep, Weight, _edge,
                        format_edges, format_header)
@@ -208,8 +209,8 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
 
     # Start edges: the probe arrives on a result interval with the bottom
     # marker tracked, the machine believing every head reads the marker.
-    start_key = (marker, INIT, "*" if (marker, INIT, "*") in a.delta else None)
-    for t in lookup(a, marker, INIT, "*"):
+    start_key = firing_key(a, marker, INIT, "*")
+    for t in a.delta.get(start_key, ()):
         for probe in ("a", "r"):
             step(probe, "*", start, identity, marker, "*", start_key, t,
                  part(Weight, t.prob))
@@ -235,9 +236,8 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
             d = dialect.label(s)
             h = d.coords.index(1)  # head h + 1 sits on coordinate 1
             for key, instrs in rows.get((d.state, h, d.read[:h] + d.read[h + 1:]), ()):
-                read_t, q, last_t = key
-                # a wildcard row stands in for a last pop with no exact row
-                if last_t != (None if (read_t, q, d.last) not in a.delta else d.last):
+                read_t, q, _ = key
+                if firing_key(a, read_t, q, d.last) != key:
                     continue
                 for t, weight in instrs:
                     for d_src in "io":
@@ -252,11 +252,8 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
 
     # Move and halting edges, one family member per bookkeeping context.
     for key, instrs in a.delta.items():
-        read_t, q, last_t = key
-        if last_t is None:
-            u_range = [u for u in "*01" if (read_t, q, u) not in a.delta]
-        else:
-            u_range = [last_t]
+        read_t, q, _ = key
+        u_range = [u for u in "*01" if firing_key(a, read_t, q, u) == key]
         for t in instrs:
             weight = part(Weight, t.prob)
             for coords in permutations(range(1, k + 1)):

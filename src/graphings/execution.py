@@ -57,7 +57,7 @@ from .graphing import GraphingRep, Weight, _edge
 from .linsolve import prune, solve_affine
 from .realizer import Realizer
 from .space import (Atom, Region, RESULT_SYMBOLS, _atom, _new_object, _set,
-                    ae_equal, disjoint_ae, refine_regions)
+                    ae_equal, box_den, disjoint_ae, refine_regions)
 from .theta import cancel_on, pair_mul
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -88,9 +88,10 @@ class CutSpec:
 class PathSum:
     """Exact weight of each stack class of probing dialogues.
 
-    ``dropped`` is the total weight of families cut off by the stack
-    budget; every class total is exact for the surviving families, and the
-    true value of any class lies within ``dropped`` above its total.
+    ``total`` maps each class of nonzero weight to that weight, the classes
+    in sorted order.  ``dropped`` is the total weight of families cut off by
+    the stack budget; every class total is exact for the surviving families,
+    and the true value of any class lies within ``dropped`` above its total.
     """
 
     total: dict
@@ -100,9 +101,6 @@ class PathSum:
     @property
     def lower_bound(self) -> Fraction:
         return self.total.get("", _ZERO)
-
-    def classes(self):
-        return sorted(self.total.items())
 
 
 def _solve_walk(seeds, expand, what: str, den: int) -> list:
@@ -370,8 +368,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                 raise ClosureViolation(f"path mass exceeds one: weight "
                                        f"probability {mass} outside [0,1]")
             rows.append((cell, in_i, out_i, comp, flag, mass))
-    # every endpoint over one denominator sorts the cells in ints
-    den = lcm(*(d for row in rows for _, _, d in row[0].box))
+    den = box_den(row[0] for row in rows)
     rows.sort(key=lambda row: (row[0].sort_key_over(den), *row[1:5]))
     edges = tuple(_cell_edge(*row) for row in rows)
     support = Region(tuple(cut.left_rest.atoms) + tuple(cut.right_rest.atoms))

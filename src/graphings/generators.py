@@ -16,7 +16,8 @@ import random
 
 from .errors import ValidationError
 from .execution import CutSpec
-from .graphing import GraphingRep, Weight, _check_source, _edge
+from .graphing import (GraphingRep, Weight, _check_source, _edge, is_deterministic,
+                       is_subprobabilistic)
 from .realizer import Realizer
 from .space import Atom, Interval, Region, format_atom, sym_index
 
@@ -113,7 +114,7 @@ def _pair(seed: int, weights_for):
 def random_det_pair(seed: int):
     """Two deterministic graphings joined by a cut, reproducible by seed."""
     f, g, cut = _pair(seed, _det_weights)
-    if not (f.is_deterministic() and g.is_deterministic()):
+    if not (is_deterministic(f) and is_deterministic(g)):
         raise ValidationError(f"seed {seed} generated a nondeterministic pair")
     return f, g, cut
 
@@ -121,7 +122,7 @@ def random_det_pair(seed: int):
 def random_subprob_pair(seed: int):
     """Two sub-probabilistic graphings joined by a cut."""
     f, g, cut = _pair(seed, _subprob_weights)
-    if not (f.is_subprobabilistic() and g.is_subprobabilistic()):
+    if not (is_subprobabilistic(f) and is_subprobabilistic(g)):
         raise ValidationError(f"seed {seed} generated a pair with mass above one")
     return f, g, cut
 

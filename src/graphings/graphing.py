@@ -26,8 +26,8 @@ from math import lcm
 from .errors import FormatError, ValidationError
 from .realizer import Realizer, perm_apply, perm_of
 from .space import (ONE, ZERO, Region, _atom, _new_object, _set, ae_equal,
-                    expand_prefix, format_region, parse_region, refine_regions,
-                    subset_ae)
+                    box_den, expand_prefix, format_region, parse_region,
+                    refine_regions, subset_ae)
 from . import theta
 
 
@@ -138,14 +138,14 @@ class GraphingRep:
     def sorted_edges(self) -> tuple:
         """The edges ordered by states, source atoms, realizer and weight;
         each distinct source object's sort key is worked out once."""
-        source_keys: dict = {}
+        sources = {id(e.source): e.source for e in self.edges}
+        den = box_den(a for source in sources.values() for a in source.atoms)
+        source_keys = {i: sorted(a.sort_key_over(den) for a in source.atoms)
+                       for i, source in sources.items()}
 
         def key(e: Edge):
-            got = source_keys.get(id(e.source))
-            if got is None:
-                got = source_keys[id(e.source)] = sorted(
-                    a.sort_key() for a in e.source.atoms)
-            return e.in_state, e.out_state, got, e.realizer, e.weight
+            return (e.in_state, e.out_state, source_keys[id(e.source)], e.realizer,
+                    e.weight)
 
         return tuple(sorted(self.edges, key=key))
 
@@ -197,19 +197,6 @@ class GraphingRep:
         the stack, and every move leaves it alone."""
         return not any(e.realizer.pops or e.realizer.pushes
                        or any(a.cyl for a in e.source.atoms) for e in self.edges)
-
-    # conveniences over the module-level predicates below
-    def equivalent(self, other: "GraphingRep") -> bool:
-        return equivalent(self, other)
-
-    def is_deterministic(self) -> bool:
-        return is_deterministic(self)
-
-    def is_subprobabilistic(self) -> bool:
-        return is_subprobabilistic(self)
-
-    def is_refinement(self, coarse: "GraphingRep") -> bool:
-        return is_refinement(self, coarse)
 
 
 # --- per-cell tables ----------------------------------------------------------

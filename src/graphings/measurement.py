@@ -141,23 +141,19 @@ def membership(machine, word: str, test: Test,
                               opts)
 
 
-def check_uniformity(machine, word: str, test: Test, m: int | None = None,
-                     samples: int = 5, seed: int = 0,
-                     opts: ExecOptions = ExecOptions()):
+def check_uniformity(machine, word: str, test: Test, samples: int = 5,
+                     seed: int = 0):
     """Orthogonality verdicts across sampled word representations.
 
     Samples marker-anchored position injections (the marker stays at cell
-    zero; other positions scatter over a grid of m + 1 cells) and reruns the
+    zero; the k other positions scatter over cells 1..k + 3) and reruns the
     test against each.  Returns (uniform, verdicts) with one verdict per
     distinct injection, the canonical placement always included first.
     """
     from .words import bang_representation
 
     k = len(word)
-    if m is None:
-        m = k + 3
-    if m < k:
-        raise ValidationError(f"grid bound {m} cannot place {k} positions")
+    m = k + 3
     rng = random.Random(seed)
     injections = [tuple(range(k + 1))]
     available = math.perm(m, k)
@@ -168,7 +164,7 @@ def check_uniformity(machine, word: str, test: Test, m: int | None = None,
     verdicts = []
     for inj in injections:
         rep = bang_representation(word, inj, cells=m + 1)
-        report = orthogonal_to_test(machine, rep, test, opts)
+        report = orthogonal_to_test(machine, rep, test)
         verdicts.append((inj, report.orthogonal))
     uniform = len({v for _, v in verdicts}) == 1
     return uniform, verdicts

@@ -69,10 +69,10 @@ def _box_translation(entry) -> tuple:
 
 
 def perm_of(mapping: dict) -> tuple:
+    _check_coords(mapping)
     items = {i: j for i, j in mapping.items() if i != j}
     if sorted(items) != sorted(items.values()):
         raise ValidationError(f"not a permutation: {mapping}")
-    _check_coords(items)
     return tuple(sorted(items.items()))
 
 
@@ -100,13 +100,14 @@ def perm_support(perm: tuple) -> set:
 @total_ordering
 @dataclass(frozen=True, repr=False)
 class Realizer:
-    """Built from ``box_shift`` as ``(coord, amount)`` pairs, amounts
-    rational, or as the triples it holds, so ``dataclasses.replace`` keeps a
-    realizer's translations; holds sorted ``(coord, num, den)`` triples, each
-    amount a nonzero reduced fraction with ``den > 0``.  Equal maps compare
-    and hash equal through the ints; the order and ``repr`` read each amount
-    as a ``Fraction``, so realizers sort by value and print their amounts as
-    fractions."""
+    """Built from ``perm`` as ``(source, image)`` pairs in any order, held as
+    ``perm_of`` makes them.  Built from ``box_shift`` as ``(coord, amount)``
+    pairs, amounts rational, or as the triples it holds, so
+    ``dataclasses.replace`` keeps a realizer's translations; holds sorted
+    ``(coord, num, den)`` triples, each amount a nonzero reduced fraction with
+    ``den > 0``.  Equal maps compare and hash equal through the ints; the
+    order and ``repr`` read each amount as a ``Fraction``, so realizers sort
+    by value and print their amounts as fractions."""
 
     shift: int = 0
     perm: tuple = ()
@@ -115,8 +116,11 @@ class Realizer:
     pushes: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        _check_coords([i for i, _ in self.perm])
+        mapping = dict(self.perm)
+        if len(mapping) != len(self.perm):
+            raise ValidationError(f"permutation names a source coordinate twice: "
+                                  f"{self.perm}")
+        object.__setattr__(self, "perm", perm_of(mapping) if mapping else ())
         shifts = [_box_translation(entry) for entry in self.box_shift]
         coords = [c for c, _, _ in shifts]
         _check_coords(coords)

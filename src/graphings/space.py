@@ -235,15 +235,18 @@ class Atom:
             return other
         return _atom(self.sym, box, cyl, self.state)
 
-    def sort_key(self):
-        return (sym_index(self.sym), self.state, self.cyl,
-                tuple((iv.lo, iv.hi) for iv in self.box))
-
     def sort_key_over(self, den: int):
-        """``sort_key``'s order in ints: ``den`` must be a multiple of every
-        interval's denominator."""
+        """The atom's place in the order by symbol, state, cylinder and box
+        endpoints, in ints: ``den`` must be a multiple of every interval's
+        denominator (``box_den`` of the atoms being sorted)."""
         return (sym_index(self.sym), self.state, self.cyl,
                 tuple((a * (den // d), b * (den // d)) for a, b, d in self.box))
+
+
+def box_den(atoms) -> int:
+    """The lcm of the atoms' interval denominators: over it, ``sort_key_over``
+    orders them as their endpoints' values do."""
+    return lcm(*(d for a in atoms for _, _, d in a.box))
 
 
 _new_object, _set = object.__new__, object.__setattr__
@@ -286,7 +289,8 @@ class Region:
         return Fraction(num, den)
 
     def sorted(self) -> "Region":
-        return Region(tuple(sorted(self.atoms, key=Atom.sort_key)))
+        den = box_den(self.atoms)
+        return Region(tuple(sorted(self.atoms, key=lambda a: a.sort_key_over(den))))
 
 
 # --- common refinement -------------------------------------------------------

@@ -32,7 +32,7 @@ class WordRepresentation:
     cells: int
 
 
-def bang_representation(word: str, injection, cells: int | None = None) -> WordRepresentation:
+def bang_representation(word: str, injection, cells: int) -> WordRepresentation:
     """Realize ``word`` with the given position-to-cell injection: a right
     edge per position carrying an outgoing visit to the next one round the
     cycle, then a left edge per position carrying an incoming visit back."""
@@ -45,8 +45,6 @@ def bang_representation(word: str, injection, cells: int | None = None) -> WordR
         raise ValidationError(f"injection must assign all {positions} positions")
     if len(set(injection)) != len(injection):
         raise ValidationError("injection must be one-to-one")
-    if cells is None:
-        cells = max(injection) + 1
     if cells < positions:
         raise ValidationError(f"need at least {positions} cells, got {cells}")
     if any(not 0 <= s < cells for s in injection):

@@ -11,13 +11,13 @@ import pytest
 
 from graphings import automata
 from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
-                                accept_probability, format_automaton, lookup,
+                                accept_probability, firing_key, format_automaton,
                                 parse_automaton, read_vector, trace_enumerate)
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, coin_half, corpus
 from graphings.errors import FormatError, ValidationError
 from graphings.linsolve import prune
-from test_compiler import POP_MARKER
+from test_compiler import POP_MARKER, START_PUSH
 from test_linsolve import reference_solve
 
 
@@ -253,6 +253,24 @@ def test_format_roundtrip_preserves_behaviour():
 
 
 # --- the oracle before its integer table, as a reference -----------------------
+
+
+def lookup(a, read, state, last):
+    """Transition row for a configuration: exact key first, then wildcard."""
+    row = a.delta.get((read, state, last))
+    if row is None:
+        row = a.delta.get((read, state, None), ())
+    return row
+
+
+def test_firing_key_names_the_row_lookup_reads():
+    for a in corpus() + [parse_automaton(POP_MARKER), parse_automaton(START_PUSH)]:
+        for read, state in product(("".join(r) for r in product("*01", repeat=a.heads)),
+                                   a.states):
+            for last in "*01":
+                key = firing_key(a, read, state, last)
+                assert a.delta.get(key, ()) == lookup(a, read, state, last)
+                assert key[:2] == (read, state) and key[2] in (last, None)
 
 
 def _reference_expand(a, word, config, depth):

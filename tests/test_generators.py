@@ -215,11 +215,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def test_every_package_definition_is_referenced():
     # only the program and the harness count as readers: a definition that
-    # only tests read belongs in the test that reads it; __init__'s
-    # re-exports read nothing
+    # only tests read belongs in the test that reads it
     repo = Path(__file__).resolve().parents[1]
-    readers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    readers += (repo / "perfbench").rglob("*.py")
+    readers = [*PACKAGE.glob("*.py"), *(repo / "perfbench").rglob("*.py")]
     referenced = {name for path in readers for name in _names_referenced(path)}
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -260,8 +258,6 @@ def test_every_package_definition_is_referenced():
 def test_every_package_import_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue  # re-exports are the package's interface
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -275,22 +271,36 @@ def test_every_package_import_is_used():
     assert unused == [], f"imported but never used: {unused}"
 
 
+def test_the_package_init_is_its_docstring_only():
+    # every reader imports the module that defines a name, so each
+    # definition is reached one way
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree)
+
+
 # The oracle and the dialogue engine share only the solver, so their
 # agreement is a checked fact; the measurement sits on the engine alone.
-_ROUTE_BANS = {"execution.py": {"automata"},
-               "automata.py": {"execution", "measurement"}}
+# The engine side reads a machine's rule table, never the oracle's private
+# table built from it, nor the oracle's step.
+_ORACLE_PRIVATE = {"_steps", "_den", "_step_table", "_expand"}
+_ROUTE_BANS = {"execution.py": {"automata"} | _ORACLE_PRIVATE,
+               "automata.py": {"execution", "measurement"},
+               **{name: _ORACLE_PRIVATE for name in
+                  ("compiler.py", "measurement.py", "words.py", "generators.py")}}
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTE_BANS))
 def test_the_two_routes_import_nothing_from_each_other(name):
     path = PACKAGE / name
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    banned = _ROUTE_BANS[name]
     crossings = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             modules = ([node.module] if node.module
                        else [alias.name for alias in node.names])
-            if _ROUTE_BANS[name] & set(modules):
+            if banned & {*modules, *(alias.name for alias in node.names)}:
                 crossings += [f"{name}:{node.lineno} {alias.name}"
                               for alias in node.names]
-    assert crossings == [], f"one route imports the other: {crossings}"
+    crossings += sorted(banned & set(_names_referenced(path)))
+    assert crossings == [], f"one route reaches into the other: {crossings}"

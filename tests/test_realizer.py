@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphings import theta
+from graphings.compiler import compile_automaton, format_compiled
+from graphings.corpus import by_name, corpus
 from graphings.errors import ValidationError
+from graphings.graphing import parse_graphing
 from graphings.realizer import (MAX_COORD, Realizer, in_microcosm, perm_apply,
                                 perm_compose, perm_of, swap)
 from graphings.space import (Atom, Interval, Region, ae_equal, box_get,
@@ -22,6 +25,36 @@ def test_perm_representation_drops_fixed_points():
     assert swap(1, 2) == ((1, 2), (2, 1))
     with pytest.raises(ValidationError):
         perm_of({1: 2})  # not a bijection on its support
+
+
+@pytest.mark.parametrize("perm", [((1, 2),), ((1, 3), (1, 2), (2, 1))],
+                         ids=["not-onto", "repeated-source"])
+def test_perm_pairs_must_form_a_permutation(perm):
+    # ((1, 2),) alone would map [0,1/2] x [1/2,1] onto [0,1/2] x [0,1/2]; a
+    # repeated source would keep only its last image
+    with pytest.raises(ValidationError, match="permutation"):
+        Realizer(perm=perm)
+
+
+def test_perm_pairs_in_any_order_build_one_realizer():
+    r = Realizer(perm=((2, 1), (1, 2)))
+    assert r == Realizer(perm=((1, 2), (2, 1))) == Realizer(perm=[(2, 1), (1, 2)])
+    assert hash(r) == hash(Realizer(perm=((1, 2), (2, 1))))
+    assert r.perm == swap(1, 2)
+    assert Realizer(perm=((1, 1),)) == Realizer()
+
+
+def test_parsed_compiled_and_replaced_realizers_keep_their_perm():
+    # every realizer the program builds holds its perm as perm_of makes it,
+    # so the constructor changes none of them
+    compiled = {e.realizer for a in corpus() for e in compile_automaton(a).reachable.edges}
+    text = format_compiled(compile_automaton(by_name("two-head-guess-middle")))
+    parsed = {e.realizer for e in parse_graphing(text).edges}
+    assert any(len(r.perm) for r in parsed)
+    for r in compiled | parsed:
+        assert perm_of(dict(r.perm)) == r.perm
+        again = replace(r)
+        assert again == r and again.perm == r.perm and repr(again) == repr(r)
 
 
 def test_perm_compose_and_inverse():

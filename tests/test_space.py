@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from graphings.errors import ValidationError
 from graphings.space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom,
-                             Interval, Region, ae_equal, box_intersect,
+                             Interval, Region, ae_equal, box_den, box_intersect,
                              cyl_intersect, disjoint_ae, format_atom,
                              format_interval, format_region, full_symbol_region,
                              parse_atom, parse_interval, parse_region,
@@ -231,6 +231,34 @@ def test_interval_text_is_the_fraction_text(p):
     a = Interval(*p)
     assert format_interval(a) == f"[{p[0]},{p[1]}]"
     assert repr(a) == f"Interval(lo={p[0]!r}, hi={p[1]!r})"
+
+
+def _fraction_key(a: Atom):
+    """The atom order in ``Fraction``s, by symbol, state, cylinder and box
+    endpoints: the reference for the int order."""
+    return sym_index(a.sym), a.state, a.cyl, tuple((iv.lo, iv.hi) for iv in a.box)
+
+
+# Endpoints over denominators 1-12, degenerate ones included, on boxes of
+# 0-3 coordinates, so one list mixes denominators.  Few symbols, states and
+# cylinders, so that atoms often tie on them and the boxes decide.
+_any_den_interval = st.integers(1, 12).flatmap(
+    lambda d: st.tuples(st.integers(0, d), st.integers(0, d)).map(
+        lambda p: Interval(F(min(p), d), F(max(p), d))))
+_sortable = st.builds(Atom, st.sampled_from(["0i", "a"]),
+                      st.lists(_any_den_interval, max_size=3).map(tuple),
+                      st.text(alphabet="*01", max_size=2), st.integers(0, 1))
+
+
+@given(st.lists(_sortable, max_size=8))
+@example([Atom("a", (Interval(F(2, 5), F(1)),)), Atom("a", (Interval(F(1, 3), F(1)),)),
+          Atom("a", (Interval(F(1, 12), F(1)),))])  # twelfths would tie 1/3 and 2/5
+def test_the_int_atom_order_is_the_fraction_order(atoms):
+    den = box_den(atoms)
+    want = sorted(atoms, key=_fraction_key)
+    assert sorted(atoms, key=lambda a: a.sort_key_over(den)) == want
+    region = _disjoint(atoms)
+    assert region.sorted().atoms == tuple(sorted(region.atoms, key=_fraction_key))
 
 
 def test_intervals_have_no_order():

@@ -47,27 +47,28 @@ def test_word_graph_positions_and_letters():
     # one right edge per position, marker first, each leaving its letter
     # outgoing; then one left edge per position, leaving it incoming
     for word in ("", "0", "01", "110"):
-        rep = bang_representation(word, range(len(word) + 1))
+        rep = bang_representation(word, range(len(word) + 1), len(word) + 1)
         edges, letters = rep.graphing.edges, "*" + word
         assert len(rep.injection) == len(word) + 1
         assert [e.source.atoms[0].sym for e in edges] == (
             [ch + "o" for ch in letters] + [ch + "i" for ch in letters])
     # the last position's right edge wraps round onto the marker
-    last_right = bang_representation("01", range(3)).graphing.edges[2]
+    last_right = bang_representation("01", range(3), 3).graphing.edges[2]
     (image,) = last_right.image().atoms
     assert (image.sym, image.box) == ("*i", (Interval(F(0), F(1, 3)),))
 
 
 def test_word_graph_edge_counts():
     for word in ("", "0", "01", "110"):
-        edges = bang_representation(word, range(len(word) + 1)).graphing.edges
+        edges = bang_representation(word, range(len(word) + 1),
+                                    len(word) + 1).graphing.edges
         assert len(edges) == 2 * (len(word) + 1)
 
 
 def test_empty_word_edges_loop_on_the_marker():
     # the marker's right edge sends *o to *i, its left edge *i to *o, and
     # both stay on its one cell
-    right, left = bang_representation("", (0,)).graphing.edges
+    right, left = bang_representation("", (0,), 1).graphing.edges
     for edge, src, dst in ((right, "*o", "*i"), (left, "*i", "*o")):
         (source,), (image,) = edge.source.atoms, edge.image().atoms
         assert (source.sym, image.sym) == (src, dst)
@@ -115,15 +116,15 @@ def test_representation_edges_preserve_measure():
 
 def test_injection_must_be_one_to_one_and_fit():
     with pytest.raises(ValidationError):
-        bang_representation("0", (0, 0))
+        bang_representation("0", (0, 0), 1)
     with pytest.raises(ValidationError):
-        bang_representation("0", (0,))
+        bang_representation("0", (0,), 1)
     with pytest.raises(ValidationError, match="need at least 2 cells, got 1"):
         bang_representation("0", (0, 1), cells=1)
     with pytest.raises(ValidationError, match="cells must lie in 0..2"):
         bang_representation("0", (0, 3), cells=3)
     with pytest.raises(ValidationError, match="word must be over 0/1"):
-        bang_representation("0*", (0, 1, 2))
+        bang_representation("0*", (0, 1, 2), 3)
 
 
 def test_rep_family_is_every_injection():
