@@ -7,10 +7,16 @@ that owns the atom, and reads both sides' moves from ``GraphingRep.moves``,
 as the path sum does: every move narrows the family to the part of the edge
 source it meets, splits the image against the cut (a turn of the other
 side) and the rests (an exit), and deepens the tracked cylinder of the
-origin as pops and narrower targets demand.  Each exit is pulled back onto
-its origin through the running composite realizer; no partition is built
-up front.  The node budget ``linsolve.MAX_NODES`` counts all of one plug's
-configurations, its seeds included.
+origin as pops and narrower targets demand.  Every configuration carries
+its family's source piece, the part of the origin that the running
+composite realizer maps onto where the family stands.  A move that narrows
+nothing keeps the piece, a move out of a seed takes the moved piece from
+``GraphingRep.moves``, and any other move pulls the piece back once, at
+that move, through the composite; an exit reads its piece and pulls
+nothing back.  No partition is built up front.  The piece is a function of
+the other fields of the configuration, so the node budget
+``linsolve.MAX_NODES`` counts the same configurations with it as without:
+all of one plug's, its seeds included.
 
 The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
@@ -206,7 +212,7 @@ def accept_path_sum(machine, word, accept_region: Region,
     # truncation bound.
     def expand(key):
         atom, state, stack, origin = key
-        for e, grow, sym, box in m.moves(state, atom.sym, atom.box, atom.cyl):
+        for e, grow, sym, box, _ in m.moves(state, atom.sym, atom.box, atom.cyl):
             r = e.realizer
             cyl = r.pushes + (atom.cyl + grow)[r.pops:]
             if len(cyl) > depth:
@@ -216,7 +222,7 @@ def accept_path_sum(machine, word, accept_region: Region,
             new_origin = origin + grow
             if sym not in RESULT_SYMBOLS:
                 # a stack-free answer neither reads nor moves the cylinder
-                for ans, _, s, b in w.moves(w_state, sym, box, ""):
+                for ans, _, s, b, _ in w.moves(w_state, sym, box, ""):
                     yield "node", e.weight.p * ans.weight.p, (
                         _atom(s, b, cyl, 0), e.out_state, new_stack, new_origin)
             elif any(_atom(sym, box, cyl, 0).intersect(ra) is not None
@@ -254,7 +260,7 @@ def enumerate_paths(machine, word, max_edges: int = 40,
         if used >= max_edges:
             return
         side, s = (m, state) if turn == 0 else (w, w_state)
-        for e, grow, sym, box in side.moves(s, atom.sym, atom.box, atom.cyl):
+        for e, grow, sym, box, _ in side.moves(s, atom.sym, atom.box, atom.cyl):
             r = e.realizer
             img = _atom(sym, box, r.pushes + (atom.cyl + grow)[r.pops:], 0)
             p = weight * e.weight.p
@@ -281,7 +287,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     sorted order).  One walk is seeded at every rest atom at every dialect
     pair, on the turn of the side the atom belongs to, and each maximal
     alternating path family through the cut contributes its source piece,
-    pulled back from where it exits, weighted by the product of the
+    carried along the walk and pulled back only at moves that narrow the
+    family (never at the exit), weighted by the product of the
     probabilities along it, with cyclic mass summed exactly.  A side that
     never speaks keeps its state, so it passes through diagonally.  Families
     ending on the same dialect pairs, composite and flag are refined
@@ -308,15 +315,20 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         for a in atoms:
             zones.setdefault(a.sym, []).append((kind, a))
 
-    # key: (origin, in pair, turn, atom, cur, comp, ocyl, flag).  ``origin``
-    # is the rest atom the family started from and ``in pair`` the index of
-    # its dialect pair, ``atom`` is where the family stands, ``cur`` holds
-    # both sides' current dialect states, and ``ocyl`` is the cylinder of the
-    # part of the origin that the family carries.
+    # key: (origin, in pair, turn, atom, cur, comp, ocyl, flag, piece).
+    # ``origin`` is the rest atom the family started from and ``in pair`` the
+    # index of its dialect pair, ``atom`` is where the family stands, ``cur``
+    # holds both sides' current dialect states, ``ocyl`` is the cylinder of the
+    # part of the origin that the family carries, and ``piece`` is that part,
+    # ``comp.preimage_atom(origin at ocyl, atom)``: a function of the other
+    # fields, carried so that an exit need not pull back.
+    identity = Realizer()
+
     def expand(key):
-        origin, in_i, turn, atom, cur, comp, ocyl, flag = key
-        side, cyl = sides[turn], atom.cyl
-        for e, grow, sym, box in side.moves(cur[turn], atom.sym, atom.box, cyl):
+        origin, in_i, turn, atom, cur, comp, ocyl, flag, piece = key
+        cyl = atom.cyl
+        moves = sides[turn].moves(cur[turn], atom.sym, atom.box, cyl)
+        for e, grow, sym, box, moved in moves:
             r = e.realizer
             nxt = comp.compose(r)
             if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
@@ -328,23 +340,32 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
             deeper = ocyl + grow
             for kind, target in zones.get(sym, ()):
                 part = img.intersect(target)
-                if part is not None:
-                    new_ocyl = deeper + part.cyl[len(img.cyl):]
-                    yield kind, e.weight.p, (origin, in_i, 1 - turn, part, new_cur,
-                                             nxt.normalized_on(new_ocyl), new_ocyl,
-                                             flag | e.weight.flag)
+                if part is None:
+                    continue
+                new_ocyl = deeper + part.cyl[len(img.cyl):]
+                new_comp = nxt.normalized_on(new_ocyl)
+                if part is img and not grow and moved is None:
+                    new_piece = piece  # the whole atom lands inside the zone
+                elif part is img and comp is identity:
+                    # out of a seed, whose atom is its origin: the moved piece
+                    new_piece = _atom(origin.sym, origin.box if moved is None
+                                      else moved, new_ocyl, 0)
+                else:
+                    new_piece = new_comp.preimage_atom(
+                        _atom(origin.sym, origin.box, new_ocyl, 0), part)
+                yield kind, e.weight.p, (origin, in_i, 1 - turn, part, new_cur,
+                                         new_comp, new_ocyl, flag | e.weight.flag,
+                                         new_piece)
 
-    identity = Realizer()
-    seeds = [(a, in_i, side, a, pr, identity, a.cyl, 0)
+    seeds = [(a, in_i, side, a, pr, identity, a.cyl, 0, a)
              for side, rest in enumerate((cut.left_rest, cut.right_rest))
              for a in rest.atoms for in_i, pr in enumerate(pairs)]
     families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]
     # every move is one edge of one side
-    for mass, (origin, in_i, _, part, cur, comp, ocyl, flag) in _solve_walk(
+    for mass, (_, in_i, _, _, cur, comp, _, flag, piece) in _solve_walk(
             seeds, expand, "plug", lcm(f.weight_den, g.weight_den)):
         if mass == 0:
             continue
-        piece = comp.preimage_atom(_atom(origin.sym, origin.box, ocyl, 0), part)
         if piece is None:
             raise ClosureViolation("exit family lost its source piece")
         families.setdefault((in_i, pair_index[cur], comp, flag),

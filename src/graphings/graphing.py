@@ -152,13 +152,16 @@ class GraphingRep:
     def moves(self, state: int, sym: str, box: tuple, cyl: str) -> tuple:
         """Every move out of an atom at a dialect state, computed once.
 
-        Returns ``((edge, grow, image sym, image box), ...)``: ``grow`` is
-        what the moved piece adds to the atom's cylinder ``cyl``, and the
-        image's cylinder is ``pushes + (cyl + grow)[pops:]`` under the
-        edge's realizer.  No edge reads or pops past the graphing's stack
-        reach (its longest source cylinder or pop count), so the rest of
-        the cylinder rides along unchanged and the table's key drops it: the
-        table does not grow with the stack.  The atom must be spatial.
+        Returns ``((edge, grow, image sym, image box, piece box), ...)``:
+        ``grow`` is what the moved piece adds to the atom's cylinder
+        ``cyl``, the image's cylinder is ``pushes + (cyl + grow)[pops:]``
+        under the edge's realizer, and ``piece box`` is the moved piece's
+        box, or ``None`` when the move does not narrow ``box``, so the
+        table holds no new box for it.  No edge reads or pops past the
+        graphing's stack reach (its longest source cylinder or pop count),
+        so the rest of the cylinder rides along unchanged and the table's
+        key drops it: the table does not grow with the stack.  The atom must
+        be spatial.
         """
         table, index, reach = self._move_parts
         key = (state, sym, box, cyl[:reach])
@@ -166,7 +169,8 @@ class GraphingRep:
         if got is None:
             head = _atom(sym, box, key[3], 0)
             got = table[key] = tuple(
-                (e, piece.cyl[len(head.cyl):], img.sym, img.box)
+                (e, piece.cyl[len(head.cyl):], img.sym, img.box,
+                 None if piece.box == box else piece.box)
                 for src, e in index.get((state, sym), ())
                 if (inter := head.intersect(src)) is not None
                 for piece, img in e.realizer.apply_atom(inter))

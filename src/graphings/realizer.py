@@ -53,16 +53,31 @@ def _check_coords(coords) -> None:
                               "the largest a realizer may name")
 
 
+def _perm_pair(entry) -> tuple:
+    """A ``(source, image)`` pair of int coordinates, as that pair."""
+    if (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and all(isinstance(c, int) for c in entry)):
+        return tuple(entry)
+    raise ValidationError("a permutation entry is a (source, image) pair of "
+                          f"int coordinates, got {entry!r}")
+
+
 def _box_translation(entry) -> tuple:
     """A ``(coord, amount)`` pair, or a reduced ``(coord, num, den)`` triple
-    with ``den > 0``, as that triple."""
-    if isinstance(entry, (tuple, list)) and len(entry) == 2:
+    with ``den > 0``, as that triple; the coordinate an int."""
+    if (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and isinstance(entry[0], int)):
         c, amount = entry
-        amount = Fraction(amount)
-        return c, amount.numerator, amount.denominator
+        try:
+            amount = Fraction(amount)
+        except (TypeError, ValueError):
+            pass
+        else:
+            return c, amount.numerator, amount.denominator
     if isinstance(entry, (tuple, list)) and len(entry) == 3:
         c, n, d = entry
-        if isinstance(n, int) and isinstance(d, int) and d > 0 and gcd(n, d) == 1:
+        if (all(isinstance(x, int) for x in entry) and d > 0
+                and gcd(n, d) == 1):
             return c, n, d
     raise ValidationError("a box translation is a (coord, amount) pair or a "
                           f"reduced (coord, num, den) triple, got {entry!r}")
@@ -116,7 +131,7 @@ class Realizer:
     pushes: str = ""
 
     def __post_init__(self):
-        mapping = dict(self.perm)
+        mapping = dict(_perm_pair(entry) for entry in self.perm)
         if len(mapping) != len(self.perm):
             raise ValidationError(f"permutation names a source coordinate twice: "
                                   f"{self.perm}")

@@ -378,6 +378,24 @@ def test_node_budget_raises_in_both_walks(monkeypatch):
         plug(f, g, cut_between(f, g))
 
 
+def test_the_largest_corpus_plug_interns_as_many_nodes_as_before(monkeypatch):
+    # zigzag-parity against 110 walks 12,684 configurations, seeds included;
+    # the source piece each one carries is a function of its other fields,
+    # so it adds no node
+    m = compile_automaton(by_name("zigzag-parity"))
+    rep = canonical_representation("110")
+    cut = cut_between(m.graphing, rep.graphing)
+    monkeypatch.setattr(linsolve, "MAX_NODES", 12_683)
+    with pytest.raises(ClosureViolation, match="plug walk exceeded"):
+        plug(m.graphing, rep.graphing, cut)
+    monkeypatch.setattr(linsolve, "MAX_NODES", 12_684)
+    out = plug(m.graphing, rep.graphing, cut)
+    assert out.dialect == tuple(range(6318))
+    assert format_edges(out.edges) == [
+        "edge: a|[0,1/4]x[0,1/4]x[0,1/4]|*|0 @ 0 @ 6075 @ s1 p(1,2,3) @ 1",
+        "edge: r|[0,1/4]x[0,1/4]x[0,1/4]|*|0 @ 0 @ 6075 @ p(1,2,3) @ 1"]
+
+
 def _oracle_budget(monkeypatch, a, word):
     """Smallest ``linsolve.MAX_NODES`` at which the oracle does not run out.
 
@@ -656,6 +674,90 @@ def _watch_walks(monkeypatch):
 
     monkeypatch.setattr(execution, "_solve_walk", spy)
     return seen
+
+
+def _watch_plug_pieces(monkeypatch) -> Counter:
+    """Check the source piece every plug exit carries against a fresh
+    pullback of its atom onto its origin, and count, per move, which rule
+    set the child's piece: inherited from the parent, the moved piece of a
+    seed, or pulled back at the move."""
+    real, pull, rules = execution._solve_walk, Realizer.preimage_atom, Counter()
+
+    def counted(self, piece, constraint):
+        rules["pullbacks"] += 1
+        return pull(self, piece, constraint)
+
+    def spy(seeds, expand, what, den):
+        def watched(key):
+            moves = expand(key)
+            while True:
+                pulled = rules["pullbacks"]
+                move = next(moves, None)
+                if move is None:
+                    return
+                child = move[2]
+                if rules["pullbacks"] > pulled:
+                    rules["pulled back"] += 1
+                elif child[-1] is key[-1]:
+                    rules["inherited"] += 1
+                else:
+                    assert key[5] == Realizer() and key[3] is key[0]
+                    rules["moved piece"] += 1
+                yield move
+
+        out = real(seeds, watched, what, den)
+        for _, (origin, _, _, part, _, comp, ocyl, _, piece) in out:
+            assert piece == pull(comp, Atom(origin.sym, origin.box, ocyl), part)
+            rules["exits"] += 1
+        return out
+
+    monkeypatch.setattr(execution, "_solve_walk", spy)
+    monkeypatch.setattr(Realizer, "preimage_atom", counted)
+    return rules
+
+
+def test_plug_exits_carry_their_pulled_back_piece(monkeypatch):
+    rules = _watch_plug_pieces(monkeypatch)
+    for seed in range(100):
+        for make in (random_det_pair, random_subprob_pair):
+            plug(*make(seed))
+        f, g, cut = random_det_pair(seed)
+        plug(split_sources(f, seed), g, cut)  # the criterion 9 triple
+    assert rules["exits"] > 1_000
+    # the walk pulls back at few moves, and no exit pulls back on its own
+    assert rules["pullbacks"] == rules["pulled back"] < rules["exits"] // 4
+
+
+@pytest.mark.parametrize("a", [a for a in corpus() if a.stack],
+                         ids=lambda a: a.name)
+def test_compiled_pushdown_plugs_carry_their_pulled_back_piece(monkeypatch, a):
+    rules = _watch_plug_pieces(monkeypatch)
+    m = compile_automaton(a)
+    for word in ("", "1", "01", "110"):
+        _plugged_accept_mass(m, word, ExecOptions(stack_depth=16, strict=False))
+    assert rules["exits"] and rules["pullbacks"] == rules["pulled back"], rules
+
+
+def test_each_rule_for_the_carried_piece_runs(monkeypatch):
+    # a|[0,1/4] and a|[1/4,1/2] leave the rest a|[0,1/2] as two narrower
+    # pieces of a seed; the first lands on 0i|[0,1/4], which g moves whole
+    # into r, and the second on 0i|[1/2,3/4], which g narrows to [1/2,5/8]
+    rules = _watch_plug_pieces(monkeypatch)
+    quarter, third_eighth = (Atom("a", (Interval(F(lo), F(hi)),))
+                             for lo, hi in ((0, F(1, 4)), (F(1, 4), F(1, 2))))
+    f, g = _pair((Edge(Region((quarter,)), 0, 0, _TO_C1),
+                  Edge(Region((third_eighth,)), 0, 0,
+                       Realizer(shift=-4, box_shift=((1, F(1, 4)),)))),
+                 (Edge(Region((Atom("0i", (Interval(F(0), F(1, 2)),)),)), 0, 0,
+                       _C1_TO_B),
+                  Edge(Region((Atom("0i", (Interval(F(1, 2), F(5, 8)),)),)), 0, 0,
+                       _C1_TO_B)))
+    out = plug(f, g, cut_between(f, g))
+    assert format_edges(out.sorted_edges()) == [
+        "edge: a|[0,1/4]|-|0 @ 0 @ 0 @ s1 @ 1",
+        "edge: a|[1/4,3/8]|-|0 @ 0 @ 0 @ s1 b1:1/4 @ 1"]
+    assert rules == Counter({"moved piece": 2, "inherited": 1, "pulled back": 1,
+                             "pullbacks": 1, "exits": 2})
 
 
 def test_plug_runs_one_walk_seeded_at_every_rest_atom_and_pair(monkeypatch):

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from math import gcd
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,14 @@ def test_perm_pairs_must_form_a_permutation(perm):
     # ((1, 2),) alone would map [0,1/2] x [1/2,1] onto [0,1/2] x [0,1/2]; a
     # repeated source would keep only its last image
     with pytest.raises(ValidationError, match="permutation"):
+        Realizer(perm=perm)
+
+
+@pytest.mark.parametrize("perm", [((1, 2, 3),), (1,), ((1, "2"), ("2", 1))],
+                         ids=["triple", "bare-coord", "str-coord"])
+def test_malformed_perm_entries_are_refused_by_name(perm):
+    with pytest.raises(ValidationError,
+                       match=r"\(source, image\) pair .*got " + re.escape(repr(perm[0]))):
         Realizer(perm=perm)
 
 
@@ -114,9 +123,9 @@ def test_the_held_translations_build_the_same_realizer():
 
 @pytest.mark.parametrize("box_shift", [
     ((1, 2, 4),), ((1, 1, -2),), ((1, 1, 0),), ((1, F(1, 2), 1),), ((1,),),
-    ((1, 1, 2, 0),), (1,)],
+    ((1, 1, 2, 0),), (1,), (("1", F(1, 2)),), ((1, "x"),), ((1.0, 1, 2),)],
     ids=["unreduced", "negative-den", "zero-den", "fraction-num", "single",
-         "quadruple", "bare-coord"])
+         "quadruple", "bare-coord", "str-coord", "str-amount", "float-coord"])
 def test_box_translations_of_another_shape_are_refused(box_shift):
     with pytest.raises(ValidationError, match="pair or a reduced"):
         Realizer(box_shift=box_shift)
