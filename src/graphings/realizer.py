@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
+from numbers import Rational
 
 from .errors import ValidationError
 from .space import (Atom, Region, _atom, _canon_box, _new_object, _set,
@@ -63,17 +64,14 @@ def _perm_pair(entry) -> tuple:
 
 
 def _box_translation(entry) -> tuple:
-    """A ``(coord, amount)`` pair, or a reduced ``(coord, num, den)`` triple
-    with ``den > 0``, as that triple; the coordinate an int."""
+    """A ``(coord, amount)`` pair, amount rational, or a reduced ``(coord,
+    num, den)`` triple with ``den > 0``, as that triple; the coordinate an
+    int."""
     if (isinstance(entry, (tuple, list)) and len(entry) == 2
-            and isinstance(entry[0], int)):
+            and isinstance(entry[0], int) and isinstance(entry[1], Rational)):
         c, amount = entry
-        try:
-            amount = Fraction(amount)
-        except (TypeError, ValueError):
-            pass
-        else:
-            return c, amount.numerator, amount.denominator
+        amount = Fraction(amount)
+        return c, amount.numerator, amount.denominator
     if isinstance(entry, (tuple, list)) and len(entry) == 3:
         c, n, d = entry
         if (all(isinstance(x, int) for x in entry) and d > 0

@@ -123,9 +123,11 @@ def test_the_held_translations_build_the_same_realizer():
 
 @pytest.mark.parametrize("box_shift", [
     ((1, 2, 4),), ((1, 1, -2),), ((1, 1, 0),), ((1, F(1, 2), 1),), ((1,),),
-    ((1, 1, 2, 0),), (1,), (("1", F(1, 2)),), ((1, "x"),), ((1.0, 1, 2),)],
+    ((1, 1, 2, 0),), (1,), (("1", F(1, 2)),), ((1, "1/2"),), ((1, 0.5),),
+    ((1.0, 1, 2),)],
     ids=["unreduced", "negative-den", "zero-den", "fraction-num", "single",
-         "quadruple", "bare-coord", "str-coord", "str-amount", "float-coord"])
+         "quadruple", "bare-coord", "str-coord", "str-amount", "float-amount",
+         "float-coord"])
 def test_box_translations_of_another_shape_are_refused(box_shift):
     with pytest.raises(ValidationError, match="pair or a reduced"):
         Realizer(box_shift=box_shift)
