@@ -1,22 +1,8 @@
 """Execution of graphings: plugging and dialogue path sums.
 
-Plugging two graphings along a cut region sums the weights of alternating
-paths through the cut, exactly, on the product dialect.  One walk per plug
-is seeded at every rest atom at every dialect pair, on the turn of the side
-that owns the atom, and reads both sides' moves from ``GraphingRep.moves``,
-as the path sum does: every move narrows the family to the part of the edge
-source it meets, splits the image against the cut (a turn of the other
-side) and the rests (an exit), and deepens the tracked cylinder of the
-origin as pops and narrower targets demand.  Every configuration carries
-its family's source piece, the part of the origin that the running
-composite realizer maps onto where the family stands.  A move that narrows
-nothing keeps the piece, a move out of a seed takes the moved piece from
-``GraphingRep.moves``, and any other move pulls the piece back once, at
-that move, through the composite; an exit reads its piece and pulls
-nothing back.  No partition is built up front.  The piece is a function of
-the other fields of the configuration, so the node budget
-``linsolve.MAX_NODES`` counts the same configurations with it as without:
-all of one plug's, its seeds included.
+``plug`` executes two graphings against each other along a cut: it sums
+the weights of alternating paths through the cut, exactly, on the product
+dialect.
 
 The path-sum entry point runs the same kind of walk for a compiled machine
 probing a word representation from a result interval.  Paths are counted as
@@ -36,20 +22,12 @@ Every walk, ``enumerate_paths`` too, reads both sides' moves from
 ``GraphingRep.moves``, which computes each once per graphing and keeps it
 across walks; the walk rebuilds each image's cylinder from the move.
 
-Both walks run on one kernel, ``_solve_walk``: it seeds each starting
-configuration with mass one, interns configurations breadth first under the
-node budget and records each move once, in the predecessor list of the
-configuration it enters.  Those lists are the rows of the mass-arriving
-system: ``linsolve.prune`` walks them back from the exits to keep the
-ancestors of an exit, and one exact linear solve resolves cyclic mass
-rather than iteration.  Each caller declares the walk's
+Both walks run on one kernel, ``_solve_walk``, and each caller supplies
+only its own moves, reads its own exits and declares the walk's
 denominator, which every move weight divides (``GraphingRep.weight_den``:
 the product of both sides' for the path sum, whose moves are a machine edge
-and an answer, and their lcm for ``plug``, whose moves are one edge), so
-the kernel records each weight as an int and solves in ints; only the
-nodes with exits become ``Fraction``s.
-Each caller supplies only its own moves and reads its own exits.  Stack
-actions compose and cancel through ``theta``, as in ``Realizer``.
+and an answer, and their lcm for ``plug``, whose moves are one edge).
+Stack actions compose and cancel through ``theta``, as in ``Realizer``.
 """
 
 from dataclasses import dataclass
@@ -101,8 +79,11 @@ class PathSum:
     """
 
     total: dict
-    exact: bool
     dropped: Fraction = _ZERO
+
+    @property
+    def exact(self) -> bool:
+        return self.dropped == 0
 
     @property
     def lower_bound(self) -> Fraction:
@@ -237,8 +218,7 @@ def accept_path_sum(machine, word, accept_region: Region,
                                     m.weight_den * w.weight_den):
         totals[bucket] = totals.get(bucket, _ZERO) + mass
     dropped = totals.pop(None, _ZERO)
-    return PathSum({k: v for k, v in sorted(totals.items()) if v != 0},
-                   dropped == 0, dropped)
+    return PathSum({k: v for k, v in sorted(totals.items()) if v != 0}, dropped)
 
 
 def enumerate_paths(machine, word, max_edges: int = 40,
@@ -315,17 +295,24 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         for a in atoms:
             zones.setdefault(a.sym, []).append((kind, a))
 
-    # key: (origin, in pair, turn, atom, cur, comp, ocyl, flag, piece).
-    # ``origin`` is the rest atom the family started from and ``in pair`` the
-    # index of its dialect pair, ``atom`` is where the family stands, ``cur``
-    # holds both sides' current dialect states, ``ocyl`` is the cylinder of the
-    # part of the origin that the family carries, and ``piece`` is that part,
-    # ``comp.preimage_atom(origin at ocyl, atom)``: a function of the other
-    # fields, carried so that an exit need not pull back.
+    # key: (in pair, turn, atom, cur, comp, flag, piece).  ``in pair`` is the
+    # index of the family's starting dialect pair, ``atom`` is where the
+    # family stands, ``cur`` holds both sides' current dialect states, and
+    # ``piece`` is the part of the rest atom the family started from (its
+    # origin, the one rest atom the piece lies in) that ``comp`` maps onto
+    # ``atom``, at the cylinder the family tracks: a function of the other
+    # fields, so the node budget counts the same configurations with it as
+    # without.  Each move narrows the family to the part of the edge source
+    # it meets, splits the image against the cut (a turn of the other side)
+    # and the rests (an exit), and deepens the piece's cylinder as pops and
+    # narrower targets demand.  A move that narrows nothing keeps the piece,
+    # a move out of a seed takes the moved piece from ``GraphingRep.moves``,
+    # and any other move pulls the piece back once, at that move; an exit
+    # reads its piece and pulls nothing back.
     identity = Realizer()
 
     def expand(key):
-        origin, in_i, turn, atom, cur, comp, ocyl, flag, piece = key
+        in_i, turn, atom, cur, comp, flag, piece = key
         cyl = atom.cyl
         moves = sides[turn].moves(cur[turn], atom.sym, atom.box, cyl)
         for e, grow, sym, box, moved in moves:
@@ -337,37 +324,36 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
                 continue
             new_cur = (e.out_state, cur[1]) if turn == 0 else (cur[0], e.out_state)
             img = _atom(sym, box, r.pushes + (cyl + grow)[r.pops:], 0)
-            deeper = ocyl + grow
+            deeper = piece.cyl + grow
             for kind, target in zones.get(sym, ()):
                 part = img.intersect(target)
                 if part is None:
                     continue
-                new_ocyl = deeper + part.cyl[len(img.cyl):]
-                new_comp = nxt.normalized_on(new_ocyl)
+                piece_cyl = deeper + part.cyl[len(img.cyl):]
+                new_comp = nxt.normalized_on(piece_cyl)
                 if part is img and not grow and moved is None:
                     new_piece = piece  # the whole atom lands inside the zone
                 elif part is img and comp is identity:
-                    # out of a seed, whose atom is its origin: the moved piece
-                    new_piece = _atom(origin.sym, origin.box if moved is None
-                                      else moved, new_ocyl, 0)
+                    # out of a seed, whose atom and piece are its origin
+                    new_piece = _atom(piece.sym, piece.box if moved is None
+                                      else moved, piece_cyl, 0)
                 else:
                     new_piece = new_comp.preimage_atom(
-                        _atom(origin.sym, origin.box, new_ocyl, 0), part)
-                yield kind, e.weight.p, (origin, in_i, 1 - turn, part, new_cur,
-                                         new_comp, new_ocyl, flag | e.weight.flag,
-                                         new_piece)
+                        _atom(piece.sym, piece.box, piece_cyl, 0), part)
+                    if new_piece is None:
+                        raise ClosureViolation("a family lost its source piece")
+                yield kind, e.weight.p, (in_i, 1 - turn, part, new_cur, new_comp,
+                                         flag | e.weight.flag, new_piece)
 
-    seeds = [(a, in_i, side, a, pr, identity, a.cyl, 0, a)
+    seeds = [(in_i, side, a, pr, identity, 0, a)
              for side, rest in enumerate((cut.left_rest, cut.right_rest))
              for a in rest.atoms for in_i, pr in enumerate(pairs)]
     families: dict = {}  # (in pair, out pair, composite, flag) -> [(piece, mass)]
     # every move is one edge of one side
-    for mass, (_, in_i, _, _, cur, comp, _, flag, piece) in _solve_walk(
+    for mass, (in_i, _, _, cur, comp, flag, piece) in _solve_walk(
             seeds, expand, "plug", lcm(f.weight_den, g.weight_den)):
         if mass == 0:
             continue
-        if piece is None:
-            raise ClosureViolation("exit family lost its source piece")
         families.setdefault((in_i, pair_index[cur], comp, flag),
                             []).append((piece, mass))
 
@@ -376,12 +362,8 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         # One piece, never null, is its own refinement; more are refined
         # together and their masses added per cell.
         if len(found) > 1:
-            cells, covers = refine_regions([Region((piece,)) for piece, _ in found])
-            masses = [_ZERO] * len(cells)
-            for (_, mass), cover in zip(found, covers):
-                for ci in cover:
-                    masses[ci] += mass
-            found = zip(cells, masses)
+            cells, carried = refine_regions(found)
+            found = zip(cells, (sum(masses, _ZERO) for masses in carried))
         for cell, mass in found:
             if mass == 0:
                 continue

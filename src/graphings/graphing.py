@@ -203,31 +203,14 @@ class GraphingRep:
                        or any(a.cyl for a in e.source.atoms) for e in self.edges)
 
 
-# --- per-cell tables ----------------------------------------------------------
+# --- per-cell comparisons -----------------------------------------------------
 #
 # ``equivalent`` splits every edge source as deep as its realizer pops, so the
 # realizer's normal form is fixed on each piece, refines all pieces into
-# elementary cells keyed by (spatial atom, in_state), and lists what each cell
-# carries.  The other two predicates look at where sources meet, by pairwise
-# intersection within an (in_state, symbol) group, and refine only those.
-
-
-def _cell_items(graphings):
-    items = []  # (graphing index, single-atom region, payload)
-    for gi, g in enumerate(graphings):
-        for e in g.edges:
-            r = e.realizer
-            for atom in e.source.atoms:
-                for cyl in expand_prefix(atom.cyl, r.pops):
-                    piece = _atom(atom.sym, atom.box, cyl, e.in_state)
-                    items.append((gi, Region((piece,)),
-                                  (e.out_state, r.normalized_on(cyl), e.weight)))
-    _, covers = refine_regions([r for _, r, _ in items])
-    tables = [defaultdict(list) for _ in graphings]
-    for (gi, _, payload), cover in zip(items, covers):
-        for cell in cover:
-            tables[gi][cell].append(payload)
-    return tables
+# elementary cells keyed by (spatial atom, in_state), and compares what each
+# cell carries.  The other two predicates look at where sources meet, by
+# pairwise intersection within an (in_state, symbol) group, and refine only
+# those.
 
 
 def _source_groups(g: GraphingRep) -> list:
@@ -261,11 +244,19 @@ def equivalent(g1: GraphingRep, g2: GraphingRep) -> bool:
         return False
     if not ae_equal(g1.support, g2.support):
         return False
-    t1, t2 = _cell_items([g1, g2])
-    for cell in set(t1) | set(t2):
-        if sorted(t1.get(cell, ())) != sorted(t2.get(cell, ())):
-            return False
-    return True
+    items = []  # (piece at in_state, (graphing index, payload))
+    for gi, g in enumerate((g1, g2)):
+        for e in g.edges:
+            r = e.realizer
+            for atom in e.source.atoms:
+                for cyl in expand_prefix(atom.cyl, r.pops):
+                    payload = (e.out_state, r.normalized_on(cyl), e.weight)
+                    items.append((_atom(atom.sym, atom.box, cyl, e.in_state),
+                                  (gi, payload)))
+    _, carried = refine_regions(items)
+    return all(sorted(p for gi, p in payloads if gi == 0)
+               == sorted(p for gi, p in payloads if gi == 1)
+               for payloads in carried)
 
 
 def is_deterministic(g: GraphingRep) -> bool:
@@ -295,12 +286,8 @@ def is_subprobabilistic(g: GraphingRep) -> bool:
         meeting = _meeting(members)
         if sum(p for _, p in meeting) <= one:
             continue
-        cells, covers = refine_regions([Region((a,)) for a, _ in meeting])
-        mass = [0] * len(cells)
-        for (_, p), cover in zip(meeting, covers):
-            for ci in cover:
-                mass[ci] += p
-        if any(m > one for m in mass):
+        _, carried = refine_regions(meeting)
+        if any(sum(units) > one for units in carried):
             return False
     return True
 
@@ -348,10 +335,15 @@ def _assignable(f_edges, g_edges) -> bool:
                   for fe in f_edges]
     if any(not c for c in compatible):
         return False
-    _, covers = refine_regions([e.source for e in f_edges]
-                               + [e.source for e in g_edges])
-    f_cells = covers[:len(f_edges)]
-    remaining = [set(c) for c in covers[len(f_edges):]]
+    # per edge, f's then g's: the cells of its source
+    edges = f_edges + g_edges
+    _, carried = refine_regions([(a, k) for k, e in enumerate(edges)
+                                 for a in e.source.atoms])
+    covers = [set() for _ in edges]
+    for cell, sources in enumerate(carried):
+        for k in sources:
+            covers[k].add(cell)
+    f_cells, remaining = covers[:len(f_edges)], covers[len(f_edges):]
 
     def assign(i: int) -> bool:
         if i == len(f_edges):

@@ -129,6 +129,11 @@ class Realizer:
     pushes: str = ""
 
     def __post_init__(self):
+        for name, kind in (("shift", int), ("pops", int), ("pushes", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"a realizer's {name} must be of type "
+                                      f"{kind.__name__}, got {value!r}")
         mapping = dict(_perm_pair(entry) for entry in self.perm)
         if len(mapping) != len(self.perm):
             raise ValidationError(f"permutation names a source coordinate twice: "

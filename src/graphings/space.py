@@ -203,8 +203,12 @@ class Atom:
         if not all(isinstance(iv, Interval) for iv in box):
             raise ValidationError("an atom's box must be a tuple of intervals")
         object.__setattr__(self, "box", _canon_box(box))
+        if not isinstance(self.cyl, str):
+            raise ValidationError(f"an atom's cylinder must be a str, got {self.cyl!r}")
         if any(ch not in "*01" for ch in self.cyl):
             raise ValidationError(f"cylinder prefix {self.cyl!r} not over *01")
+        if not isinstance(self.state, int):
+            raise ValidationError(f"an atom's state must be an int, got {self.state!r}")
         if self.state < 0:
             raise ValidationError("dialect state must be a natural number")
 
@@ -312,20 +316,22 @@ def expand_prefix(prefix: str, depth: int):
         yield prefix + "".join(tail)
 
 
-def refine_regions(regions):
-    """Elementary partition of a family of regions.
+def refine_regions(items):
+    """Elementary partition of a family of payload-carrying atoms.
 
-    Returns ``(elementary, covers)`` where ``elementary`` is a list of
-    positive-measure atoms, pairwise a.e.-disjoint, and ``covers[i]`` is the
-    set of elementary indices whose union is ``regions[i]`` up to null sets.
+    ``items`` lists ``(atom, payload)`` pairs; atoms may overlap or repeat.
+    Returns ``(cells, carried)`` where ``cells`` is a list of
+    positive-measure atoms, pairwise a.e.-disjoint, whose union is the union
+    of the atoms, and ``carried[c]`` lists, in input order, the payload of
+    every input atom that contains ``cells[c]``.  Each input atom is the
+    union of the cells that carry its payload.
     """
     groups: dict = {}
-    for ri, region in enumerate(regions):
-        for atom in region.atoms:
-            groups.setdefault((atom.sym, atom.state), []).append((ri, atom))
+    for atom, payload in items:
+        groups.setdefault((atom.sym, atom.state), []).append((payload, atom))
 
     elementary: list[Atom] = []
-    covers = [set() for _ in regions]
+    carried: list[list] = []
     index: dict = {}
     for (sym, state), members in sorted(groups.items(), key=lambda kv: (sym_index(kv[0][0]), kv[0][1])):
         depth = max(len(a.cyl) for _, a in members)
@@ -339,7 +345,7 @@ def refine_regions(regions):
             cuts = sorted({0, den, *(x * (den // d) for a, b, d in ivs for x in (a, b))})
             axes.append((den, {x: i for i, x in enumerate(cuts)},
                          [_interval(lo, hi, den) for lo, hi in zip(cuts, cuts[1:])]))
-        for ri, atom in members:
+        for payload, atom in members:
             # the cells inside an interval are the run between its two cuts
             coord_cells = []
             for c, (den, pos, cells) in enumerate(axes, 1):
@@ -351,9 +357,10 @@ def refine_regions(regions):
                     at = index.get(key)
                     if at is None:
                         elementary.append(_atom(sym, _canon_box(combo), word, state))
+                        carried.append([])
                         at = index[key] = len(elementary) - 1
-                    covers[ri].add(at)
-    return elementary, covers
+                    carried[at].append(payload)
+    return elementary, carried
 
 
 def ae_equal(r1: Region, r2: Region) -> bool:

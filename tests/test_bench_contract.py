@@ -58,3 +58,18 @@ def test_tiny_workload_runs_and_matches_its_recorded_digest(workload, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert list(tmp_path.iterdir()) == []  # an untraced run writes no file
+
+
+def test_traced_plug_closure_run_counts_its_refinements(tmp_path):
+    # the traced pass wraps every traced name; on plug-closure it reaches
+    # refine_regions and counts the cells each call returns
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "plug-closure",
+         "--seed", "7", "--seconds", "0.2", "--trace", "1", "--size", "tiny"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["space.refine_regions_calls"]["value"] > 0
+    assert metrics["space.cells"]["value"] > 0

@@ -23,16 +23,16 @@ from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 format_edges, format_graphing, is_deterministic)
 from graphings.measurement import make_test, membership
 from graphings.realizer import Realizer
-from graphings.space import (Atom, Interval, Region, box_get, disjoint_ae,
-                             refine_regions)
+from graphings.space import Atom, Interval, Region, box_get, disjoint_ae
 from graphings.words import bang_representation, canonical_representation
+from test_space import _refine
 
 ACCEPT_REGION = Region((Atom("a"),))
 
 
 def _difference(r1: Region, r2: Region) -> Region:
     """Atoms of ``r1`` not covered by ``r2`` (an a.e. set difference)."""
-    elementary, (c1, c2) = refine_regions([r1, r2])
+    elementary, (c1, c2) = _refine([r1, r2])
     return Region(tuple(elementary[i] for i in sorted(c1 - c2)))
 
 
@@ -158,7 +158,7 @@ def test_plug_tiles_an_image_straddling_cells():
 def _refined(g: GraphingRep) -> GraphingRep:
     """``g`` with every edge source replaced by its own refinement."""
     return GraphingRep(g.support, g.dialect, tuple(
-        replace(e, source=Region(tuple(refine_regions([e.source])[0])))
+        replace(e, source=Region(tuple(_refine([e.source])[0])))
         for e in g.edges))
 
 
@@ -678,9 +678,10 @@ def _watch_walks(monkeypatch):
 
 def _watch_plug_pieces(monkeypatch) -> Counter:
     """Check the source piece every plug exit carries against a fresh
-    pullback of its atom onto its origin, and count, per move, which rule
-    set the child's piece: inherited from the parent, the moved piece of a
-    seed, or pulled back at the move."""
+    pullback of its atom onto its origin, the one seed atom the piece meets,
+    at the piece's cylinder; and count, per move, which rule set the child's
+    piece: inherited from the parent, the moved piece of a seed, or pulled
+    back at the move."""
     real, pull, rules = execution._solve_walk, Realizer.preimage_atom, Counter()
 
     def counted(self, piece, constraint):
@@ -688,6 +689,8 @@ def _watch_plug_pieces(monkeypatch) -> Counter:
         return pull(self, piece, constraint)
 
     def spy(seeds, expand, what, den):
+        origins = {key[2] for key in seeds}
+
         def watched(key):
             moves = expand(key)
             while True:
@@ -701,13 +704,15 @@ def _watch_plug_pieces(monkeypatch) -> Counter:
                 elif child[-1] is key[-1]:
                     rules["inherited"] += 1
                 else:
-                    assert key[5] == Realizer() and key[3] is key[0]
+                    assert key[4] == Realizer() and key[2] is key[-1]
                     rules["moved piece"] += 1
                 yield move
 
         out = real(seeds, watched, what, den)
-        for _, (origin, _, _, part, _, comp, ocyl, _, piece) in out:
-            assert piece == pull(comp, Atom(origin.sym, origin.box, ocyl), part)
+        for _, (_, _, part, _, comp, _, piece) in out:
+            [origin] = [o for o in origins if o.intersect(piece) is not None]
+            assert piece == pull(comp, Atom(origin.sym, origin.box, piece.cyl),
+                                 part)
             rules["exits"] += 1
         return out
 

@@ -206,6 +206,7 @@ _SHARED_NAME_READERS = {
     "Atom.intersect": "src/graphings/execution.py",
     "CompiledMachine.graphing": "src/graphings/cli.py",
     "Interval.intersect": "src/graphings/space.py",
+    "PathSum.exact": "src/graphings/cli.py",
     "Region.measure": "perfbench/workloads.py",
 }
 

@@ -21,6 +21,7 @@ from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
 from graphings.realizer import Realizer, swap
 from graphings.space import (Atom, Interval, Region, ae_equal, disjoint_ae,
                              refine_regions, subset_ae, sym_index)
+from test_space import _refine
 
 
 # --- the reference ---------------------------------------------------------------
@@ -28,19 +29,18 @@ from graphings.space import (Atom, Interval, Region, ae_equal, disjoint_ae,
 
 def _reference_tables(graphings):
     """Per graphing: elementary cell -> payloads of the edge pieces over it."""
-    items = []
+    items = []  # (edge piece at its in_state, (graphing index, payload))
     for gi, g in enumerate(graphings):
         for e in g.edges:
             for atom in e.source.atoms:
                 for piece, _ in e.realizer.apply_atom(atom):
                     payload = (e.out_state, e.realizer.normalized_on(piece.cyl),
                                e.weight)
-                    items.append((gi, Region((replace(piece, state=e.in_state),)),
-                                  payload))
-    _, covers = refine_regions([r for _, r, _ in items])
+                    items.append((replace(piece, state=e.in_state), (gi, payload)))
+    _, carried = refine_regions(items)
     tables = [defaultdict(list) for _ in graphings]
-    for (gi, _, payload), cover in zip(items, covers):
-        for cell in cover:
+    for cell, payloads in enumerate(carried):
+        for gi, payload in payloads:
             tables[gi][cell].append(payload)
     return tables
 
@@ -60,7 +60,7 @@ def _reference_subprobabilistic(g):
 def _reference_equivalent(g1, g2):
     if g1.dialect != g2.dialect:
         return False
-    _, (c1, c2) = refine_regions([g1.support, g2.support])
+    _, (c1, c2) = _refine([g1.support, g2.support])
     if c1 != c2:
         return False
     t1, t2 = _reference_tables([g1, g2])
@@ -199,7 +199,7 @@ def test_region_comparisons_agree_with_refinement_covers(block):
                 r1, r2 = r2, r1
         else:
             r2 = _random_region(rng, rng.randrange(0, 5))
-        _, (c1, c2) = refine_regions([r1, r2])
+        _, (c1, c2) = _refine([r1, r2])
         verdicts = (ae_equal(r1, r2), subset_ae(r1, r2), subset_ae(r2, r1),
                     disjoint_ae(r1, r2))
         assert verdicts == (c1 == c2, c1 <= c2, c2 <= c1, not c1 & c2), seed

@@ -133,6 +133,14 @@ def test_box_translations_of_another_shape_are_refused(box_shift):
         Realizer(box_shift=box_shift)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("shift", 0.5), ("shift", "1"), ("pops", 1.5), ("pops", "1"),
+    ("pushes", 5), ("pushes", None)])
+def test_wrong_typed_fields_are_refused(field, value):
+    with pytest.raises(ValidationError, match=f"realizer's {field} must be"):
+        Realizer(**{field: value})
+
+
 @pytest.mark.parametrize("make", [
     lambda: perm_of({1: MAX_COORD + 1, MAX_COORD + 1: 1}),
     lambda: Realizer(perm=((1, 1_000_000), (1_000_000, 1))),

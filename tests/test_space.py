@@ -67,6 +67,14 @@ def test_box_entries_must_be_intervals():
         Atom("a", ((0, 1, 2),))
 
 
+@pytest.mark.parametrize("args, field", [
+    (("0i", (), 5), "cylinder"), (("0i", (), None), "cylinder"),
+    (("0i", (), "", "1"), "state"), (("0i", (), "", 1.5), "state")])
+def test_wrong_typed_atom_fields_are_refused(args, field):
+    with pytest.raises(ValidationError, match=f"atom's {field} must be"):
+        Atom(*args)
+
+
 def test_box_measure_and_intersect():
     b1 = (Interval(F(0), F(1, 2)),)
     b2 = (Interval(F(1, 4), F(1)), Interval(F(0), F(1, 3)))
@@ -114,10 +122,22 @@ def test_region_predicates():
     assert ae_equal(Region(left.atoms + right.atoms), whole)
 
 
+def _refine(regions):
+    """The elementary cells of a family of regions, and per region the set
+    of cells whose union it is."""
+    cells, carried = refine_regions([(a, ri) for ri, r in enumerate(regions)
+                                     for a in r.atoms])
+    covers = [set() for _ in regions]
+    for c, owners in enumerate(carried):
+        for ri in owners:
+            covers[ri].add(c)
+    return cells, covers
+
+
 def test_refine_regions_covers_every_input():
     r1 = Region((Atom("a"),))
     r2 = Region((Atom("a", (Interval(F(0), F(1, 3)),)),))
-    cells, covers = refine_regions([r1, r2])
+    cells, covers = _refine([r1, r2])
     m1 = sum(cells[i].measure for i in covers[0])
     m2 = sum(cells[i].measure for i in covers[1])
     assert m1 == r1.measure and m2 == r2.measure
@@ -164,6 +184,26 @@ _interval = _frac.map(lambda p: Interval(*p))
 _atom = st.builds(Atom, st.sampled_from(["a", "r"]),
                   st.lists(_interval | st.just(FULL), max_size=2).map(tuple),
                   st.text(alphabet="*01", max_size=3), st.integers(0, 1))
+
+
+# A family of such atoms, some of them repeated.
+_family = st.lists(_atom, min_size=1, max_size=4).flatmap(
+    lambda atoms: st.lists(st.sampled_from(atoms), max_size=6))
+
+
+@given(_family)
+def test_refined_cells_carry_exactly_the_atoms_containing_them(atoms):
+    cells, carried = refine_regions([(a, i) for i, a in enumerate(atoms)])
+    assert len(carried) == len(cells)
+    for c, a in enumerate(cells):
+        assert a.measure > 0
+        assert all(a.intersect(b) is None for b in cells[c + 1:])
+        # each list follows input order, and each atom it names holds the cell
+        assert carried[c] == sorted(set(carried[c]))
+        assert all(a.intersect(atoms[i]) == a for i in carried[c])
+    for i, a in enumerate(atoms):
+        assert a.measure == sum(cell.measure for cell, owners in zip(cells, carried)
+                                if i in owners)
 
 
 @given(_atom, _atom)
@@ -290,5 +330,5 @@ def test_subset_ae_by_measure_is_the_refinement_answer(r2, cutters, extra, null)
               if (got := a.intersect(b)) is not None]
     assert subset_ae(Region(tuple(inside)), r2)
     r1 = _disjoint(list(extra.atoms) + inside + ([null] if null else []))
-    _, (c1, c2) = refine_regions([r1, r2])
+    _, (c1, c2) = _refine([r1, r2])
     assert subset_ae(r1, r2) == (c1 <= c2)
