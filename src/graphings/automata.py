@@ -219,6 +219,8 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
+    if not isinstance(stack_depth, int) or isinstance(stack_depth, bool):
+        raise ValidationError(f"stack_depth must be an int, got {stack_depth!r}")
     if a.stack and stack_depth < 1:
         raise ValidationError("stack machines need a positive stack budget")
     _check_word(word)

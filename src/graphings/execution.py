@@ -53,6 +53,11 @@ class ExecOptions:
     strict: bool = True          # plug: raise instead of dropping cut branches
 
     def __post_init__(self):
+        for name, kind in (("stack_depth", int), ("strict", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ValidationError(f"an option's {name} must be of type "
+                                      f"{kind.__name__}, got {value!r}")
         if self.stack_depth < 0:
             raise ValidationError(
                 f"stack depth must be at least 0, got {self.stack_depth}")
@@ -273,8 +278,11 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     never speaks keeps its state, so it passes through diagonally.  Families
     ending on the same dialect pairs, composite and flag are refined
     together, so pieces that overlap add their weights; a family of one
-    piece is kept as it is.  The node budget counts every configuration of
-    the walk, seeds included.
+    piece is kept as it is, and so is the mass of a cell only one piece
+    covers.  A move out of a seed takes its edge's realizer as the
+    composite, composing nothing, and masses are tested against zero and
+    ``(0, 1]`` on their numerator and denominator.  The node budget counts
+    every configuration of the walk, seeds included.
     """
     whole_f = Region(tuple(cut.left_rest.atoms) + tuple(cut.cut.atoms))
     whole_g = Region(tuple(cut.cut.atoms) + tuple(cut.right_rest.atoms))
@@ -317,7 +325,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
         moves = sides[turn].moves(cur[turn], atom.sym, atom.box, cyl)
         for e, grow, sym, box, moved in moves:
             r = e.realizer
-            nxt = comp.compose(r)
+            nxt = r if comp is identity else comp.compose(r)
             if max(nxt.pops, len(nxt.pushes)) > opts.stack_depth:
                 if opts.strict:
                     raise TruncationError("composite stack action outgrew the budget")
@@ -352,7 +360,7 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     # every move is one edge of one side
     for mass, (in_i, _, _, cur, comp, flag, piece) in _solve_walk(
             seeds, expand, "plug", lcm(f.weight_den, g.weight_den)):
-        if mass == 0:
+        if not mass.numerator:
             continue
         families.setdefault((in_i, pair_index[cur], comp, flag),
                             []).append((piece, mass))
@@ -360,14 +368,16 @@ def plug(f: GraphingRep, g: GraphingRep, cut: CutSpec,
     rows = []  # (cell, in pair, out pair, composite, flag, mass)
     for (in_i, out_i, comp, flag), found in families.items():
         # One piece, never null, is its own refinement; more are refined
-        # together and their masses added per cell.
+        # together and their masses added per cell, where more than one
+        # piece covers it.
         if len(found) > 1:
             cells, carried = refine_regions(found)
-            found = zip(cells, (sum(masses, _ZERO) for masses in carried))
+            found = zip(cells, (masses[0] if len(masses) == 1
+                                else sum(masses, _ZERO) for masses in carried))
         for cell, mass in found:
-            if mass == 0:
+            if not mass.numerator:
                 continue
-            if not 0 < mass <= 1:
+            if not 0 < mass.numerator <= mass.denominator:
                 raise ClosureViolation(f"path mass exceeds one: weight "
                                        f"probability {mass} outside [0,1]")
             rows.append((cell, in_i, out_i, comp, flag, mass))

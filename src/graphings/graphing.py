@@ -57,6 +57,12 @@ class Edge:
     weight: Weight = WEIGHT_ONE
 
     def __post_init__(self):
+        for name, kind in (("source", Region), ("in_state", int), ("out_state", int),
+                           ("realizer", Realizer), ("weight", Weight)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ValidationError(f"an edge's {name} must be of type "
+                                      f"{kind.__name__}, got {value!r}")
         _check_source(self.source)
 
     def image(self) -> Region:
@@ -94,6 +100,13 @@ class GraphingRep:
     edges: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.support, Region):
+            raise ValidationError(f"a graphing's support must be a Region, "
+                                  f"got {self.support!r}")
+        for d in self.dialect:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValidationError(f"a graphing's dialect states must be ints, "
+                                      f"got {d!r}")
         dialect = tuple(sorted(set(self.dialect)))
         if not dialect or any(d < 0 for d in dialect):
             raise ValidationError("dialect must be a nonempty set of natural numbers")
@@ -330,20 +343,32 @@ def is_refinement(fine: GraphingRep, coarse: GraphingRep) -> bool:
 
 
 def _assignable(f_edges, g_edges) -> bool:
+    """Can the fine edges be assigned to compatible coarse edges so that
+    each coarse source is tiled exactly?
+
+    Each distinct source object is refined once, with every other, and
+    each source is read as its set of cells.  Every cell lies a.e. inside a
+    source or a.e. outside it, so one source lies inside another exactly
+    when its cells are among the other's, and no pairwise ``subset_ae`` is
+    needed.
+    """
+    # by id: every source stays alive in the edge lists meanwhile
+    sources = {id(e.source): e.source for e in f_edges + g_edges}
+    _, carried = refine_regions([(a, i) for i, source in sources.items()
+                                 for a in source.atoms])
+    covers = {i: set() for i in sources}
+    for cell, owners in enumerate(carried):
+        for i in owners:
+            covers[i].add(cell)
+    f_cells = [covers[id(e.source)] for e in f_edges]
+    g_cells = [covers[id(e.source)] for e in g_edges]
     compatible = [[j for j, ge in enumerate(g_edges)
-                   if subset_ae(fe.source, ge.source) and _same_map_on(fe, ge)]
-                  for fe in f_edges]
+                   if f_cells[i] <= g_cells[j] and _same_map_on(fe, ge)]
+                  for i, fe in enumerate(f_edges)]
     if any(not c for c in compatible):
         return False
-    # per edge, f's then g's: the cells of its source
-    edges = f_edges + g_edges
-    _, carried = refine_regions([(a, k) for k, e in enumerate(edges)
-                                 for a in e.source.atoms])
-    covers = [set() for _ in edges]
-    for cell, sources in enumerate(carried):
-        for k in sources:
-            covers[k].add(cell)
-    f_cells, remaining = covers[:len(f_edges)], covers[len(f_edges):]
+    # sources are shared, so each coarse edge gets its own copy to wear down
+    remaining = [set(c) for c in g_cells]
 
     def assign(i: int) -> bool:
         if i == len(f_edges):

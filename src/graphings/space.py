@@ -217,7 +217,10 @@ class Atom:
         return Fraction(*_box_parts(self.box, 3 ** len(self.cyl)))
 
     def intersect(self, other: "Atom") -> "Atom | None":
-        """The common part, or None when it is null; never a null atom."""
+        """The common part, or None when it is null; never a null atom.  An
+        atom of positive measure meets itself in itself."""
+        if other is self:
+            return None if any(a == b for a, b, _ in self.box) else self
         if self.sym != other.sym or self.state != other.state:
             return None
         cyl = cyl_intersect(self.cyl, other.cyl)
@@ -275,6 +278,9 @@ class Region:
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
+        for a in atoms:
+            if not isinstance(a, Atom):
+                raise ValidationError(f"a region's atoms must be Atoms, got {a!r}")
         object.__setattr__(self, "atoms", atoms)
         for i, a in enumerate(atoms):
             for b in atoms[i + 1:]:
@@ -325,6 +331,11 @@ def refine_regions(items):
     of the atoms, and ``carried[c]`` lists, in input order, the payload of
     every input atom that contains ``cells[c]``.  Each input atom is the
     union of the cells that carry its payload.
+
+    A (symbol, state) group whose members are all one atom is its own
+    refinement: that atom is the group's one cell, carrying every payload,
+    and nothing is cut (a null atom gives no cell, as cutting it would).  A
+    cylinder already as deep as its group's deepest is not expanded.
     """
     groups: dict = {}
     for atom, payload in items:
@@ -334,6 +345,12 @@ def refine_regions(items):
     carried: list[list] = []
     index: dict = {}
     for (sym, state), members in sorted(groups.items(), key=lambda kv: (sym_index(kv[0][0]), kv[0][1])):
+        first = members[0][1]
+        if all(a is first or a == first for _, a in members):
+            if all(a < b for a, b, _ in first.box):
+                elementary.append(first)
+                carried.append([payload for payload, _ in members])
+            continue
         depth = max(len(a.cyl) for _, a in members)
         width = max((len(a.box) for _, a in members), default=0)
         # Per coordinate: every endpoint as an int over one common
@@ -351,8 +368,10 @@ def refine_regions(items):
             for c, (den, pos, cells) in enumerate(axes, 1):
                 a, b, d = box_get(atom.box, c)
                 coord_cells.append(cells[pos[a * (den // d)]:pos[b * (den // d)]])
+            words = ((atom.cyl,) if len(atom.cyl) == depth
+                     else tuple(expand_prefix(atom.cyl, depth)))
             for combo in product(*coord_cells) if width else [()]:
-                for word in expand_prefix(atom.cyl, depth):
+                for word in words:
                     key = (sym, state, combo, word)
                     at = index.get(key)
                     if at is None:

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+import shutil
 import subprocess
 import sys
 
@@ -60,11 +61,30 @@ def test_tiny_workload_runs_and_matches_its_recorded_digest(workload, tmp_path):
     assert list(tmp_path.iterdir()) == []  # an untraced run writes no file
 
 
+def _harness_copy(root: Path) -> Path:
+    """The harness files copied to ``root/perfbench``, with the checkout's
+    ``src`` linked beside them: the traced run writes its spans under the
+    harness's own directory, so a copy keeps them out of the checkout."""
+    copy = root / "perfbench"
+    copy.mkdir(parents=True)
+    for path in PERFBENCH.iterdir():
+        if path.is_file():
+            shutil.copy2(path, copy / path.name)
+    (root / "src").symlink_to(PERFBENCH.parent / "src", target_is_directory=True)
+    return copy
+
+
+def _listing(directory: Path) -> list:
+    return sorted(directory.iterdir()) if directory.is_dir() else []
+
+
 def test_traced_plug_closure_run_counts_its_refinements(tmp_path):
     # the traced pass wraps every traced name; on plug-closure it reaches
     # refine_regions and counts the cells each call returns
+    harness = _harness_copy(tmp_path / "checkout")
+    before = _listing(PERFBENCH / "out")
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "plug-closure",
+        [sys.executable, str(harness / "run.py"), "--workload", "plug-closure",
          "--seed", "7", "--seconds", "0.2", "--trace", "1", "--size", "tiny"],
         capture_output=True, text=True, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -73,3 +93,5 @@ def test_traced_plug_closure_run_counts_its_refinements(tmp_path):
     metrics = result["metrics"]
     assert metrics["space.refine_regions_calls"]["value"] > 0
     assert metrics["space.cells"]["value"] > 0
+    assert _listing(harness / "out")  # the spans went to the copy
+    assert _listing(PERFBENCH / "out") == before

@@ -636,6 +636,21 @@ def test_degenerate_accept_region_carries_no_mass():
     assert ps.exact and ps.dropped == 0
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"stack_depth": 1.5}, "stack_depth"), ({"stack_depth": True}, "stack_depth"),
+    ({"stack_depth": "3"}, "stack_depth"), ({"strict": 2}, "strict")],
+    ids=["float-depth", "bool-depth", "str-depth", "int-strict"])
+def test_wrong_typed_options_are_refused_by_name(kw, field):
+    with pytest.raises(ValidationError, match=f"option's {field} must be"):
+        ExecOptions(**kw)
+
+
+@pytest.mark.parametrize("depth", [1.5, True, "3"])
+def test_the_oracle_refuses_a_stack_budget_that_is_not_an_int(depth):
+    with pytest.raises(ValidationError, match="stack_depth must be an int"):
+        accept_probability(by_name("biased-stack-walk"), "", depth)
+
+
 def test_negative_stack_budget_is_rejected():
     with pytest.raises(ValidationError, match="stack depth"):
         ExecOptions(stack_depth=-1)

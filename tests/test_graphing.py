@@ -33,6 +33,26 @@ def test_edge_source_must_be_spatial_and_fat():
         Edge(Region((Atom("a", (Interval(F(0), F(0)),)),)), 0, 0)
 
 
+@pytest.mark.parametrize("args, field", [
+    ((0.5, 0), "in_state"), ((0, True), "out_state"), (("0", 0), "in_state"),
+    ((0, 0, "id"), "realizer"), ((0, 0, Realizer(), F(1)), "weight")],
+    ids=["float-in", "bool-out", "str-in", "str-realizer", "bare-weight"])
+def test_wrong_typed_edge_fields_are_refused_by_name(args, field):
+    with pytest.raises(ValidationError, match=f"edge's {field} must be"):
+        Edge(Region((Atom("0i"),)), *args)
+    with pytest.raises(ValidationError, match="edge's source must be"):
+        Edge((Atom("0i"),), 0, 0)
+
+
+@pytest.mark.parametrize("dialect", [(1.5,), (0, True), ("0",)],
+                         ids=["float", "bool", "str"])
+def test_wrong_typed_dialect_states_are_refused(dialect):
+    with pytest.raises(ValidationError, match="dialect states must be ints"):
+        GraphingRep(Region((Atom("0i"),)), dialect)
+    with pytest.raises(ValidationError, match="support must be a Region"):
+        GraphingRep((Atom("0i"),))
+
+
 def _two_cells():
     left = Atom("a", (Interval(F(0), F(1, 2)),))
     right = Atom("a", (Interval(F(1, 2), F(1)),))

@@ -11,7 +11,9 @@ from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
 import random
+from unittest import mock
 
+from hypothesis import given, strategies as st
 import pytest
 
 from graphings import execution, generators, graphing, space
@@ -217,6 +219,142 @@ def test_region_comparisons_over_mixed_denominators():
     assert not ae_equal(half, thirds) and ae_equal(whole, thirds)
     assert disjoint_ae(half, upper) and not disjoint_ae(thirds, half)
     assert disjoint_ae(Region(), thirds) and subset_ae(Region(), half)
+
+
+# --- is_refinement against pairwise containment -------------------------------------
+
+
+def _reference_assignable(f_edges, g_edges):
+    """Compatibility by a pairwise ``subset_ae`` per (fine, coarse) edge
+    pair, then one refinement of every edge's source: what
+    ``graphing._assignable`` does without reading containment off the
+    refinement."""
+    compatible = [[j for j, ge in enumerate(g_edges)
+                   if subset_ae(fe.source, ge.source) and graphing._same_map_on(fe, ge)]
+                  for fe in f_edges]
+    if any(not c for c in compatible):
+        return False
+    edges = f_edges + g_edges
+    _, covers = _refine([e.source for e in edges])
+    f_cells, remaining = covers[:len(f_edges)], covers[len(f_edges):]
+
+    def assign(i):
+        if i == len(f_edges):
+            return all(not r for r in remaining)
+        for j in compatible[i]:
+            if f_cells[i] <= remaining[j]:
+                remaining[j] -= f_cells[i]
+                if assign(i + 1):
+                    return True
+                remaining[j] |= f_cells[i]
+        return False
+
+    return assign(0)
+
+
+def _reference_is_refinement(fine, coarse):
+    with mock.patch.object(graphing, "_assignable", _reference_assignable):
+        return is_refinement(fine, coarse)
+
+
+_Q = [F(k, 4) for k in range(5)]
+
+
+def _box_region(lo, hi):
+    return Region((Atom("0i", (Interval(_Q[lo], _Q[hi]),)),))
+
+
+# Coarse sources, each one object that several edges may share: two halves
+# that meet at 1/2, a middle quarter-pair overlapping both, and two cylinders.
+_SOURCES = (_box_region(0, 2), _box_region(2, 4), _box_region(1, 3),
+            Region((Atom("1i"),)), Region((Atom("1i", (), "0"),)))
+# The map on cylinder ``0`` popping and pushing back its ``0`` is the identity
+# there, so ``_same_map_on`` must look past how a realizer is written.
+_REALIZERS = (Realizer(), Realizer(shift=2), Realizer(pops=1, pushes="0"),
+              Realizer(pops=1, pushes="1"))
+_PROBS = (F(1), F(1, 2))
+_SUPPORT = Region(tuple(Atom(s) for s in space.SYMBOLS))
+# One fine source straddling the halves' boundary at 1/2.
+_STRADDLE = _box_region(1, 3)
+
+
+def _pieces(source, how):
+    """A partition of a one-atom source: itself (the same object), its box
+    cut at a quarter point inside it, or its three cylinder children."""
+    (a,) = source.atoms
+    if how == 0:
+        return [source]
+    if how == 1 and a.box:
+        lo, hi = a.box[0].lo, a.box[0].hi
+        cuts = [q for q in _Q if lo < q < hi]
+        if cuts:
+            return [Region((Atom(a.sym, (Interval(x, y),), a.cyl),))
+                    for x, y in ((lo, cuts[0]), (cuts[0], hi))]
+    return [Region((Atom(a.sym, a.box, a.cyl + c),)) for c in "*01"]
+
+
+@st.composite
+def _refinement_pairs(draw):
+    """A coarse graphing over shared, partly overlapping sources, a fine one
+    made by splitting its sources (one split per source object, so the
+    pieces are shared as the sources are), and then perhaps one mutation."""
+    coarse, fine, split = [], [], {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(_SOURCES) - 1))
+        e = Edge(_SOURCES[k], draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+                 draw(st.sampled_from(_REALIZERS)), Weight(draw(st.sampled_from(_PROBS))))
+        coarse.append(e)
+        if k not in split:
+            split[k] = _pieces(_SOURCES[k], draw(st.integers(0, 2)))
+        fine += [replace(e, source=piece) for piece in split[k]]
+    mutation = draw(st.sampled_from(["none", "weight", "realizer", "drop",
+                                     "straddle"]))
+    if mutation != "none":
+        i = draw(st.integers(0, len(fine) - 1))
+        e = fine[i]
+        if mutation == "weight":
+            fine[i] = replace(e, weight=Weight(F(1, 3)))
+        elif mutation == "realizer":
+            fine[i] = replace(e, realizer=draw(st.sampled_from(_REALIZERS)))
+        elif mutation == "drop":
+            del fine[i]
+        else:
+            fine[i] = replace(e, source=_STRADDLE)
+    return (GraphingRep(_SUPPORT, (0, 1), tuple(fine)),
+            GraphingRep(_SUPPORT, (0, 1), tuple(coarse)))
+
+
+@given(_refinement_pairs())
+def test_refinement_verdicts_match_pairwise_containment(pair):
+    fine, coarse = pair
+    assert is_refinement(fine, coarse) == _reference_is_refinement(fine, coarse)
+    assert is_refinement(coarse, fine) == _reference_is_refinement(coarse, fine)
+
+
+def _edges(*specs):
+    return GraphingRep(_SUPPORT, (0, 1), tuple(
+        Edge(source, 0, 0, realizer, Weight(p)) for source, realizer, p in specs))
+
+
+_ID = _REALIZERS[0]
+_LEFT, _RIGHT, _MID = _SOURCES[:3]
+
+
+@pytest.mark.parametrize("fine, coarse, verdict", [
+    # one source object shared by both graphings and by two coarse edges
+    (_edges((_LEFT, _ID, F(1, 2)), (_LEFT, _ID, F(1, 2))),
+     _edges((_LEFT, _ID, F(1, 2)), (_LEFT, _ID, F(1, 2))), True),
+    # the fine halves of a source that partly overlaps the coarse ones
+    (_edges(*((p, _ID, 1) for p in _pieces(_MID, 1)), (_LEFT, _ID, 1)),
+     _edges((_MID, _ID, 1), (_LEFT, _ID, 1)), True),
+    # a fine piece straddling two coarse sources fits inside neither
+    (_edges((_box_region(0, 1), _ID, 1), (_STRADDLE, _ID, 1), (_box_region(3, 4), _ID, 1)),
+     _edges((_LEFT, _ID, 1), (_RIGHT, _ID, 1)), False),
+    # half of a coarse source is left untiled
+    (_edges((_pieces(_LEFT, 1)[0], _ID, 1)), _edges((_LEFT, _ID, 1)), False),
+], ids=["shared", "overlap", "straddle", "drop"])
+def test_refinement_cases_match_pairwise_containment(fine, coarse, verdict):
+    assert is_refinement(fine, coarse) == _reference_is_refinement(fine, coarse) == verdict
 
 
 # --- what the predicates no longer do ----------------------------------------------

@@ -7,14 +7,17 @@ import pickle
 import pytest
 from hypothesis import example, given, strategies as st
 
+from itertools import product
+from math import lcm
+
 from graphings.errors import ValidationError
 from graphings.space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom,
-                             Interval, Region, ae_equal, box_den, box_intersect,
-                             cyl_intersect, disjoint_ae, format_atom,
-                             format_interval, format_region, full_symbol_region,
-                             parse_atom, parse_interval, parse_region,
-                             refine_regions, subset_ae, sym_index, sym_of,
-                             sym_shift)
+                             Interval, Region, ae_equal, box_den, box_get,
+                             box_intersect, cyl_intersect, disjoint_ae,
+                             expand_prefix, format_atom, format_interval,
+                             format_region, full_symbol_region, parse_atom,
+                             parse_interval, parse_region, refine_regions,
+                             subset_ae, sym_index, sym_of, sym_shift)
 
 
 def test_symbol_table():
@@ -92,6 +95,18 @@ def test_cylinder_measure_is_one_third_per_letter(n):
 def test_atom_measure_multiplies_parts():
     a = Atom("0i", (Interval(F(0), F(1, 2)),), "*0")
     assert a.measure == F(1, 2) * F(1, 9)
+
+
+def test_an_atom_meets_itself_in_itself_unless_it_is_null():
+    a = Atom("0i", (Interval(F(0), F(1, 2)),), "*0")
+    assert a.intersect(a) is a
+    point = Atom("0i", (Interval(F(1, 3), F(1, 3)),))
+    assert point.intersect(point) is None
+
+
+def test_a_region_of_non_atoms_is_refused():
+    with pytest.raises(ValidationError, match="region's atoms must be Atoms"):
+        Region(("a",))
 
 
 def test_atom_intersect_requires_same_symbol_and_state():
@@ -204,6 +219,71 @@ def test_refined_cells_carry_exactly_the_atoms_containing_them(atoms):
     for i, a in enumerate(atoms):
         assert a.measure == sum(cell.measure for cell, owners in zip(cells, carried)
                                 if i in owners)
+
+
+def _reference_refine_regions(items):
+    """Every group cut at every endpoint and every cylinder expanded to the
+    group's depth, with no short-circuit: the refinement the library's must
+    equal, cell for cell and in the same order."""
+    groups: dict = {}
+    for atom, payload in items:
+        groups.setdefault((atom.sym, atom.state), []).append((payload, atom))
+    elementary, carried, index = [], [], {}
+    for (sym, state), members in sorted(groups.items(),
+                                        key=lambda kv: (sym_index(kv[0][0]), kv[0][1])):
+        depth = max(len(a.cyl) for _, a in members)
+        width = max((len(a.box) for _, a in members), default=0)
+        axes = []
+        for c in range(1, width + 1):
+            ivs = [box_get(a.box, c) for _, a in members]
+            den = lcm(*(d for _, _, d in ivs))
+            cuts = sorted({0, den, *(x * (den // d) for a, b, d in ivs for x in (a, b))})
+            axes.append((den, {x: i for i, x in enumerate(cuts)},
+                         [Interval(F(lo, den), F(hi, den))
+                          for lo, hi in zip(cuts, cuts[1:])]))
+        for payload, atom in members:
+            coord_cells = []
+            for c, (den, pos, cells) in enumerate(axes, 1):
+                a, b, d = box_get(atom.box, c)
+                coord_cells.append(cells[pos[a * (den // d)]:pos[b * (den // d)]])
+            for combo in product(*coord_cells) if width else [()]:
+                for word in expand_prefix(atom.cyl, depth):
+                    key = (sym, state, combo, word)
+                    at = index.get(key)
+                    if at is None:
+                        elementary.append(Atom(sym, combo, word, state))
+                        carried.append([])
+                        at = index[key] = len(elementary) - 1
+                    carried[at].append(payload)
+    return elementary, carried
+
+
+# Boxes of up to three coordinates, so a full interval can sit in the
+# middle; a family of one to four such atoms, repeated, or one atom many
+# times, so that every member of a group may be the same atom.
+_wide_atom = st.builds(Atom, st.sampled_from(["a", "r"]),
+                       st.lists(_interval | st.just(FULL), max_size=3).map(tuple),
+                       st.text(alphabet="*01", max_size=3), st.integers(0, 1))
+_repeats = (st.lists(_wide_atom, min_size=1, max_size=4).flatmap(
+    lambda atoms: st.lists(st.sampled_from(atoms), max_size=6))
+    | st.tuples(_wide_atom, st.integers(1, 4)).map(lambda p: [p[0]] * p[1]))
+_HALF, _THIRD = Interval(F(0), F(1, 2)), Interval(F(1, 3), F(2, 3))
+
+
+@given(_repeats)
+@example([Atom("a", (Interval(F(0), F(0)),))] * 2)
+@example([Atom("a", (Interval(F(0), F(0)),)), Atom("a", (Interval(F(0), F(0)),), "*")])
+@example([Atom("a", (_HALF, FULL, _THIRD))] * 3)
+@example([Atom("a", (_HALF, FULL, _THIRD)), Atom("a", (FULL, FULL, _HALF))])
+@example([Atom("r", (), "*0", 1)] * 2 + [Atom("r", (), "*", 1)])
+@example([Atom("r", (), "01"), Atom("a", (_HALF,), "0"), Atom("r", (), "01")])
+@example([Atom("a", (_HALF,)), Atom("a", (_THIRD,), "0")])
+def test_refinement_matches_the_uncut_reference(atoms):
+    items = [(a, i) for i, a in enumerate(atoms)]
+    cells, carried = refine_regions(items)
+    want_cells, want_carried = _reference_refine_regions(items)
+    assert cells == want_cells
+    assert carried == want_carried
 
 
 @given(_atom, _atom)
