@@ -22,7 +22,7 @@ from math import lcm
 from types import MappingProxyType
 
 from . import linsolve
-from .errors import ClosureViolation, FormatError, ValidationError
+from .errors import ClosureViolation, FormatError, ValidationError, check_type
 from .linsolve import prune, solve_affine
 from .theta import STACK_OPS
 
@@ -40,6 +40,7 @@ class Instruction:
     prob: Fraction
 
     def __post_init__(self):
+        check_type("an instruction's head", self.head, int)
         if not isinstance(self.prob, Fraction):
             object.__setattr__(self, "prob", Fraction(self.prob))
 
@@ -55,6 +56,7 @@ class Automaton:
     stack: bool = False
 
     def __post_init__(self):
+        check_type("an automaton's heads", self.heads, int)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "delta", MappingProxyType(
             {key: tuple(instrs) for key, instrs in self.delta.items()}))
@@ -219,8 +221,7 @@ def accept_probability(a: Automaton, word: str, stack_depth: int = 16,
     """
     if outcome not in (ACCEPT, REJECT):
         raise ValidationError(f"outcome must be accept or reject, got {outcome!r}")
-    if not isinstance(stack_depth, int) or isinstance(stack_depth, bool):
-        raise ValidationError(f"stack_depth must be an int, got {stack_depth!r}")
+    check_type("stack_depth", stack_depth, int)
     if a.stack and stack_depth < 1:
         raise ValidationError("stack machines need a positive stack budget")
     _check_word(word)

@@ -38,7 +38,8 @@ from .errors import ValidationError
 from .graphing import (MAX_DIALECT_RANGE, Edge, GraphingRep, Weight, _edge,
                        format_edges, format_header)
 from .realizer import Realizer, perm_apply, swap
-from .space import Atom, Region, full_symbol_region, sym_index, sym_of
+from .space import (Atom, Region, built_once, full_symbol_region, sym_index,
+                    sym_of)
 from .theta import encode_stack_op, split_normal
 
 _RESULT_SYM = {ACCEPT: "a", REJECT: "r"}
@@ -170,19 +171,13 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
     number = dialect.number
     start = number(DialectState(INIT, identity, marker, "*"))
     edges: list[Edge] = []
+    # The edges share few sources, realizers and weights, and every copy
+    # would stay alive with the machine; each move's action is worked out once.
     parts: dict = {}
 
-    def part(make, *args):
-        """``make(*args)`` built once.  The edges share few sources, realizers
-        and weights, and every copy would stay alive with the machine; each
-        move's action is worked out once."""
-        value = parts.get((make, *args))
-        if value is None:
-            value = parts[make, *args] = make(*args)
-        return value
-
     def emit(sym, last, in_state, out, realizer, key, instr, weight):
-        edge = _edge(part(_source, sym, last), in_state, out, realizer, weight)
+        edge = _edge(built_once(parts, _source, sym, last), in_state, out, realizer,
+                     weight)
         edges.append(edge)
         if provenance is not None:
             provenance.setdefault(edge, []).append((key, instr))
@@ -195,12 +190,13 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
         if t.next_state in (ACCEPT, REJECT):
             shift = sym_index(_RESULT_SYM[t.next_state]) - sym_index(src_sym)
             out = number(DialectState(t.next_state, coords, read, last))
-            emit(src_sym, guard, in_state, out, part(Realizer, shift), key, t, weight)
+            emit(src_sym, guard, in_state, out, built_once(parts, Realizer, shift), key,
+                 t, weight)
             return
-        tau, out_coords, (pushes, pops) = part(_move_action, t.head, coords,
-                                               t.stack_op)
+        tau, out_coords, (pushes, pops) = built_once(parts, _move_action, t.head,
+                                                     coords, t.stack_op)
         shift = sym_index(sym_of(read[t.head - 1], t.direction)) - sym_index(src_sym)
-        realizer = part(Realizer, shift, tau, (), pops, pushes)
+        realizer = built_once(parts, Realizer, shift, tau, (), pops, pushes)
         # a pop is guarded on the symbol it pops, which becomes the last one
         for src_guard, out_last in ([(p, p) for p in guard or "*01"] if pops
                                     else [(guard, last)]):
@@ -213,7 +209,7 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
     for t in a.delta.get(start_key, ()):
         for probe in ("a", "r"):
             step(probe, "*", start, identity, marker, "*", start_key, t,
-                 part(Weight, t.prob))
+                 built_once(parts, Weight, t.prob))
 
     if reachable:
         # Move and halting edges out of each state the start state reaches,
@@ -224,7 +220,7 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
         rows: dict = {}
         for key, instrs in a.delta.items():
             read_t, q, _ = key
-            weighted = [(t, part(Weight, t.prob)) for t in instrs]
+            weighted = [(t, built_once(parts, Weight, t.prob)) for t in instrs]
             for h in range(k):
                 rows.setdefault((q, h, read_t[:h] + read_t[h + 1:]), []).append(
                     (key, weighted))
@@ -255,7 +251,7 @@ def _emit_edges(a: Automaton, dialect: _Dialect, provenance: dict | None = None,
         read_t, q, _ = key
         u_range = [u for u in "*01" if firing_key(a, read_t, q, u) == key]
         for t in instrs:
-            weight = part(Weight, t.prob)
+            weight = built_once(parts, Weight, t.prob)
             for coords in permutations(range(1, k + 1)):
                 h1 = coords.index(1) + 1  # head currently on coordinate 1
                 src_letter = read_t[h1 - 1]

@@ -36,7 +36,7 @@ from itertools import product
 from math import lcm
 
 from . import linsolve
-from .errors import ClosureViolation, TruncationError, ValidationError
+from .errors import ClosureViolation, TruncationError, ValidationError, check_type
 from .graphing import GraphingRep, Weight, _edge
 from .linsolve import prune, solve_affine
 from .realizer import Realizer
@@ -53,11 +53,8 @@ class ExecOptions:
     strict: bool = True          # plug: raise instead of dropping cut branches
 
     def __post_init__(self):
-        for name, kind in (("stack_depth", int), ("strict", bool)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ValidationError(f"an option's {name} must be of type "
-                                      f"{kind.__name__}, got {value!r}")
+        check_type("an option's stack_depth", self.stack_depth, int)
+        check_type("an option's strict", self.strict, bool)
         if self.stack_depth < 0:
             raise ValidationError(
                 f"stack depth must be at least 0, got {self.stack_depth}")

@@ -19,20 +19,12 @@ from .execution import CutSpec
 from .graphing import (GraphingRep, Weight, _check_source, _edge, is_deterministic,
                        is_subprobabilistic)
 from .realizer import Realizer
-from .space import Atom, Interval, Region, format_atom, sym_index
+from .space import Atom, Interval, Region, built_once, format_atom, sym_index
 
 _CUT_CHOICES = (("0i",), ("0o",), ("1i",), ("0i", "1o"), ("0o", "1i"))
 
 # (maker, *arguments) -> the part it made; generated parts are immutable
 _PARTS: dict = {}
-
-
-def _part(make, *args):
-    """``make(*args)``, built once."""
-    value = _PARTS.get((make, *args))
-    if value is None:
-        value = _PARTS[make, *args] = make(*args)
-    return value
 
 
 def _cell(sym: str, i: int, grid: int, cyl: str) -> Region:
@@ -67,13 +59,13 @@ def _wire(rng: random.Random, grid: int, sources, targets, dialect,
           weights_for) -> list:
     edges = []
     for sym, i in sources:
-        source, k = _part(_cell, sym, i, grid, ""), sym_index(sym)
+        source, k = built_once(_PARTS, _cell, sym, i, grid, ""), sym_index(sym)
         for in_state in dialect:
             for weight in weights_for(rng):
                 dst, j = rng.choice(targets)
-                edges.append(_edge(source, in_state, rng.choice(dialect),
-                                   _part(_hop, sym_index(dst) - k, j - i, grid),
-                                   _part(_weight, *weight)))
+                hop = built_once(_PARTS, _hop, sym_index(dst) - k, j - i, grid)
+                edges.append(_edge(source, in_state, rng.choice(dialect), hop,
+                                   built_once(_PARTS, _weight, *weight)))
     return edges
 
 
@@ -146,9 +138,11 @@ def split_sources(g: GraphingRep, seed: int) -> GraphingRep:
         a = atoms[0]
         i, grid = _cell_index(a)
         if rng.random() < 0.5 and a.box:
-            pieces = [_part(_cell, a.sym, 2 * i + h, 2 * grid, a.cyl) for h in (0, 1)]
+            pieces = [built_once(_PARTS, _cell, a.sym, 2 * i + h, 2 * grid, a.cyl)
+                      for h in (0, 1)]
         else:
-            pieces = [_part(_cell, a.sym, i, grid, a.cyl + c) for c in "*01"]
+            pieces = [built_once(_PARTS, _cell, a.sym, i, grid, a.cyl + c)
+                      for c in "*01"]
         out.extend(_edge(piece, e.in_state, e.out_state, e.realizer, e.weight)
                    for piece in pieces)
     return GraphingRep(g.support, g.dialect, tuple(out))

@@ -23,10 +23,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_type
 from .realizer import Realizer, perm_apply, perm_of
 from .space import (ONE, ZERO, Region, _atom, _new_object, _set, ae_equal,
-                    box_den, expand_prefix, format_region, parse_region,
+                    box_den, built_once, expand_prefix, format_region, parse_region,
                     refine_regions, subset_ae)
 from . import theta
 
@@ -41,6 +41,7 @@ class Weight:
             object.__setattr__(self, "p", Fraction(self.p))
         if not ZERO <= self.p <= ONE:
             raise ValidationError(f"weight probability {self.p} outside [0,1]")
+        check_type("a weight's flag", self.flag, int)
         if self.flag not in (0, 1):
             raise ValidationError(f"weight flag must be 0 or 1, got {self.flag}")
 
@@ -59,10 +60,7 @@ class Edge:
     def __post_init__(self):
         for name, kind in (("source", Region), ("in_state", int), ("out_state", int),
                            ("realizer", Realizer), ("weight", Weight)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ValidationError(f"an edge's {name} must be of type "
-                                      f"{kind.__name__}, got {value!r}")
+            check_type(f"an edge's {name}", getattr(self, name), kind)
         _check_source(self.source)
 
     def image(self) -> Region:
@@ -100,13 +98,9 @@ class GraphingRep:
     edges: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.support, Region):
-            raise ValidationError(f"a graphing's support must be a Region, "
-                                  f"got {self.support!r}")
+        check_type("a graphing's support", self.support, Region)
         for d in self.dialect:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ValidationError(f"a graphing's dialect states must be ints, "
-                                      f"got {d!r}")
+            check_type("a graphing's dialect state", d, int)
         dialect = tuple(sorted(set(self.dialect)))
         if not dialect or any(d < 0 for d in dialect):
             raise ValidationError("dialect must be a nonempty set of natural numbers")
@@ -461,7 +455,7 @@ def parse_realizer(text: str) -> Realizer:
                     c, a = part.split(":")
                     box_shift.append((int(c), Fraction(a)))
             elif tok.startswith("t"):
-                pushes, pops = theta.split_normal(theta.reduce(theta.parse_theta(tok[1:])))
+                pushes, pops = theta.split_normal(theta.parse_theta(tok[1:]))
             else:
                 raise ValueError(f"unknown token {tok!r}")
         except (ValueError, ZeroDivisionError, ValidationError) as exc:
@@ -537,14 +531,6 @@ def format_graphing(g: GraphingRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _shared(table: dict, token: str, parse):
-    """``parse(token)``, parsed once per distinct token of one file."""
-    got = table.get(token)
-    if got is None:
-        got = table[token] = parse(token)
-    return got
-
-
 def _parse_source(text: str) -> Region:
     return _check_source(parse_region(text))
 
@@ -558,7 +544,7 @@ def parse_graphing(text: str) -> GraphingRep:
     line.  Every edge carrying a token shares its one object.
     """
     dialect, support, edges = None, None, []
-    sources, realizers, weights = {}, {}, {}  # token -> its one object
+    parts: dict = {}  # (parser, token) -> its one object
     headers = set()  # header keys read so far: each may appear once
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -581,9 +567,9 @@ def parse_graphing(text: str) -> GraphingRep:
                 fields = [f.strip() for f in value.split("@")]
                 if len(fields) != 5:
                     raise FormatError("edge needs 5 fields separated by '@'")
-                source = _shared(sources, fields[0], _parse_source)
-                realizer = _shared(realizers, fields[3], parse_realizer)
-                weight = _shared(weights, fields[4], parse_weight)
+                source = built_once(parts, _parse_source, fields[0])
+                realizer = built_once(parts, parse_realizer, fields[3])
+                weight = built_once(parts, parse_weight, fields[4])
                 edges.append(_edge(source, int(fields[1]), int(fields[2]),
                                    realizer, weight))
             else:

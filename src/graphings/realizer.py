@@ -31,7 +31,7 @@ from functools import total_ordering
 from math import gcd
 from numbers import Rational
 
-from .errors import ValidationError
+from .errors import ValidationError, check_type, is_int
 from .space import (Atom, Region, _atom, _canon_box, _new_object, _set,
                     box_get, box_intersect, cyl_intersect, expand_prefix,
                     sym_shift)
@@ -57,7 +57,7 @@ def _check_coords(coords) -> None:
 def _perm_pair(entry) -> tuple:
     """A ``(source, image)`` pair of int coordinates, as that pair."""
     if (isinstance(entry, (tuple, list)) and len(entry) == 2
-            and all(isinstance(c, int) for c in entry)):
+            and all(map(is_int, entry))):
         return tuple(entry)
     raise ValidationError("a permutation entry is a (source, image) pair of "
                           f"int coordinates, got {entry!r}")
@@ -68,14 +68,13 @@ def _box_translation(entry) -> tuple:
     num, den)`` triple with ``den > 0``, as that triple; the coordinate an
     int."""
     if (isinstance(entry, (tuple, list)) and len(entry) == 2
-            and isinstance(entry[0], int) and isinstance(entry[1], Rational)):
+            and is_int(entry[0]) and isinstance(entry[1], Rational)):
         c, amount = entry
         amount = Fraction(amount)
         return c, amount.numerator, amount.denominator
     if isinstance(entry, (tuple, list)) and len(entry) == 3:
         c, n, d = entry
-        if (all(isinstance(x, int) for x in entry) and d > 0
-                and gcd(n, d) == 1):
+        if all(map(is_int, entry)) and d > 0 and gcd(n, d) == 1:
             return c, n, d
     raise ValidationError("a box translation is a (coord, amount) pair or a "
                           f"reduced (coord, num, den) triple, got {entry!r}")
@@ -129,11 +128,9 @@ class Realizer:
     pushes: str = ""
 
     def __post_init__(self):
-        for name, kind in (("shift", int), ("pops", int), ("pushes", str)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValidationError(f"a realizer's {name} must be of type "
-                                      f"{kind.__name__}, got {value!r}")
+        check_type("a realizer's shift", self.shift, int)
+        check_type("a realizer's pops", self.pops, int)
+        check_type("a realizer's pushes", self.pushes, str)
         mapping = dict(_perm_pair(entry) for entry in self.perm)
         if len(mapping) != len(self.perm):
             raise ValidationError(f"permutation names a source coordinate twice: "
@@ -210,6 +207,8 @@ class Realizer:
         return out
 
     def _apply_exact(self, atom: Atom) -> Atom:
+        """The image of ``atom``, whose cylinder prefix is at least ``pops``
+        long, as ``apply_atom`` expands every piece."""
         sym = sym_shift(atom.sym, self.shift)
         box = atom.box
         if self.perm or self.box_shift:
@@ -221,9 +220,6 @@ class Realizer:
                 amount = shifts.get(c)
                 image.append(iv.translate(*amount) if amount else iv)
             box = _canon_box(image)
-        if self.pops > len(atom.cyl):
-            raise ValidationError(f"popping {self.pops} symbols needs a cylinder "
-                                  f"prefix that long, got {atom.cyl!r}")
         cyl = self.pushes + atom.cyl[self.pops:]
         return _atom(sym, box, cyl, atom.state)
 

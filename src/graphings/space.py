@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_type
 
 # The fixed injection of the eight protocol symbols into unit intervals of the
 # real line, in this order.  Index k occupies [k, k+1).  The first six form
@@ -203,12 +203,10 @@ class Atom:
         if not all(isinstance(iv, Interval) for iv in box):
             raise ValidationError("an atom's box must be a tuple of intervals")
         object.__setattr__(self, "box", _canon_box(box))
-        if not isinstance(self.cyl, str):
-            raise ValidationError(f"an atom's cylinder must be a str, got {self.cyl!r}")
+        check_type("an atom's cylinder", self.cyl, str)
         if any(ch not in "*01" for ch in self.cyl):
             raise ValidationError(f"cylinder prefix {self.cyl!r} not over *01")
-        if not isinstance(self.state, int):
-            raise ValidationError(f"an atom's state must be an int, got {self.state!r}")
+        check_type("an atom's state", self.state, int)
         if self.state < 0:
             raise ValidationError("dialect state must be a natural number")
 
@@ -259,6 +257,16 @@ def box_den(atoms) -> int:
 _new_object, _set = object.__new__, object.__setattr__
 
 
+def built_once(table: dict, make, *args):
+    """``make(*args)``, built once per ``table``: a later call with the same
+    ``make`` and arguments returns the object the first one built."""
+    key = (make, *args)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = make(*args)
+    return value
+
+
 def _atom(sym: str, box: tuple, cyl: str, state: int) -> Atom:
     """An atom from parts already valid, ``box`` canonical; nothing is checked."""
     atom = _new_object(Atom)
@@ -279,8 +287,7 @@ class Region:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         for a in atoms:
-            if not isinstance(a, Atom):
-                raise ValidationError(f"a region's atoms must be Atoms, got {a!r}")
+            check_type("a region's atom", a, Atom)
         object.__setattr__(self, "atoms", atoms)
         for i, a in enumerate(atoms):
             for b in atoms[i + 1:]:
@@ -444,16 +451,14 @@ def parse_interval(text: str) -> Interval:
 
 
 def parse_atom(text: str) -> Atom:
+    """Read ``sym|box|cyl|state``.  The symbol and cylinder are checked by
+    ``Atom`` alone; its ``ValidationError`` becomes a ``FormatError`` here."""
     parts = text.strip().split("|")
     if len(parts) != 4:
         raise FormatError(f"atom needs 4 fields, got {text!r}")
     sym, box_s, cyl_s, state_s = parts
-    if sym not in SYMBOLS:
-        raise FormatError(f"unknown symbol {sym!r}")
     box = () if box_s == "-" else tuple(parse_interval(p) for p in box_s.split("x"))
     cyl = "" if cyl_s == "-" else cyl_s
-    if any(ch not in "*01" for ch in cyl):
-        raise FormatError(f"bad cylinder {cyl_s!r}")
     try:
         return Atom(sym, box, cyl, int(state_s))
     except ValueError:

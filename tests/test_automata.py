@@ -189,6 +189,84 @@ def test_validation_rejects_bad_tables():
         })
 
 
+_HALT = Instruction(1, "o", "id", ACCEPT, F(1))
+_BASE = {"heads": 1, "states": ("init", ACCEPT, REJECT),
+         "delta": {("*", "init", None): (_HALT,)}, "stack": False}
+
+
+def _rules(delta, **changes) -> dict:
+    return {**_BASE, "delta": delta, **changes}
+
+
+# sentence -> the fields that break the base machine with it
+_VIOLATIONS = {
+    "need at least one head, got 0": {"heads": 0},
+    "duplicate state names": {"states": ("init", "init", ACCEPT, REJECT)},
+    "missing required state 'reject'": {"states": ("init", ACCEPT)},
+    "read vector must be 1 symbols over *01": _rules(
+        {("2", "init", None): (Instruction(1, "o", "id", "init", F(1)),)}),
+    "unknown state": _rules({("*", "nowhere", None): (_HALT,)}),
+    "no transitions may leave reject": _rules({("*", REJECT, None): (_HALT,)}),
+    "last-popped must be one of *,0,1 or wildcard": _rules(
+        {("*", "init", "2"): (_HALT,)}, stack=True),
+    "last-popped keys need a stack": _rules({("*", "init", "0"): (_HALT,)}),
+    "head 2 out of range": _rules({("*", "init", None): (replace(_HALT, head=2),)}),
+    "direction must be i or o": _rules(
+        {("*", "init", None): (replace(_HALT, direction="x"),)}),
+    "unknown stack op 'jump'": _rules(
+        {("*", "init", None): (replace(_HALT, stack_op="jump"),)}, stack=True),
+    "stack op 'pop' on a stack-free machine": _rules(
+        {("*", "init", None): (replace(_HALT, next_state="init", stack_op="pop"),)}),
+    "unknown next state 'nowhere'": _rules(
+        {("*", "init", None): (replace(_HALT, next_state="nowhere"),)}),
+    "probability 3/2 outside (0,1]": _rules(
+        {("*", "init", None): (replace(_HALT, prob=F(3, 2)),)}),
+    "halting requires every head on the marker": _rules(
+        {("0", "init", None): (_HALT,)}),
+    "halting steps must leave the stack alone": _rules(
+        {("*", "init", None): (replace(_HALT, stack_op="push_0"),)}, stack=True),
+    "after popping the bottom marker the only legal step pushes it back": _rules(
+        {("*", "init", "*"): (replace(_HALT, next_state="init"),)}, stack=True),
+    "probabilities sum to 2 > 1": _rules({("*", "init", None): (
+        _HALT, replace(_HALT, next_state=REJECT))}),
+}
+
+
+def _table_text(heads, states, delta, stack) -> str:
+    """The text form of a table, written without building the machine."""
+    lines = [f"heads: {heads}", f"stack: {'yes' if stack else 'no'}",
+             "states: " + " ".join(states)]
+    for (read, state, last), instrs in delta.items():
+        body = " ; ".join(f"{t.head} {t.direction} {t.stack_op} {t.next_state} "
+                          f"{t.prob}" for t in instrs)
+        lines.append(f"rule: {read} | {state} | {last or '-'} -> {body}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sentence", sorted(_VIOLATIONS))
+def test_each_violation_is_refused_built_and_parsed(sentence):
+    table = {**_BASE, **_VIOLATIONS[sentence]}
+    Automaton("ok", **_BASE)  # the base machine is well formed
+    with pytest.raises(ValidationError, match=re.escape(sentence)):
+        Automaton("bad", **table)
+    with pytest.raises(FormatError, match="^invalid machine: .*" + re.escape(sentence)):
+        parse_automaton(_table_text(**table))
+
+
+def test_a_rule_key_of_two_fields_is_a_format_error():
+    text = "heads: 1\nstates: init accept reject\nrule: * | init -> 1 o id accept 1\n"
+    with pytest.raises(FormatError,
+                       match=re.escape("line 3: rule key needs read | state | last")):
+        parse_automaton(text)
+
+
+def test_a_stack_machine_needs_a_positive_stack_budget():
+    a = by_name("biased-stack-walk")
+    with pytest.raises(ValidationError, match="positive stack budget"):
+        accept_probability(a, "01", 0)
+    assert accept_probability(by_name("even-ones"), "11", 0) == (F(1), True)
+
+
 def test_built_machine_cannot_change():
     a = by_name("even-ones")
     with pytest.raises(FrozenInstanceError):

@@ -396,3 +396,35 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("machine: even-ones")
+
+
+def _readme_examples() -> dict:
+    """README's ``$ graphings ...`` blocks: each command and the lines shown."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = {}
+    for block in readme.split("```\n$ graphings ")[1:]:
+        command, *shown = block.split("\n```", 1)[0].splitlines()
+        examples[command] = shown
+    return examples
+
+
+@pytest.mark.parametrize("command", ["accept even-ones 0110",
+                                     "accept biased-stack-walk 01",
+                                     "membership coin-third - 1 --test prob "
+                                     "--epsilon 1/4"])
+def test_readme_examples_print_what_readme_shows(command, capsys):
+    shown = _readme_examples()[command]
+    assert shown
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    lines = iter(out.splitlines())
+    # every shown line, in order; README may leave lines out
+    assert all(line in lines for line in shown), out
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["refinement", "--count", "5"], "suite refinement: 5/5 pass"),
+    (["uniformity", "--reps", "1"], "suite uniformity: 12/12 pass")])
+def test_suites_tier_one_runs_nowhere_else_pass(argv, summary, capsys):
+    code, out, _ = run(capsys, "properties", *argv)
+    assert code == 0 and out.splitlines() == [summary]

@@ -82,6 +82,19 @@ def test_plug_rejects_overlapping_rests():
         plug(f, g, spec)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_plug_refuses_a_support_that_is_not_its_rest_plus_the_cut(side):
+    f, g = _pair((), ())
+    cut = cut_between(f, g)
+    short = Region((C1,))  # the cut alone, missing its rest
+    if side == "left":
+        f = GraphingRep(short, f.dialect, ())
+    else:
+        g = GraphingRep(short, g.dialect, ())
+    with pytest.raises(ValidationError, match=f"^{side} support must be"):
+        plug(f, g, cut)
+
+
 def test_plug_composes_a_two_step_corridor():
     f, g = _pair((Edge(Region((A,)), 0, 0, _TO_C1),),
                  (Edge(Region((C1,)), 0, 0, _C1_TO_B),))

@@ -181,6 +181,26 @@ def test_package_enforces_invariants_without_assert(path):
     assert lines == [], f"{path.name} uses assert on lines {lines}"
 
 
+def _is_bool_test(node) -> bool:
+    """Is ``node`` a call ``isinstance(value, kind)`` whose kind names bool?"""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_errors_decides_that_a_bool_is_no_int(path):
+    # ``errors.check_type`` and ``errors.is_int`` are the one rule for a
+    # field's type; a second test for bool elsewhere could drift from it
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _is_bool_test(node)]
+    if path.name == "errors.py":
+        assert lines, "errors.py no longer tests for bool"
+    else:
+        assert lines == [], f"{path.name} tests for bool on lines {lines}"
+
+
 def _names_referenced(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):

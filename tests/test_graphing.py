@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from graphings import graphing
-from graphings.errors import ValidationError
+from graphings.errors import FormatError, ValidationError
 from graphings.generators import random_subprob_pair
 from graphings.graphing import (Edge, GraphingRep, Weight, equivalent,
                                 format_graphing, is_deterministic,
@@ -47,7 +47,7 @@ def test_wrong_typed_edge_fields_are_refused_by_name(args, field):
 @pytest.mark.parametrize("dialect", [(1.5,), (0, True), ("0",)],
                          ids=["float", "bool", "str"])
 def test_wrong_typed_dialect_states_are_refused(dialect):
-    with pytest.raises(ValidationError, match="dialect states must be ints"):
+    with pytest.raises(ValidationError, match="dialect state must be an int"):
         GraphingRep(Region((Atom("0i"),)), dialect)
     with pytest.raises(ValidationError, match="support must be a Region"):
         GraphingRep((Atom("0i"),))
@@ -196,6 +196,28 @@ def test_refinement_compares_maps_on_the_source_cylinders(cyl, fine_map,
 def test_dialect_must_match_for_equivalence():
     sup = Region((Atom("a"),))
     assert not equivalent(GraphingRep(sup, (0,), ()), GraphingRep(sup, (0, 1), ()))
+
+
+@pytest.mark.parametrize("other", [((0, 1), "a"), ((0,), "r")],
+                         ids=["dialect", "support"])
+def test_predicates_need_the_same_dialect_and_support(other):
+    dialect, sym = other
+    g = GraphingRep(Region((Atom("a"),)), (0,), ())
+    h = GraphingRep(Region((Atom(sym),)), dialect, ())
+    assert equivalent(g, g) and is_refinement(g, g)
+    assert not equivalent(g, h) and not is_refinement(g, h)
+
+
+@pytest.mark.parametrize("dialect", [(), (0, -1)], ids=["empty", "negative"])
+def test_a_dialect_is_a_nonempty_set_of_naturals(dialect):
+    with pytest.raises(ValidationError, match="nonempty set of natural numbers"):
+        GraphingRep(Region((Atom("a"),)), dialect)
+
+
+def test_an_edge_line_needs_five_fields():
+    text = "dialect: 0\nsupport: a|-|-|0\nedge: a|-|-|0 @ 0 @ 0 @ id\n"
+    with pytest.raises(FormatError, match="^line 3: edge needs 5 fields"):
+        parse_graphing(text)
 
 
 def test_graphing_roundtrip_with_states_and_stack():

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from graphings import graphing
-from graphings.automata import format_automaton, parse_automaton
+from graphings.automata import (ACCEPT, REJECT, Automaton, Instruction,
+                                format_automaton, parse_automaton)
 from graphings.compiler import compile_automaton
 from graphings.corpus import by_name, corpus
-from graphings.errors import FormatError
+from graphings.errors import FormatError, ValidationError
 from graphings.execution import plug
 from graphings.generators import random_det_pair, random_subprob_pair, split_sources
 from graphings.graphing import (MAX_DIALECT_RANGE, GraphingRep, Weight,
@@ -207,6 +208,96 @@ def test_formatted_values_parse_back(kind, data):
     back = parse(text)
     assert back == (normal(value) if normal else value)
     assert fmt(back) == text
+
+
+# --- int fields: a bool is refused by name or the value parses back ----------
+#
+# ``bool`` subclasses ``int``, and ``True`` prints as ``True``: a value built
+# with it must be refused, naming the field, or parse back as an equal value
+# with an equal ``repr`` (the SHA-256 pins hash ``repr``).
+
+
+def _machine(heads, head) -> Automaton:
+    rule = Instruction(head, "o", "id", ACCEPT, F(1))
+    return Automaton("m", heads, ("init", ACCEPT, REJECT),
+                     {("*" * heads, "init", None): (rule,)})
+
+
+def _int_or_bool(lo, hi):
+    return st.integers(lo, hi) | st.booleans()
+
+
+_SUPPORT = Region((Atom("0i"),))
+# kind -> (the field as refusals name it, values, build, format, parse)
+INT_FIELDS = {
+    "atom state": ("an atom's state", _int_or_bool(0, 4),
+                   lambda v: Atom("0i", (), "*", v), format_atom, parse_atom),
+    "realizer shift": ("a realizer's shift", _int_or_bool(-7, 7),
+                       lambda v: Realizer(shift=v), format_realizer, parse_realizer),
+    "realizer pops": ("a realizer's pops", _int_or_bool(0, 3),
+                      lambda v: Realizer(pops=v, pushes="0"), format_realizer,
+                      parse_realizer),
+    "perm coordinate": ("a permutation entry", _int_or_bool(3, 5),
+                        lambda v: Realizer(perm=((v, 2), (2, v))), format_realizer,
+                        parse_realizer),
+    "translation coordinate": ("a box translation", _int_or_bool(1, 3),
+                               lambda v: Realizer(box_shift=((v, F(1, 2)),)),
+                               format_realizer, parse_realizer),
+    "translation numerator": ("a box translation", st.sampled_from([-1, 1, 3])
+                              | st.booleans(),
+                              lambda v: Realizer(box_shift=((1, v, 4),)),
+                              format_realizer, parse_realizer),
+    "weight flag": ("a weight's flag", _int_or_bool(0, 1),
+                    lambda v: Weight(F(1, 2), v), format_weight, parse_weight),
+    "dialect state": ("a graphing's dialect state", _int_or_bool(0, 3),
+                      lambda v: GraphingRep(_SUPPORT, (0, v)), format_graphing,
+                      parse_graphing),
+    "automaton heads": ("an automaton's heads", _int_or_bool(1, 3),
+                        lambda v: _machine(v, 1), format_automaton, parse_automaton),
+    "instruction head": ("an instruction's head", _int_or_bool(1, 1),
+                         lambda v: _machine(1, v), format_automaton, parse_automaton),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INT_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_int_fields_refuse_a_bool_by_name_or_parse_back(kind, data):
+    what, values, build, fmt, parse = INT_FIELDS[kind]
+    field = data.draw(values)
+    try:
+        value = build(field)
+    except ValidationError as exc:
+        assert str(exc).startswith(what), str(exc)
+        return
+    back = parse(fmt(value))
+    assert back == value
+    assert repr(back) == repr(value)
+
+
+# Each of these printed text that its own parser refuses, or parsed back
+# with a different ``repr``.
+_BOOL_LEAKS = {
+    "atom state": ("an atom's state", lambda: Atom("a", state=True)),
+    "realizer shift": ("a realizer's shift", lambda: Realizer(shift=True)),
+    "realizer pops": ("a realizer's pops", lambda: Realizer(pops=True)),
+    "perm coordinate": ("a permutation entry",
+                        lambda: Realizer(perm=((True, 2), (2, True)))),
+    "translation coordinate": ("a box translation",
+                               lambda: Realizer(box_shift=((True, F(1, 2)),))),
+    "translation numerator": ("a box translation",
+                              lambda: Realizer(box_shift=((1, True, 2),))),
+    "weight flag": ("a weight's flag", lambda: Weight(F(1, 2), True)),
+    "automaton heads": ("an automaton's heads", lambda: _machine(True, 1)),
+    "instruction head": ("an instruction's head", lambda: _machine(1, True)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOOL_LEAKS))
+def test_a_bool_in_an_int_field_is_refused_by_name(kind):
+    what, build = _BOOL_LEAKS[kind]
+    with pytest.raises(ValidationError, match=f"^{what} "):
+        build()
 
 
 def _edge_tokens(text: str) -> list:

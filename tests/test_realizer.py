@@ -259,6 +259,19 @@ def test_microcosm_membership():
         in_microcosm(Realizer(), "q")
 
 
+def test_microcosms_bound_stack_actions_and_permuted_coordinates():
+    assert not in_microcosm(Realizer(pops=1), "m")
+    assert in_microcosm(Realizer(pops=1), "n")
+    assert not in_microcosm(Realizer(perm=swap(1, 3)), "m", 2)
+    assert in_microcosm(Realizer(perm=swap(1, 3)), "m", 3)
+
+
+@pytest.mark.parametrize("field, value", [("pops", -1), ("pushes", "2")])
+def test_a_stack_action_off_its_alphabet_is_refused(field, value):
+    with pytest.raises(ValidationError, match="bad stack action"):
+        Realizer(**{field: value})
+
+
 @given(st.integers(-3, 3), st.text(alphabet="*01", max_size=2),
        st.integers(0, 2), st.text(alphabet="*01", max_size=2))
 def test_apply_atom_pieces_tile_the_atom(shift, pushes, pops, cyl):

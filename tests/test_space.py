@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from itertools import product
 from math import lcm
 
-from graphings.errors import ValidationError
+from graphings.errors import FormatError, ValidationError
 from graphings.space import (EXT_SYMBOLS, FULL, RESULT_SYMBOLS, SYMBOLS, Atom,
                              Interval, Region, ae_equal, box_den, box_get,
                              box_intersect, cyl_intersect, disjoint_ae,
@@ -38,6 +38,19 @@ def test_symbol_shift_moves_along_the_listing():
 def test_sym_of():
     assert sym_of("*", "i") == "*i"
     assert sym_of("1", "o") == "1o"
+
+
+@pytest.mark.parametrize("char, direction", [("2", "i"), ("0", "x")])
+def test_sym_of_refuses_a_letter_or_direction_off_the_alphabet(char, direction):
+    with pytest.raises(ValidationError, match="bad dialogue symbol"):
+        sym_of(char, direction)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("q|-|-|0", "unknown symbol 'q'"), ("a|-|2|0", "cylinder prefix '2' not over")])
+def test_an_atom_text_is_refused_by_the_atom_check(text, reason):
+    with pytest.raises(FormatError, match=f"^bad atom .*: {reason}"):
+        parse_atom(text)
 
 
 def test_interval_measure_and_touching_is_null():
@@ -105,7 +118,7 @@ def test_an_atom_meets_itself_in_itself_unless_it_is_null():
 
 
 def test_a_region_of_non_atoms_is_refused():
-    with pytest.raises(ValidationError, match="region's atoms must be Atoms"):
+    with pytest.raises(ValidationError, match="region's atom must be an Atom"):
         Region(("a",))
 
 

@@ -33,6 +33,11 @@ def test_normal_form_is_pushes_then_pops():
     assert split_normal("01cc") == ("01", 2)
 
 
+def test_reduce_refuses_a_letter_off_the_alphabet():
+    with pytest.raises(ValidationError, match="letter 'x' not in"):
+        reduce("x")
+
+
 def test_theta_mul_is_after():
     # pushing 0 then popping it is the identity
     assert theta_mul("c", "0") == ""
